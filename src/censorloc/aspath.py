@@ -9,19 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from ipaddress import AddressValueError, IPv4Address, IPv4Network
 from typing import Any, Union
 
-from .ingest import PrefixTable
+from .ingest import PrefixTable, parse_ipv4, prefix_mask
 from .model import AsPath, MeasurementRecord, Traceroute
 
-# Ranges that can never identify a transit AS: RFC1918, loopback, link-local.
-_EXCLUDED_RANGES = (
-    IPv4Network("10.0.0.0/8"),
-    IPv4Network("172.16.0.0/12"),
-    IPv4Network("192.168.0.0/16"),
-    IPv4Network("127.0.0.0/8"),
-    IPv4Network("169.254.0.0/16"),
+# Ranges that can never identify a transit AS: RFC1918, loopback, link-local,
+# as (network, mask) integer pairs.
+_EXCLUDED_RANGES = tuple(
+    (parse_ipv4(network), prefix_mask(length))
+    for network, length in (
+        ("10.0.0.0", 8),
+        ("172.16.0.0", 12),
+        ("192.168.0.0", 16),
+        ("127.0.0.0", 8),
+        ("169.254.0.0", 16),
+    )
 )
 
 
@@ -57,14 +60,22 @@ _UNMAPPED = HopMapping(kind=MappingKind.UNMAPPED)
 
 
 def map_ip(table: PrefixTable, ip: str) -> HopMapping:
-    """Longest-prefix match one IP; reserved/private space never maps."""
-    try:
-        addr = IPv4Address(ip)
-    except (AddressValueError, ValueError):
+    """Longest-prefix match one IP; reserved/private space never maps.
+
+    Each distinct string is mapped once per table and then read from
+    ``table.mappings``.
+    """
+    mapping = table.mappings.get(ip)
+    if mapping is None:
+        mapping = table.mappings[ip] = _map_uncached(table, ip)
+    return mapping
+
+
+def _map_uncached(table: PrefixTable, ip: str) -> HopMapping:
+    addr = parse_ipv4(ip)
+    if addr is None or any(addr & mask == network for network, mask in _EXCLUDED_RANGES):
         return _UNMAPPED
-    if any(addr in net for net in _EXCLUDED_RANGES):
-        return _UNMAPPED
-    origins = table.lookup(ip)
+    origins = table.lookup_int(addr)
     if origins is None:
         return _UNMAPPED
     if len(origins) == 1:

@@ -12,8 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from ipaddress import AddressValueError, IPv4Address
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .model import (
     TRACEROUTES_PER_RECORD,
@@ -25,6 +24,9 @@ from .model import (
     parse_timestamp,
     validate_asn,
 )
+
+if TYPE_CHECKING:
+    from .aspath import HopMapping
 
 
 class IngestError(Exception):
@@ -66,6 +68,39 @@ class ParseReport:
 
 
 # ---------------------------------------------------------------------------
+# IPv4 addresses
+
+
+def parse_ipv4(text: str) -> int | None:
+    """Dotted-quad IPv4 address to its integer value, or None if malformed.
+
+    Accepts exactly what ``ipaddress.IPv4Address`` accepts from a string:
+    four octets of one to three ASCII digits, no leading zeros, each at most
+    255. ``int`` alone would also take ``_``, ``+``, whitespace and non-ASCII
+    digits, so every octet is checked before it is converted.
+    """
+    parts = text.split(".")
+    if len(parts) != 4:
+        return None
+    value = 0
+    for part in parts:
+        if not (part.isascii() and part.isdigit()) or len(part) > 3:
+            return None
+        if part[0] == "0" and len(part) > 1:
+            return None
+        octet = int(part)
+        if octet > 255:
+            return None
+        value = value << 8 | octet
+    return value
+
+
+def prefix_mask(length: int) -> int:
+    """Network mask of a /length IPv4 prefix as an integer."""
+    return ~((1 << (32 - length)) - 1) & 0xFFFFFFFF
+
+
+# ---------------------------------------------------------------------------
 # prefix table
 
 
@@ -73,6 +108,8 @@ class PrefixTable:
     """Longest-prefix-match table from IPv4 prefixes to origin AS sets.
 
     One probe per distinct prefix length present in the table, longest first.
+    ``mappings`` memoises ``aspath.map_ip`` per address string for the
+    table's lifetime; the table never changes after construction.
     """
 
     def __init__(self, entries: Iterable[tuple[int, int, frozenset[int]]]):
@@ -81,22 +118,24 @@ class PrefixTable:
         for network, prefix_len, origins in entries:
             by_len.setdefault(prefix_len, {})[network] = origins
             count += 1
-        self._by_len = by_len
-        self._lengths = sorted(by_len, reverse=True)
+        self._probes = [
+            (prefix_mask(length), by_len[length]) for length in sorted(by_len, reverse=True)
+        ]
         self._size = count
+        self.mappings: dict[str, HopMapping] = {}
 
     def __len__(self) -> int:
         return self._size
 
     def lookup(self, ip: str) -> frozenset[int] | None:
         """Origin set of the most specific covering prefix, or None."""
-        try:
-            addr = int(IPv4Address(ip))
-        except (AddressValueError, ValueError):
-            return None
-        for length in self._lengths:
-            masked = addr & ~((1 << (32 - length)) - 1) & 0xFFFFFFFF if length else 0
-            origins = self._by_len[length].get(masked)
+        addr = parse_ipv4(ip)
+        return None if addr is None else self.lookup_int(addr)
+
+    def lookup_int(self, addr: int) -> frozenset[int] | None:
+        """``lookup`` for an address already parsed by ``parse_ipv4``."""
+        for mask, networks in self._probes:
+            origins = networks.get(addr & mask)
             if origins is not None:
                 return origins
         return None
@@ -140,9 +179,8 @@ def parse_pfx2as(text: str) -> tuple[PrefixTable, ParseReport]:
         if prefix_len > 32:
             report.skip("invalid prefix length")
             continue
-        try:
-            addr = int(IPv4Address(prefix_raw.strip()))
-        except (AddressValueError, ValueError):
+        addr = parse_ipv4(prefix_raw.strip())
+        if addr is None:
             report.skip("invalid prefix address")
             continue
         try:
@@ -150,8 +188,7 @@ def parse_pfx2as(text: str) -> tuple[PrefixTable, ParseReport]:
         except ValueError:
             report.skip("invalid origin")
             continue
-        mask = ~((1 << (32 - prefix_len)) - 1) & 0xFFFFFFFF if prefix_len else 0
-        key = (addr & mask, prefix_len)
+        key = (addr & prefix_mask(prefix_len), prefix_len)
         if key in table:
             report.warn("duplicate prefix overridden")
         table[key] = origins
@@ -256,8 +293,25 @@ _TRACEROUTE_KEYS = {"completed", "hops"}
 _HOP_KEYS = {"ttl", "addr"}
 
 
-def _validate_hop(obj: Any) -> Hop:
-    if not isinstance(obj, dict) or set(obj) != _HOP_KEYS:
+@dataclass
+class _Seen:
+    """What one measurement parse has already validated: address strings,
+    and every distinct (addr, ttl) hop as one shared ``Hop``."""
+
+    addrs: set[str] = field(default_factory=set)
+    hops: dict[tuple[str, int], Hop] = field(default_factory=dict)
+
+    def valid_addr(self, addr: str) -> bool:
+        if addr in self.addrs:
+            return True
+        if parse_ipv4(addr) is None:
+            return False
+        self.addrs.add(addr)
+        return True
+
+
+def _validate_hop(obj: Any, seen: _Seen) -> Hop:
+    if not isinstance(obj, dict) or obj.keys() != _HOP_KEYS:
         raise ValueError("invalid hop")
     ttl = obj["ttl"]
     if isinstance(ttl, bool) or not isinstance(ttl, int) or ttl < 1:
@@ -265,23 +319,26 @@ def _validate_hop(obj: Any) -> Hop:
     addr = obj["addr"]
     if not isinstance(addr, str):
         raise ValueError("invalid hop addr")
-    if addr == "*":
-        return Hop(addr=None, ttl_index=ttl)
-    try:
-        IPv4Address(addr)
-    except (AddressValueError, ValueError):
-        raise ValueError("invalid hop addr") from None
-    return Hop(addr=addr, ttl_index=ttl)
+    hop = seen.hops.get((addr, ttl))
+    if hop is None:
+        if addr == "*":
+            hop = Hop(addr=None, ttl_index=ttl)
+        elif seen.valid_addr(addr):
+            hop = Hop(addr=addr, ttl_index=ttl)
+        else:
+            raise ValueError("invalid hop addr")
+        seen.hops[addr, ttl] = hop
+    return hop
 
 
-def _validate_traceroute(obj: Any) -> Traceroute:
-    if not isinstance(obj, dict) or set(obj) != _TRACEROUTE_KEYS:
+def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
+    if not isinstance(obj, dict) or obj.keys() != _TRACEROUTE_KEYS:
         raise ValueError("invalid traceroute")
     if not isinstance(obj["completed"], bool):
         raise ValueError("invalid traceroute completed flag")
     if not isinstance(obj["hops"], list):
         raise ValueError("invalid traceroute hops")
-    hops = tuple(_validate_hop(h) for h in obj["hops"])
+    hops = tuple(_validate_hop(h, seen) for h in obj["hops"])
     last = 0
     for hop in hops:
         if hop.ttl_index <= last:
@@ -292,7 +349,7 @@ def _validate_traceroute(obj: Any) -> Traceroute:
     return Traceroute(hops=hops, completed=obj["completed"])
 
 
-def _validate_record(obj: Any) -> MeasurementRecord:
+def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     if not isinstance(obj, dict):
         raise ValueError("not a json object")
     missing = _RECORD_KEYS - set(obj)
@@ -310,10 +367,8 @@ def _validate_record(obj: Any) -> MeasurementRecord:
     dst_ip = obj["dst_ip"]
     if not isinstance(dst_ip, str):
         raise ValueError("invalid dst_ip")
-    try:
-        IPv4Address(dst_ip)
-    except (AddressValueError, ValueError):
-        raise ValueError("invalid dst_ip") from None
+    if not seen.valid_addr(dst_ip):
+        raise ValueError("invalid dst_ip")
     if not isinstance(obj["anomaly"], str):
         raise ValueError("unknown anomaly type")
     anomaly = AnomalyType.parse(obj["anomaly"])
@@ -324,7 +379,7 @@ def _validate_record(obj: Any) -> MeasurementRecord:
         raise ValueError("invalid traceroutes")
     if len(obj["traceroutes"]) != TRACEROUTES_PER_RECORD:
         raise ValueError("traceroute count != 3")
-    traceroutes = tuple(_validate_traceroute(t) for t in obj["traceroutes"])
+    traceroutes = tuple(_validate_traceroute(t, seen) for t in obj["traceroutes"])
     return MeasurementRecord(
         record_id=obj["record_id"],
         vantage_asn=obj["vantage_asn"],
@@ -343,12 +398,19 @@ def parse_measurements(
 ) -> tuple[list[MeasurementRecord], ParseReport]:
     """Parse measurement JSONL; one object per line, schema-checked strictly.
 
-    When ``period`` is given, records timestamped outside [start, end] are
-    counted as skips. Zero surviving records is fatal.
+    Lines end at LF only; a CR before it is JSON whitespace. So a record may
+    hold U+2028 and the other characters ``str.splitlines`` would break at,
+    and a final LF does not start another line. When ``period``
+    is given, records timestamped outside [start, end] are counted as skips.
+    Zero surviving records is fatal.
     """
     report = ParseReport()
     records: list[MeasurementRecord] = []
-    for line in text.splitlines():
+    seen = _Seen()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for line in lines:
         if not line.strip():
             report.skip("blank line")
             continue
@@ -358,7 +420,7 @@ def parse_measurements(
             report.skip("invalid json")
             continue
         try:
-            record = _validate_record(obj)
+            record = _validate_record(obj, seen)
         except ValueError as exc:
             report.skip(str(exc))
             continue

@@ -123,12 +123,18 @@ def infer_paths(
 ) -> tuple[list[tuple[MeasurementRecord, AsPath]], dict[InferenceRule, int]]:
     """Per-record path inference plus elimination accounting.
 
+    Records that share (vantage ASN, destination IP, traceroutes) pose the
+    same problem, so each distinct problem is inferred once per call.
     len(records) == len(pairs) + sum(failure counts), always.
     """
     pairs: list[tuple[MeasurementRecord, AsPath]] = []
     failures: dict[InferenceRule, int] = {rule: 0 for rule in InferenceRule}
+    outcomes: dict[tuple, AsPath | InferenceFailure] = {}
     for record in records:
-        outcome = infer_as_path(record, table)
+        key = (record.vantage_asn, record.dst_ip, record.traceroutes)
+        outcome = outcomes.get(key)
+        if outcome is None:
+            outcome = outcomes[key] = infer_as_path(record, table)
         if isinstance(outcome, InferenceFailure):
             failures[outcome.rule] += 1
         else:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .model import (
     BackboneStatus,
     CnfInstance,
@@ -230,8 +228,11 @@ def brute_force_models(
     """Exact model set by exhaustive enumeration of all 2^n assignments.
 
     Oracle for the solver paths; shares no logic with them. Refuses more
-    than max_vars variables.
+    than max_vars variables. numpy is imported here, not at module level, so
+    the CLI and its pool workers start without it.
     """
+    import numpy as np
+
     _check_inputs(variables, clauses)
     ordered = sorted(set(variables))
     n = len(ordered)

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import json
+from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _helpers import make_record, make_table, make_traceroute
 from censorloc import aspath, pipeline
@@ -105,10 +108,39 @@ def test_map_ip_excludes_reserved_space(ip):
     assert map_ip(table, ip).kind is MappingKind.UNMAPPED
 
 
+_RESERVED = [
+    IPv4Network(net)
+    for net in ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16", "127.0.0.0/8", "169.254.0.0/16")
+]
+
+
+def _near(net: IPv4Network) -> st.SearchStrategy[int]:
+    """Addresses in and just around one reserved range."""
+    first, last = int(net.network_address), int(net.broadcast_address)
+    edge = st.integers(-2, 2)
+    return st.one_of(
+        st.integers(first, last), edge.map(lambda d: first + d), edge.map(lambda d: last + d)
+    )
+
+
+@given(st.one_of(st.integers(0, 2**32 - 1), *(_near(net) for net in _RESERVED)))
+def test_map_ip_exclusion_agrees_with_ipaddress(value):
+    addr = IPv4Address(value)
+    table = make_table({"0.0.0.0/0": 12345})
+    expected = (
+        MappingKind.UNMAPPED if any(addr in net for net in _RESERVED) else MappingKind.MAPPED
+    )
+    assert map_ip(table, str(addr)).kind is expected
+
+
 def test_map_ip_rejects_garbage_addresses():
     table = _fixture_table()
-    assert map_ip(table, "not-an-ip").kind is MappingKind.UNMAPPED
-    assert map_ip(table, "1.2.3.4.5").kind is MappingKind.UNMAPPED
+    for _ in range(2):
+        # the second call is answered from the table's memo
+        assert map_ip(table, "not-an-ip").kind is MappingKind.UNMAPPED
+        assert map_ip(table, "1.2.3.4.5").kind is MappingKind.UNMAPPED
+        assert map_ip(table, "07.7.7.200").kind is MappingKind.UNMAPPED
+    assert map_ip(table, "7.7.7.200").asn == 700
 
 
 def test_default_route_matches_when_nothing_longer_does():

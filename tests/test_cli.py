@@ -91,6 +91,18 @@ def test_console_script_is_installed(tmp_path):
     assert __version__ in proc.stdout
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    """numpy serves only the brute-force oracle, so start-up must not pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import censorloc.cli; "
+         "print('numpy' in sys.modules)", str(REPO_ROOT / "src")],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_no_command_shows_usage():
     with pytest.raises(SystemExit) as exc:
         main([])

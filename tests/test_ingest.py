@@ -3,17 +3,19 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from ipaddress import AddressValueError, IPv4Address
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _helpers import make_record, ts
+from _helpers import make_record, make_traceroute, ts
 from censorloc.ingest import (
     IngestError,
     ParseReport,
     ingest_summary_obj,
     parse_as_metadata,
+    parse_ipv4,
     parse_measurements,
     parse_pfx2as,
     window_id,
@@ -59,6 +61,57 @@ def test_windows_nest_day_within_month_within_year(naive):
     year = window_id(instant, G.YEAR)
     assert day.startswith(month)
     assert month.startswith(year)
+
+
+# ---------------------------------------------------------------------------
+# IPv4 parser, with ipaddress as the reference
+
+def _reference_ipv4(text: str) -> int | None:
+    try:
+        return int(IPv4Address(text))
+    except (AddressValueError, ValueError):
+        return None
+
+
+# the characters int() or a loose parser would let through, plus the legal ones
+_ADVERSARIAL = "0123456789. 0/+_²٣\n"
+
+
+@given(
+    st.one_of(
+        st.text(alphabet=_ADVERSARIAL, max_size=20),
+        st.lists(st.text(alphabet=_ADVERSARIAL, min_size=1, max_size=4), max_size=6).map(
+            ".".join
+        ),
+        st.lists(st.integers(0, 300).map(str), min_size=3, max_size=5).map(".".join),
+    )
+)
+def test_parse_ipv4_agrees_with_ipaddress(text):
+    assert parse_ipv4(text) == _reference_ipv4(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0.0.0.0", 0),
+        ("1.2.3.4", 0x01020304),
+        ("255.255.255.255", 2**32 - 1),
+        ("01.2.3.4", None),
+        (" 1.2.3.4", None),
+        ("1.2.3.4 ", None),
+        ("1.2.3", None),
+        ("1.2.3.4.5", None),
+        ("1_0.0.0.1", None),
+        ("+1.0.0.1", None),
+        ("256.0.0.1", None),
+        ("1.2.3.4/32", None),
+        ("1.2.3.٣", None),
+        ("", None),
+    ],
+)
+def test_parse_ipv4_explicit_cases(text, expected):
+    assert parse_ipv4(text) == expected
+    assert _reference_ipv4(text) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +247,33 @@ def test_parse_measurements_skip_accounting():
     assert report.skip_reasons["traceroute count != 3"] == 1
     assert report.skip_reasons["unexpected key: surprise"] == 1
     assert report.skip_reasons["blank line"] == 1
+
+
+def test_parse_measurements_splits_only_at_newlines():
+    # json.dumps leaves these unescaped with ensure_ascii=False; str.splitlines
+    # would break the record apart at each of them
+    obj = make_record(record_id="odd\u2028id", url="http://example.com/\x85\u2029").to_json_obj()
+    odd = json.dumps(obj, ensure_ascii=False)
+    cases = [
+        (odd + "\n" + _record_line() + "\n", 0),
+        (odd + "\r\n" + _record_line(), 0),
+        (odd + "\r\n\r\n" + _record_line() + "\n\n", 2),
+    ]
+    for text, blank_lines in cases:
+        records, report = parse_measurements(text)
+        assert [r.record_id for r in records] == ["odd\u2028id", "r1"]
+        assert records[0].url == "http://example.com/\x85\u2029"
+        assert report.kept == 2 and report.skipped == blank_lines
+        assert report.skip_reasons == ({"blank line": blank_lines} if blank_lines else {})
+
+
+def test_parse_measurements_shares_equal_hops():
+    tr = make_traceroute("9.9.0.1", "*", "9.9.0.2")
+    line = _record_line(traceroutes=[tr.to_json_obj()] * 3)
+    records, _ = parse_measurements(line + "\n" + line + "\n")
+    hops = [hop for r in records for t in r.traceroutes for hop in t.hops]
+    assert [h.addr for h in hops] == ["9.9.0.1", None, "9.9.0.2"] * 6
+    assert len({id(h) for h in hops}) == 3
 
 
 def test_parse_measurements_rejects_non_increasing_ttls():

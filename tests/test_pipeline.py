@@ -4,10 +4,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import make_record, make_traceroute
-from censorloc import pipeline
-from censorloc.aspath import InferenceRule
+from censorloc import pipeline, simulate
+from censorloc.aspath import InferenceFailure, InferenceRule, infer_as_path
+from censorloc.ingest import parse_measurements, parse_pfx2as
 from censorloc.model import (
     AnomalyType,
     BackboneStatus,
@@ -160,6 +163,57 @@ def test_solve_instances_parallel_matches_serial(world):
     serial = pipeline.solve_instances(result.instances, cap=5, workers=1)
     parallel = pipeline.solve_instances(result.instances, cap=5, workers=2)
     assert serial == parallel
+
+
+def _noisy_corpus(seed: int) -> tuple[list, str]:
+    """Simulated records (parsed as ingest does) with non-responsive hops and
+    flipped verdicts, plus the prefix table text."""
+    params = simulate.SimParams(
+        seed=seed, n_ases=30, n_vantage=4, n_urls=6, n_censors=2, days=4,
+        churn_prob=0.3, noise_prob=0.05, nonresponsive_prob=0.1,
+    )
+    world = simulate.generate_world(params)
+    rows, _ = simulate.generate_measurements(world, params)
+    records, _ = parse_measurements(simulate.measurements_jsonl(rows))
+    return records, simulate.pfx2as_text(world)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**16))
+def test_memoised_inference_matches_per_record_inference(seed):
+    records, pfx2as = _noisy_corpus(seed)
+    pairs, failures = pipeline.infer_paths(records, parse_pfx2as(pfx2as)[0])
+
+    expected_pairs = []
+    expected_failures = {rule: 0 for rule in InferenceRule}
+    for record in records:
+        outcome = infer_as_path(record, parse_pfx2as(pfx2as)[0])
+        if isinstance(outcome, InferenceFailure):
+            expected_failures[outcome.rule] += 1
+        else:
+            expected_pairs.append((record, outcome))
+    assert pairs == expected_pairs
+    assert failures == expected_failures
+
+
+def test_infer_paths_solves_each_distinct_problem_once(monkeypatch):
+    records, pfx2as = _noisy_corpus(7)
+    calls = []
+
+    def counting(record, table):
+        calls.append(record)
+        return infer_as_path(record, table)
+
+    monkeypatch.setattr(pipeline, "infer_as_path", counting)
+    table = parse_pfx2as(pfx2as)[0]
+    problems = {(r.vantage_asn, r.dst_ip, r.traceroutes) for r in records}
+    assert len(problems) < len(records)
+    for _ in range(2):
+        # the memo lives for one call, so the second call infers afresh
+        calls.clear()
+        _, failures = pipeline.infer_paths(records, table)
+        assert len(calls) == len(problems)
+    assert failures[InferenceRule.UNRESOLVABLE_GAP] > 0
 
 
 def test_elimination_summary_shape():
