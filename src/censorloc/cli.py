@@ -59,7 +59,8 @@ def _add_analysis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-cap", type=int, default=solver.DEFAULT_MODEL_CAP,
                    help="stop counting models at this bound (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="solve CNF instances over N processes (default 1)")
+                   help="accepted for compatibility (N >= 1); CNF instances "
+                        "are always solved in this process")
     p.add_argument("--no-url-split", action="store_true",
                    help="merge all URLs into one bucket per window")
     p.add_argument("--debug-trace", action="store_true",

@@ -296,10 +296,12 @@ _HOP_KEYS = {"ttl", "addr"}
 @dataclass
 class _Seen:
     """What one measurement parse has already validated: address strings,
-    and every distinct (addr, ttl) hop as one shared ``Hop``."""
+    every distinct (addr, ttl) hop as one shared ``Hop``, and every distinct
+    timestamp string as one shared ``datetime``."""
 
     addrs: set[str] = field(default_factory=set)
     hops: dict[tuple[str, int], Hop] = field(default_factory=dict)
+    stamps: dict[str, datetime] = field(default_factory=dict)
 
     def valid_addr(self, addr: str) -> bool:
         if addr in self.addrs:
@@ -308,6 +310,16 @@ class _Seen:
             return False
         self.addrs.add(addr)
         return True
+
+    def timestamp(self, raw: Any) -> datetime:
+        # a non-string raw is unhashable or not a stamp; parse_timestamp
+        # names it in the error
+        if not isinstance(raw, str):
+            return parse_timestamp(raw)
+        stamp = self.stamps.get(raw)
+        if stamp is None:
+            stamp = self.stamps[raw] = parse_timestamp(raw)
+        return stamp
 
 
 def _validate_hop(obj: Any, seen: _Seen) -> Hop:
@@ -374,7 +386,7 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     anomaly = AnomalyType.parse(obj["anomaly"])
     if not isinstance(obj["detected"], bool):
         raise ValueError("invalid detected")
-    timestamp = parse_timestamp(obj["timestamp"])
+    timestamp = seen.timestamp(obj["timestamp"])
     if not isinstance(obj["traceroutes"], list):
         raise ValueError("invalid traceroutes")
     if len(obj["traceroutes"]) != TRACEROUTES_PER_RECORD:

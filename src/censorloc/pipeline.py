@@ -51,6 +51,7 @@ class RunConfig:
     anomalies: tuple[AnomalyType, ...] | None = None
     model_cap: int = solver.DEFAULT_MODEL_CAP
     url_split: bool = True
+    # kept so callers stay valid; buckets are always solved in-process
     workers: int = 1
     force: bool = False
     debug_trace: bool = False
@@ -153,24 +154,9 @@ def elimination_summary_obj(
     }
 
 
-def _classify_job(args: tuple[CnfInstance, int]) -> SolutionSummary:
-    instance, cap = args
-    return solver.classify(instance, cap)
-
-
-def solve_instances(
-    instances: Sequence[CnfInstance], cap: int, workers: int = 1
-) -> list[SolutionSummary]:
-    """Classify every instance, optionally over a process pool; results keep
-    instance order either way."""
-    if workers <= 1 or len(instances) < 2:
-        return [solver.classify(instance, cap) for instance in instances]
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(instance, cap) for instance in instances]
-    chunk = max(1, len(jobs) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_classify_job, jobs, chunksize=chunk))
+def solve_instances(instances: Sequence[CnfInstance], cap: int) -> list[SolutionSummary]:
+    """Classify every instance in this process, in instance order."""
+    return [solver.classify(instance, cap) for instance in instances]
 
 
 @dataclass
@@ -191,7 +177,7 @@ def run_localize_stages(cfg: RunConfig, loaded: LoadedInputs | None = None) -> L
         loaded = load_inputs(cfg)
     pairs, failures = infer_paths(loaded.records, loaded.table)
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
-    summaries = solve_instances(instances, cfg.model_cap, cfg.workers)
+    summaries = solve_instances(instances, cfg.model_cap)
     verdicts = analysis.identify_censors(summaries)
     reduction = analysis.reduction_stats(summaries)
     return LocalizeResult(
@@ -447,7 +433,7 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
     ablated_instances = tomography.build_instances(
         ablated_pairs, cfg.granularities, cfg.url_split
     )
-    ablated_summaries = solve_instances(ablated_instances, cfg.model_cap, cfg.workers)
+    ablated_summaries = solve_instances(ablated_instances, cfg.model_cap)
     ablated_rows = analysis.solution_rows_by_granularity(ablated_summaries, cfg.model_cap)
     files = LOCALIZE_FILES + ("ablated_solutions_by_granularity.csv",) + (
         ("inference_trace.jsonl",) if cfg.debug_trace else ()

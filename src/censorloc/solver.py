@@ -2,10 +2,12 @@
 
 Variables are positive integers (ASNs in the pipeline, 1..n for DIMACS
 input); a clause is a tuple of signed variables. Pipeline CNFs have a
-restricted shape: every clause is all-positive or a negative unit, which
-admits a linear-time satisfiability check and cheap counting. A general
-DPLL path sits behind the fast path for anything else (externally supplied
-DIMACS, blocking clauses during enumeration).
+restricted shape: every clause is all-positive or a negative unit. For that
+shape satisfiability, the witness and the backbone follow in closed form in
+one pass over the clauses (``_closed_form``), and counting enumerates only
+the free variables. Everything else (externally supplied DIMACS, blocking
+clauses during enumeration) goes through DPLL, with one SAT probe per
+variable for the backbone.
 """
 from __future__ import annotations
 
@@ -53,21 +55,34 @@ def is_restricted_shape(clauses: Sequence[ClauseTuple]) -> bool:
     return True
 
 
-def _solve_restricted(
+def _closed_form(
     variables: Sequence[int], clauses: Sequence[ClauseTuple]
-) -> Assignment | None:
-    # propagate negative units, then every positive clause must keep a
-    # literal that can still be true; the residual is satisfied all-true
-    forced_false: set[int] = set()
-    for clause in clauses:
-        if len(clause) == 1 and clause[0] < 0:
-            forced_false.add(-clause[0])
+) -> dict[int, BackboneStatus] | None:
+    """Backbone of a restricted-shape CNF, or None when it is unsatisfiable.
+
+    Negative units force their variable false. A positive clause left with
+    no other literal is unsatisfiable; one left with a single distinct
+    literal forces it true. Any other variable is free: all-true outside the
+    forced-false set is a model, and dropping one unforced variable from it
+    leaves every clause another true literal.
+    """
+    _check_inputs(variables, clauses)
+    forced_false = {-c[0] for c in clauses if len(c) == 1 and c[0] < 0}
+    forced_true: set[int] = set()
     for clause in clauses:
         if len(clause) == 1 and clause[0] < 0:
             continue
-        if all(lit in forced_false for lit in clause):
+        survivors = set(clause) - forced_false
+        if not survivors:
             return None
-    return {v: v not in forced_false for v in variables}
+        if len(survivors) == 1:
+            forced_true |= survivors
+    return {
+        v: BackboneStatus.FORCED_TRUE if v in forced_true
+        else BackboneStatus.FORCED_FALSE if v in forced_false
+        else BackboneStatus.FREE
+        for v in sorted(variables)
+    }
 
 
 def _solve_dpll(
@@ -116,11 +131,17 @@ def check_sat(
     clauses: Sequence[ClauseTuple],
     use_general: bool = False,
 ) -> tuple[bool, Assignment | None]:
-    """Satisfiability plus a witness assignment when satisfiable."""
-    _check_inputs(variables, clauses)
+    """Satisfiability plus a witness assignment when satisfiable.
+
+    The witness of a restricted-shape CNF is all true but its forced-false set.
+    """
     if not use_general and is_restricted_shape(clauses):
-        witness = _solve_restricted(variables, clauses)
+        backbone = _closed_form(variables, clauses)
+        witness = None if backbone is None else {
+            v: backbone[v] is not BackboneStatus.FORCED_FALSE for v in variables
+        }
     else:
+        _check_inputs(variables, clauses)
         witness = _solve_dpll(variables, clauses)
     return witness is not None, witness
 
@@ -130,11 +151,15 @@ def compute_backbone(
     clauses: Sequence[ClauseTuple],
     use_general: bool = False,
 ) -> dict[int, BackboneStatus]:
-    """Per-variable forced role via SAT probes; empty map when unsatisfiable.
+    """Per-variable forced role; empty map when unsatisfiable.
 
-    A variable seen true in the witness can only be ForcedTrue (probe with
-    the negated literal); seen false, only ForcedFalse. One probe each.
+    Restricted-shape CNFs get it in closed form. Otherwise by SAT probes: a
+    variable seen true in the witness can only be ForcedTrue (probe with the
+    negated literal); seen false, only ForcedFalse. One probe each.
     """
+    if not use_general and is_restricted_shape(clauses):
+        # None (unsatisfiable) and a zero-variable backbone are both empty
+        return _closed_form(variables, clauses) or {}
     sat, witness = check_sat(variables, clauses, use_general=use_general)
     if not sat:
         return {}
@@ -211,13 +236,32 @@ def count_models(
     """min(number of models, cap). Counting never proceeds past the cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if not use_general and is_restricted_shape(clauses):
+        backbone = _closed_form(variables, clauses)
+        return 0 if backbone is None else _count_restricted(variables, clauses, cap, backbone)
     sat, _ = check_sat(variables, clauses, use_general=use_general)
     if not sat:
         return 0
-    if not use_general and is_restricted_shape(clauses):
-        backbone = compute_backbone(variables, clauses)
-        return _count_restricted(variables, clauses, cap, backbone)
     return _count_blocking(variables, clauses, cap)
+
+
+def _solve(
+    variables: Sequence[int], clauses: Sequence[ClauseTuple], cap: int
+) -> tuple[SolutionStatus, int, dict[int, BackboneStatus]]:
+    # status, capped model count and backbone: restricted-shape CNFs in
+    # closed form, the rest by DPLL
+    if is_restricted_shape(clauses):
+        backbone = _closed_form(variables, clauses)
+        if backbone is None:
+            return SolutionStatus.UNSAT, 0, {}
+        count = _count_restricted(variables, clauses, cap, backbone)
+    else:
+        count = count_models(variables, clauses, cap)
+        if count == 0:
+            return SolutionStatus.UNSAT, 0, {}
+        backbone = compute_backbone(variables, clauses)
+    status = SolutionStatus.UNIQUE if count == 1 else SolutionStatus.MULTIPLE
+    return status, count, backbone
 
 
 def brute_force_models(
@@ -229,7 +273,7 @@ def brute_force_models(
 
     Oracle for the solver paths; shares no logic with them. Refuses more
     than max_vars variables. numpy is imported here, not at module level, so
-    the CLI and its pool workers start without it.
+    the CLI starts without it.
     """
     import numpy as np
 
@@ -265,29 +309,7 @@ def classify(instance: CnfInstance, cap: int = DEFAULT_MODEL_CAP) -> SolutionSum
     # a cap of 1 cannot tell unique (exactly 1) from multiple (stopped at 1)
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    clauses = to_cnf_clauses(instance)
-    variables = instance.variables
-    sat, witness = check_sat(variables, clauses)
-    if not sat:
-        return SolutionSummary(
-            key=instance.key,
-            status=SolutionStatus.UNSAT,
-            model_count_capped=0,
-            backbone={},
-        )
-    backbone = compute_backbone(variables, clauses)
-    if is_restricted_shape(clauses):
-        count = _count_restricted(variables, clauses, cap, backbone)
-    else:
-        count = _count_blocking(variables, clauses, cap)
-    status = SolutionStatus.UNIQUE if count == 1 else SolutionStatus.MULTIPLE
-    if status is SolutionStatus.UNIQUE:
-        # the one model must coincide with the forced-true set
-        assert witness is not None
-        assert all(s is not BackboneStatus.FREE for s in backbone.values())
-        assert all(
-            witness[v] == (backbone[v] is BackboneStatus.FORCED_TRUE) for v in variables
-        )
+    status, count, backbone = _solve(instance.variables, to_cnf_clauses(instance), cap)
     return SolutionSummary(
         key=instance.key,
         status=status,
@@ -349,12 +371,7 @@ def solve_dimacs_text(text: str, cap: int = DEFAULT_MODEL_CAP) -> dict:
     if cap < 2:
         raise ValueError("cap must be >= 2")
     n_vars, clauses = parse_dimacs(text)
-    variables = tuple(range(1, n_vars + 1))
-    count = count_models(variables, clauses, cap)
-    if count == 0:
-        return {"status": SolutionStatus.UNSAT.value, "count_capped": 0, "backbone": {}}
-    backbone = compute_backbone(variables, clauses)
-    status = SolutionStatus.UNIQUE if count == 1 else SolutionStatus.MULTIPLE
+    status, count, backbone = _solve(tuple(range(1, n_vars + 1)), clauses, cap)
     return {
         "status": status.value,
         "count_capped": count,

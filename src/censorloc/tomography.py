@@ -9,10 +9,13 @@ clause this module emits is therefore either all-positive or a negative unit.
 from __future__ import annotations
 
 import hashlib
+from datetime import datetime
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .ingest import window_id
 from .model import (
+    AnomalyType,
     AsPath,
     BucketKey,
     Clause,
@@ -40,37 +43,50 @@ def bucket(
 ) -> dict[BucketKey, list[Entry]]:
     """Group inferred paths by (anomaly, url, window); entries stay in
     timestamp order within each bucket (ties keep input order)."""
-    grouped: dict[BucketKey, list[tuple]] = {}
-    for seq, (record, path) in enumerate(pairs):
-        key = BucketKey(
-            anomaly=record.anomaly,
-            url=record.url if url_split else MERGED_URL,
-            granularity=granularity,
-            window_id=window_id(record.timestamp, granularity),
-        )
-        grouped.setdefault(key, []).append(
-            (record.timestamp, seq, path, record.detected, record.record_id)
-        )
+    windows: dict[datetime, str] = {}
+    grouped: dict[tuple[AnomalyType, str, str], list[tuple[datetime, Entry]]] = {}
+    for record, path in pairs:
+        stamp = record.timestamp
+        window = windows.get(stamp)
+        if window is None:
+            window = windows[stamp] = window_id(stamp, granularity)
+        grouped.setdefault(
+            (record.anomaly, record.url if url_split else MERGED_URL, window), []
+        ).append((stamp, (path, record.detected, record.record_id)))
     out: dict[BucketKey, list[Entry]] = {}
-    for key, rows in grouped.items():
-        rows.sort(key=lambda r: (r[0], r[1]))
-        out[key] = [(path, detected, record_id) for _, _, path, detected, record_id in rows]
+    for (anomaly, url, window), rows in grouped.items():
+        # rows arrive in input order and the sort is stable
+        rows.sort(key=itemgetter(0))
+        key = BucketKey(anomaly=anomaly, url=url, granularity=granularity, window_id=window)
+        out[key] = list(map(itemgetter(1), rows))
     return out
 
 
-def build_cnf(key: BucketKey, entries: Sequence[Entry]) -> CnfInstance:
+class _ClauseMemo(dict):
+    """One Clause, with its canonical key, per distinct (path, detected)."""
+
+    def __missing__(self, key: tuple[AsPath, bool]) -> tuple[tuple, Clause]:
+        clause = build_clause(*key)
+        self[key] = entry = (clause.canonical_key(), clause)
+        return entry
+
+
+def build_cnf(
+    key: BucketKey, entries: Sequence[Entry], memo: _ClauseMemo | None = None
+) -> CnfInstance:
     """Build one bucket's CNF instance.
 
     Clauses are deduplicated per (literal set, truth); contradictory pairs
     (same set, both truths) are retained and left for the solver to expose as
-    unsatisfiable. source_paths keeps every entry verbatim.
+    unsatisfiable. source_paths keeps every entry verbatim. ``memo`` shares
+    clauses between the buckets of one run.
     """
     if not entries:
         raise ValueError("a bucket cannot be empty")
-    seen: set[Clause] = set()
-    for path, detected, _ in entries:
-        seen.add(build_clause(path, detected))
-    clauses = tuple(sorted(seen, key=lambda c: c.canonical_key()))
+    if memo is None:
+        memo = _ClauseMemo()
+    seen = dict(memo[path, detected] for path, detected, _ in entries)
+    clauses = tuple(seen[k] for k in sorted(seen))
     variables: set[int] = set()
     for clause in clauses:
         variables |= clause.literal_asns
@@ -88,10 +104,11 @@ def build_instances(
     url_split: bool = True,
 ) -> list[CnfInstance]:
     """All CNF instances for a run, sorted by bucket key."""
+    memo = _ClauseMemo()
     instances: list[CnfInstance] = []
     for granularity in granularities:
         for key, entries in bucket(pairs, granularity, url_split).items():
-            instances.append(build_cnf(key, entries))
+            instances.append(build_cnf(key, entries, memo))
     instances.sort(key=lambda inst: inst.key.sort_key())
     return instances
 

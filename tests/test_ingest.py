@@ -20,7 +20,7 @@ from censorloc.ingest import (
     parse_pfx2as,
     window_id,
 )
-from censorloc.model import TimeGranularity
+from censorloc.model import TimeGranularity, parse_timestamp
 
 G = TimeGranularity
 
@@ -274,6 +274,44 @@ def test_parse_measurements_shares_equal_hops():
     hops = [hop for r in records for t in r.traceroutes for hop in t.hops]
     assert [h.addr for h in hops] == ["9.9.0.1", None, "9.9.0.2"] * 6
     assert len({id(h) for h in hops}) == 3
+
+
+def test_parse_measurements_parses_each_distinct_timestamp_once():
+    stamps = [
+        "2016-05-02T12:00:00Z",
+        "2016-13-02T12:00:00Z",
+        ["2016-05-02T12:00:00Z"],
+        "2016-05-03T12:00:00Z",
+        "2016-05-02T12:00:00Z",
+        "2016-13-02T12:00:00Z",
+        ["2016-05-02T12:00:00Z"],
+        "2016-05-03T12:00:00Z",
+    ]
+    text = "".join(
+        _record_line(record_id=f"r{i}", timestamp=raw) + "\n" for i, raw in enumerate(stamps)
+    )
+    records, report = parse_measurements(text)
+
+    # the report of parsing every stamp afresh
+    expected = ParseReport()
+    for raw in stamps:
+        try:
+            parse_timestamp(raw)
+        except ValueError as exc:
+            expected.skip(str(exc))
+        else:
+            expected.kept += 1
+    assert report == expected
+    assert report.skip_reasons == {
+        "timestamp not in YYYY-MM-DDThh:mm:ssZ form: '2016-13-02T12:00:00Z'": 2,
+        "timestamp must be a string, got ['2016-05-02T12:00:00Z']": 2,
+    }
+    assert [r.record_id for r in records] == ["r0", "r3", "r4", "r7"]
+    assert [r.timestamp for r in records] == [parse_timestamp(stamps[i]) for i in (0, 3, 4, 7)]
+    # records that share a stamp share one datetime
+    assert records[0].timestamp is records[2].timestamp
+    assert records[1].timestamp is records[3].timestamp
+    assert records[0].timestamp is not records[1].timestamp
 
 
 def test_parse_measurements_rejects_non_increasing_ttls():

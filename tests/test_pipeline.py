@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_record, make_traceroute
-from censorloc import pipeline, simulate
+from censorloc import pipeline, simulate, solver, tomography
 from censorloc.aspath import InferenceFailure, InferenceRule, infer_as_path
 from censorloc.ingest import parse_measurements, parse_pfx2as
 from censorloc.model import (
@@ -159,10 +159,11 @@ def test_week_only_run_rules_out_everything_but_the_censor(world):
 
 
 def test_solve_instances_parallel_matches_serial(world):
-    result = pipeline.run_localize_stages(_config(world))
-    serial = pipeline.solve_instances(result.instances, cap=5, workers=1)
-    parallel = pipeline.solve_instances(result.instances, cap=5, workers=2)
-    assert serial == parallel
+    # --workers stays accepted but no longer changes how buckets are solved
+    serial = pipeline.run_localize_stages(_config(world, workers=1))
+    parallel = pipeline.run_localize_stages(_config(world, workers=2))
+    assert parallel.summaries == serial.summaries
+    assert parallel.verdicts == serial.verdicts
 
 
 def _noisy_corpus(seed: int) -> tuple[list, str]:
@@ -214,6 +215,20 @@ def test_infer_paths_solves_each_distinct_problem_once(monkeypatch):
         _, failures = pipeline.infer_paths(records, table)
         assert len(calls) == len(problems)
     assert failures[InferenceRule.UNRESOLVABLE_GAP] > 0
+
+
+def test_pipeline_classification_makes_no_sat_probes(monkeypatch):
+    records, pfx2as = _noisy_corpus(3)
+    pairs, _ = pipeline.infer_paths(records, parse_pfx2as(pfx2as)[0])
+    instances = tomography.build_instances(pairs, tuple(G))
+    expected = [solver.classify(instance) for instance in instances]
+    assert {s.status for s in expected} == set(SolutionStatus)
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("pipeline CNFs must be classified in closed form")
+
+    monkeypatch.setattr(solver, "check_sat", no_probe)
+    assert [solver.classify(instance) for instance in instances] == expected
 
 
 def test_elimination_summary_shape():

@@ -188,6 +188,64 @@ def test_dpll_matches_brute_force_on_general_shapes(seed, cap):
     check_against_brute_force(variables, clauses, cap=cap)
 
 
+@st.composite
+def restricted_dimacs_cnfs(draw):
+    """Restricted-shape CNFs over 1..n with the edge cases the closed form
+    must get right: repeated literals in a clause, the empty clause,
+    variables in no clause, and (x) / (-x) pairs."""
+    n = draw(st.integers(0, 8))
+    var = st.integers(1, max(n, 1))
+    # with no variables only the empty clause can be drawn
+    most = 1 if n else 0
+    positives = draw(st.lists(st.lists(var, max_size=5 * most).map(tuple), max_size=6))
+    negatives = draw(st.lists(var.map(lambda v: (-v,)), max_size=4 * most))
+    # a positive singleton and a negative unit over one variable contradict
+    pairs = draw(st.lists(var, max_size=2 * most))
+    clauses = positives + negatives + [c for v in pairs for c in ((v,), (-v,))]
+    return n, draw(st.permutations(clauses))
+
+
+def _dimacs_text(n, clauses):
+    lines = [f"p cnf {n} {len(clauses)}"]
+    lines += [" ".join(map(str, clause + (0,))) for clause in clauses]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(restricted_dimacs_cnfs())
+def test_closed_form_matches_brute_force(cnf):
+    n, clauses = cnf
+    variables = tuple(range(1, n + 1))
+    assert solver.is_restricted_shape(clauses)
+    models = solver.brute_force_models(variables, clauses)
+    backbone = backbone_from_models(variables, models)
+    assert solver.compute_backbone(variables, clauses) == backbone
+    for cap in (2, 5, 50):
+        count = min(len(models), cap)
+        assert solver.count_models(variables, clauses, cap) == count
+        status = "unsat" if count == 0 else "unique" if count == 1 else "multiple"
+        assert solver.solve_dimacs_text(_dimacs_text(n, clauses), cap) == {
+            "status": status,
+            "count_capped": count,
+            "backbone": {str(v): s.value for v, s in sorted(backbone.items())},
+        }
+
+
+def test_closed_form_counts_a_sole_survivor_over_distinct_literals():
+    # (1 v 1) has one distinct literal, so it forces 1 true
+    assert solver.solve_dimacs_text("p cnf 2 1\n1 1 0\n") == {
+        "status": "multiple",
+        "count_capped": 2,
+        "backbone": {"1": "forced_true", "2": "free"},
+    }
+    # the empty clause is unsatisfiable whatever the variables
+    assert solver.solve_dimacs_text("p cnf 3 1\n0\n") == {
+        "status": "unsat",
+        "count_capped": 0,
+        "backbone": {},
+    }
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_restricted_shape_detector(seed):

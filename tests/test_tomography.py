@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_record
+from censorloc.ingest import window_id
 from censorloc.model import (
     AnomalyType,
     AsPath,
     BucketKey,
     Clause,
+    CnfInstance,
     TimeGranularity,
 )
 from censorloc.tomography import (
@@ -245,3 +247,37 @@ def test_every_emitted_clause_is_positive_or_negative_unit(seed, granularity):
         # every source path row is over the instance's variables
         for path, _, _ in inst.source_paths:
             assert set(path.asns) <= set(inst.variables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), url_split=st.booleans())
+def test_build_instances_matches_a_per_bucket_reference(seed, url_split):
+    pairs = _random_pairs(random.Random(seed))
+    expected = []
+    for granularity in G:
+        groups: dict[tuple, list] = {}
+        for i, (record, path) in enumerate(pairs):
+            url = record.url if url_split else MERGED_URL
+            window = window_id(record.timestamp, granularity)
+            groups.setdefault((record.anomaly, url, window), []).append(
+                (record.timestamp, i, path, record.detected, record.record_id)
+            )
+        for (anomaly, url, window), rows in groups.items():
+            rows.sort(key=lambda row: row[:2])
+            clauses = sorted(
+                {Clause(frozenset(path.asns), detected) for _, _, path, detected, _ in rows},
+                key=Clause.canonical_key,
+            )
+            expected.append(CnfInstance(
+                key=BucketKey(anomaly, url, granularity, window),
+                variables=tuple(sorted(frozenset().union(*(c.literal_asns for c in clauses)))),
+                clauses=tuple(clauses),
+                source_paths=tuple((path, detected, rid) for _, _, path, detected, rid in rows),
+            ))
+    expected.sort(key=lambda inst: inst.key.sort_key())
+    built = build_instances(pairs, list(G), url_split)
+    assert built == expected
+    # the buckets of all four granularities share one Clause per distinct
+    # (path, detected)
+    shared = {id(clause) for inst in built for clause in inst.clauses}
+    assert len(shared) <= len({(path, record.detected) for record, path in pairs})
