@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Any, Union
 
 from .ingest import PrefixTable, parse_ipv4, prefix_mask
-from .model import AsPath, MeasurementRecord, Traceroute
+from .model import AsPath, Hop, MeasurementRecord, Traceroute
 
 # Ranges that can never identify a transit AS: RFC1918, loopback, link-local,
 # as (network, mask) integer pairs.
@@ -177,6 +177,41 @@ def collapse_traceroute(
     return AsPath(asns=tuple(collapsed))
 
 
+def _outcomes(
+    record: MeasurementRecord, table: PrefixTable
+) -> tuple[HopMapping, list[Union[AsPath, InferenceFailure]]]:
+    # the destination mapping plus one collapse outcome per traceroute; an
+    # unmapped destination fails every traceroute without collapsing it
+    dst_mapping = map_ip(table, record.dst_ip)
+    if dst_mapping.kind is not MappingKind.MAPPED:
+        failure = InferenceFailure(
+            rule=InferenceRule.MAPPING_IMPOSSIBLE,
+            detail=f"destination {record.dst_ip} does not map to a single AS",
+        )
+        return dst_mapping, [failure] * len(record.traceroutes)
+    dst_asn = dst_mapping.asn
+    return dst_mapping, [
+        collapse_traceroute(traceroute, table, record.vantage_asn, dst_asn)
+        for traceroute in record.traceroutes
+    ]
+
+
+def _combine(
+    outcomes: list[Union[AsPath, InferenceFailure]]
+) -> Union[AsPath, InferenceFailure]:
+    # successful collapses must agree; with none, the first failure stands
+    paths = {o.asns for o in outcomes if not isinstance(o, InferenceFailure)}
+    if not paths:
+        return outcomes[0]
+    if len(paths) > 1:
+        rendered = "; ".join("-".join(str(a) for a in p) for p in sorted(paths))
+        return InferenceFailure(
+            rule=InferenceRule.MULTIPLE_AS_PATHS,
+            detail=f"traceroutes disagree: {rendered}",
+        )
+    return AsPath(asns=paths.pop())
+
+
 def infer_as_path(
     record: MeasurementRecord,
     table: PrefixTable,
@@ -187,75 +222,33 @@ def infer_as_path(
     collapses must all agree; two or more distinct paths eliminate the record,
     and if nothing collapses the first per-traceroute failure is reported.
     """
-    dst_mapping = map_ip(table, record.dst_ip)
-    if dst_mapping.kind is not MappingKind.MAPPED:
-        return InferenceFailure(
-            rule=InferenceRule.MAPPING_IMPOSSIBLE,
-            detail=f"destination {record.dst_ip} does not map to a single AS",
-        )
-    dst_asn = dst_mapping.asn
+    return _combine(_outcomes(record, table)[1])
 
-    paths: list[AsPath] = []
-    first_failure: InferenceFailure | None = None
-    for traceroute in record.traceroutes:
-        outcome = collapse_traceroute(traceroute, table, record.vantage_asn, dst_asn)
-        if isinstance(outcome, InferenceFailure):
-            if first_failure is None:
-                first_failure = outcome
-        else:
-            paths.append(outcome)
 
-    if not paths:
-        assert first_failure is not None
-        return first_failure
-    distinct = sorted({p.asns for p in paths})
-    if len(distinct) > 1:
-        rendered = "; ".join("-".join(str(a) for a in p) for p in distinct)
-        return InferenceFailure(
-            rule=InferenceRule.MULTIPLE_AS_PATHS,
-            detail=f"traceroutes disagree: {rendered}",
-        )
-    return AsPath(asns=distinct[0])
+def _result_obj(outcome: Union[AsPath, InferenceFailure]) -> dict[str, Any]:
+    if isinstance(outcome, InferenceFailure):
+        return outcome.to_json_obj()
+    return {"path": list(outcome.asns)}
+
+
+def _hop_obj(hop: Hop, table: PrefixTable) -> dict[str, Any]:
+    if not hop.responsive:
+        return {"ttl": hop.ttl_index, "addr": "*", "mapping": "non_responsive"}
+    mapping = map_ip(table, hop.addr)
+    return {
+        "ttl": hop.ttl_index,
+        "addr": hop.addr,
+        "mapping": mapping.kind.value,
+        "origins": sorted(mapping.origins),
+    }
 
 
 def trace_inference(record: MeasurementRecord, table: PrefixTable) -> dict[str, Any]:
-    """Debug dump of every mapping step for one record (behind --debug-trace)."""
-    dst_mapping = map_ip(table, record.dst_ip)
-    traceroutes = []
-    for traceroute in record.traceroutes:
-        hops = []
-        for hop in traceroute.hops:
-            if not hop.responsive:
-                hops.append({"ttl": hop.ttl_index, "addr": "*", "mapping": "non_responsive"})
-                continue
-            mapping = map_ip(table, hop.addr)
-            hops.append(
-                {
-                    "ttl": hop.ttl_index,
-                    "addr": hop.addr,
-                    "mapping": mapping.kind.value,
-                    "origins": sorted(mapping.origins),
-                }
-            )
-        if dst_mapping.kind is MappingKind.MAPPED:
-            outcome: AsPath | InferenceFailure = collapse_traceroute(
-                traceroute, table, record.vantage_asn, dst_mapping.asn
-            )
-        else:
-            outcome = InferenceFailure(
-                rule=InferenceRule.MAPPING_IMPOSSIBLE,
-                detail=f"destination {record.dst_ip} does not map to a single AS",
-            )
-        traceroutes.append(
-            {
-                "completed": traceroute.completed,
-                "hops": hops,
-                "outcome": outcome.to_json_obj()
-                if isinstance(outcome, InferenceFailure)
-                else {"path": list(outcome.asns)},
-            }
-        )
-    final = infer_as_path(record, table)
+    """Debug dump of every mapping step for one record (behind --debug-trace).
+
+    Built from the same per-traceroute outcomes as ``infer_as_path``.
+    """
+    dst_mapping, outcomes = _outcomes(record, table)
     return {
         "record_id": record.record_id,
         "dst_ip": record.dst_ip,
@@ -263,8 +256,13 @@ def trace_inference(record: MeasurementRecord, table: PrefixTable) -> dict[str, 
             "kind": dst_mapping.kind.value,
             "origins": sorted(dst_mapping.origins),
         },
-        "traceroutes": traceroutes,
-        "result": final.to_json_obj()
-        if isinstance(final, InferenceFailure)
-        else {"path": list(final.asns)},
+        "traceroutes": [
+            {
+                "completed": traceroute.completed,
+                "hops": [_hop_obj(hop, table) for hop in traceroute.hops],
+                "outcome": _result_obj(outcome),
+            }
+            for traceroute, outcome in zip(record.traceroutes, outcomes)
+        ],
+        "result": _result_obj(_combine(outcomes)),
     }

@@ -2,7 +2,10 @@
 
 Malformed entries are skipped and counted per reason; a parse is fatal only
 when nothing usable remains. The accounting identity ``lines = kept + skipped``
-holds for every parser here.
+holds for every parser here. ``parse_measurements`` is the only reader of
+measurement JSON: it makes every check on a record, hop by hop, and builds
+the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` values, which check
+nothing themselves.
 """
 from __future__ import annotations
 

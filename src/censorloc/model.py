@@ -1,8 +1,11 @@
 """Domain types shared by every stage of the censorship-localization pipeline.
 
 All types here are immutable values: two instances with equal fields compare
-equal, and each type round-trips losslessly through ``to_json_obj`` /
-``from_json_obj``.
+equal, and each type with a ``from_json_obj`` round-trips losslessly through
+``to_json_obj`` / ``from_json_obj``. ``Hop``, ``Traceroute`` and
+``MeasurementRecord`` have neither a reader nor checks of their own:
+``ingest.parse_measurements`` validates measurement JSON and builds them, and
+their ``to_json_obj`` writes the form it reads.
 """
 from __future__ import annotations
 
@@ -103,25 +106,12 @@ class Hop:
     addr: str | None
     ttl_index: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.ttl_index, bool) or not isinstance(self.ttl_index, int):
-            raise ValueError(f"ttl_index must be an integer, got {self.ttl_index!r}")
-        if self.ttl_index < 1:
-            raise ValueError(f"ttl_index must be >= 1, got {self.ttl_index}")
-        if self.addr is not None and not isinstance(self.addr, str):
-            raise ValueError(f"hop addr must be a string or None, got {self.addr!r}")
-
     @property
     def responsive(self) -> bool:
         return self.addr is not None
 
     def to_json_obj(self) -> dict[str, Any]:
         return {"ttl": self.ttl_index, "addr": self.addr if self.responsive else NON_RESPONSIVE}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "Hop":
-        addr = obj["addr"]
-        return cls(addr=None if addr == NON_RESPONSIVE else addr, ttl_index=obj["ttl"])
 
 
 @dataclass(frozen=True)
@@ -131,26 +121,8 @@ class Traceroute:
     hops: tuple[Hop, ...]
     completed: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.completed, bool):
-            raise ValueError("completed must be a boolean")
-        if not self.hops and self.completed:
-            raise ValueError("a completed traceroute must have at least one hop")
-        last = 0
-        for hop in self.hops:
-            if hop.ttl_index <= last:
-                raise ValueError("hop ttl_index values must strictly increase")
-            last = hop.ttl_index
-
     def to_json_obj(self) -> dict[str, Any]:
         return {"completed": self.completed, "hops": [h.to_json_obj() for h in self.hops]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "Traceroute":
-        return cls(
-            hops=tuple(Hop.from_json_obj(h) for h in obj["hops"]),
-            completed=obj["completed"],
-        )
 
 
 TRACEROUTES_PER_RECORD = 3
@@ -169,20 +141,6 @@ class MeasurementRecord:
     timestamp: datetime
     traceroutes: tuple[Traceroute, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.record_id, str) or not self.record_id:
-            raise ValueError("record_id must be a non-empty string")
-        validate_asn(self.vantage_asn, "vantage_asn")
-        if not isinstance(self.detected, bool):
-            raise ValueError("detected must be a boolean")
-        if self.timestamp.tzinfo is None:
-            raise ValueError("timestamp must be timezone-aware (UTC)")
-        if len(self.traceroutes) != TRACEROUTES_PER_RECORD:
-            raise ValueError(
-                f"expected exactly {TRACEROUTES_PER_RECORD} traceroutes, "
-                f"got {len(self.traceroutes)}"
-            )
-
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "record_id": self.record_id,
@@ -194,19 +152,6 @@ class MeasurementRecord:
             "timestamp": format_timestamp(self.timestamp),
             "traceroutes": [t.to_json_obj() for t in self.traceroutes],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "MeasurementRecord":
-        return cls(
-            record_id=obj["record_id"],
-            vantage_asn=obj["vantage_asn"],
-            url=obj["url"],
-            dst_ip=obj["dst_ip"],
-            anomaly=AnomalyType.parse(obj["anomaly"]),
-            detected=obj["detected"],
-            timestamp=parse_timestamp(obj["timestamp"]),
-            traceroutes=tuple(Traceroute.from_json_obj(t) for t in obj["traceroutes"]),
-        )
 
 
 @dataclass(frozen=True)

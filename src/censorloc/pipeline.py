@@ -28,6 +28,7 @@ from .ingest import (
 from .model import (
     AnomalyType,
     AsPath,
+    CensorVerdict,
     CnfInstance,
     MeasurementRecord,
     SolutionSummary,
@@ -69,28 +70,20 @@ class LoadedInputs:
     records: list[MeasurementRecord]
     measurement_report: ParseReport
     table: PrefixTable
-    table_report: ParseReport
     registry: AsRegistry | None
-    registry_report: ParseReport | None
     warnings: list[str] = field(default_factory=list)
 
 
 def load_inputs(cfg: RunConfig, need_registry: bool = False) -> LoadedInputs:
+    registry = registry_report = None
     try:
         table, table_report = parse_pfx2as(_read_text(cfg.pfx2as, "prefix table"))
-    except IngestError as exc:
-        raise InputError(str(exc)) from None
-    registry = registry_report = None
-    if cfg.as_meta is not None:
-        try:
+        if cfg.as_meta is not None:
             registry, registry_report = parse_as_metadata(
                 _read_text(cfg.as_meta, "AS metadata")
             )
-        except IngestError as exc:
-            raise InputError(str(exc)) from None
-    elif need_registry:
-        raise InputError("this command needs --as-meta (country lookups)")
-    try:
+        elif need_registry:
+            raise InputError("this command needs --as-meta (country lookups)")
         records, measurement_report = parse_measurements(
             _read_text(cfg.measurements, "measurements")
         )
@@ -102,19 +95,17 @@ def load_inputs(cfg: RunConfig, need_registry: bool = False) -> LoadedInputs:
         records = [r for r in records if r.anomaly in wanted]
         if not records:
             warnings.append("no records left after the anomaly filter")
-    for report, label in ((table_report, "pfx2as"), (measurement_report, "measurements")):
+    reports = [("pfx2as", table_report), ("measurements", measurement_report)]
+    if registry_report is not None:
+        reports.append(("as-meta", registry_report))
+    for label, report in reports:
         for reason, count in sorted(report.warnings.items()):
             warnings.append(f"{label}: {reason} x{count}")
-    if registry_report is not None:
-        for reason, count in sorted(registry_report.warnings.items()):
-            warnings.append(f"as-meta: {reason} x{count}")
     return LoadedInputs(
         records=records,
         measurement_report=measurement_report,
         table=table,
-        table_report=table_report,
         registry=registry,
-        registry_report=registry_report,
         warnings=warnings,
     )
 
@@ -381,34 +372,40 @@ def write_churn_outputs(
 # command bodies (CLI argument handling lives in cli.py)
 
 
-def cmd_localize(cfg: RunConfig) -> list[str]:
-    result = run_localize_stages(cfg)
-    files = LOCALIZE_FILES + (("inference_trace.jsonl",) if cfg.debug_trace else ())
-    out_dir = prepare_out_dir(cfg.out_dir, files, cfg.force)
-    write_localize_outputs(cfg, result, out_dir)
-    warnings = list(result.loaded.warnings)
-    if not result.pairs:
+def _out_files(cfg: RunConfig, *extra: str) -> tuple[str, ...]:
+    # what a localize-based command writes: the localize set, its own files,
+    # then the trace when asked for
+    trace = ("inference_trace.jsonl",) if cfg.debug_trace else ()
+    return LOCALIZE_FILES + extra + trace
+
+
+def _warnings(
+    loaded: LoadedInputs, pairs: Sequence[tuple[MeasurementRecord, AsPath]]
+) -> list[str]:
+    warnings = list(loaded.warnings)
+    if not pairs:
         warnings.append("zero records survived path inference; outputs are empty")
     return warnings
+
+
+def cmd_localize(cfg: RunConfig) -> list[str]:
+    result = run_localize_stages(cfg)
+    out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg), cfg.force)
+    write_localize_outputs(cfg, result, out_dir)
+    return _warnings(result.loaded, result.pairs)
 
 
 def cmd_leak(cfg: RunConfig) -> list[str]:
     loaded = load_inputs(cfg, need_registry=True)
     result = run_localize_stages(cfg, loaded=loaded)
-    files = LOCALIZE_FILES + ("leakage.json",) + (
-        ("inference_trace.jsonl",) if cfg.debug_trace else ()
-    )
-    out_dir = prepare_out_dir(cfg.out_dir, files, cfg.force)
-    write_localize_outputs(cfg, result, out_dir)
     assert loaded.registry is not None
     report = analysis.detect_leakage(
         list(zip(result.instances, result.summaries)), loaded.registry
     )
+    out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg, "leakage.json"), cfg.force)
+    write_localize_outputs(cfg, result, out_dir)
     write_leakage_output(out_dir, report)
-    warnings = list(result.loaded.warnings)
-    if not result.pairs:
-        warnings.append("zero records survived path inference; outputs are empty")
-    return warnings
+    return _warnings(loaded, result.pairs)
 
 
 def cmd_churn(cfg: RunConfig) -> list[str]:
@@ -421,10 +418,7 @@ def cmd_churn(cfg: RunConfig) -> list[str]:
     reports = [analysis.churn_stats(observations, g) for g in cfg.granularities]
     out_dir = prepare_out_dir(cfg.out_dir, ("churn.csv", "churn_summary.csv"), cfg.force)
     write_churn_outputs(out_dir, reports)
-    warnings = list(loaded.warnings)
-    if not pairs:
-        warnings.append("zero records survived path inference; outputs are empty")
-    return warnings
+    return _warnings(loaded, pairs)
 
 
 def cmd_ablate(cfg: RunConfig) -> list[str]:
@@ -435,20 +429,15 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
     )
     ablated_summaries = solve_instances(ablated_instances, cfg.model_cap)
     ablated_rows = analysis.solution_rows_by_granularity(ablated_summaries, cfg.model_cap)
-    files = LOCALIZE_FILES + ("ablated_solutions_by_granularity.csv",) + (
-        ("inference_trace.jsonl",) if cfg.debug_trace else ()
-    )
-    out_dir = prepare_out_dir(cfg.out_dir, files, cfg.force)
+    ablated_name = "ablated_solutions_by_granularity.csv"
+    out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg, ablated_name), cfg.force)
     write_localize_outputs(cfg, result, out_dir)
     write_csv(
-        out_dir / "ablated_solutions_by_granularity.csv",
+        out_dir / ablated_name,
         ["granularity", *_SOLUTION_HEADER_TAIL],
         _solution_csv_rows(ablated_rows, "granularity"),
     )
-    warnings = list(result.loaded.warnings)
-    if not result.pairs:
-        warnings.append("zero records survived path inference; outputs are empty")
-    return warnings
+    return _warnings(result.loaded, result.pairs)
 
 
 def cmd_export_dimacs(cfg: RunConfig) -> list[str]:
@@ -478,8 +467,6 @@ def cmd_evaluate(censors_path: Path, truth_path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON input: {exc}") from None
     try:
-        from .model import CensorVerdict
-
         verdicts = [CensorVerdict.from_json_obj(v) for v in verdict_objs]
         truth = simulate.ground_truth_from_obj(truth_obj)
     except (KeyError, TypeError, ValueError) as exc:

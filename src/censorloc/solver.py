@@ -8,6 +8,11 @@ one pass over the clauses (``_closed_form``), and counting enumerates only
 the free variables. Everything else (externally supplied DIMACS, blocking
 clauses during enumeration) goes through DPLL, with one SAT probe per
 variable for the backbone.
+
+Inputs are checked once, on entry to ``check_sat``, ``compute_backbone``,
+``count_models`` and ``brute_force_models``; the probes they make are not.
+``classify`` and ``solve_dimacs_text`` take CNFs that were already checked
+where they were built (``CnfInstance`` and ``parse_dimacs``).
 """
 from __future__ import annotations
 
@@ -66,7 +71,6 @@ def _closed_form(
     forced-false set is a model, and dropping one unforced variable from it
     leaves every clause another true literal.
     """
-    _check_inputs(variables, clauses)
     forced_false = {-c[0] for c in clauses if len(c) == 1 and c[0] < 0}
     forced_true: set[int] = set()
     for clause in clauses:
@@ -126,6 +130,18 @@ def _solve_dpll(
     return solve([tuple(c) for c in clauses], {})
 
 
+def _sat(
+    variables: Sequence[int], clauses: Sequence[ClauseTuple], use_general: bool
+) -> Assignment | None:
+    # unchecked check_sat: a witness, or None when unsatisfiable
+    if not use_general and is_restricted_shape(clauses):
+        backbone = _closed_form(variables, clauses)
+        if backbone is None:
+            return None
+        return {v: backbone[v] is not BackboneStatus.FORCED_FALSE for v in variables}
+    return _solve_dpll(variables, clauses)
+
+
 def check_sat(
     variables: Sequence[int],
     clauses: Sequence[ClauseTuple],
@@ -135,15 +151,31 @@ def check_sat(
 
     The witness of a restricted-shape CNF is all true but its forced-false set.
     """
-    if not use_general and is_restricted_shape(clauses):
-        backbone = _closed_form(variables, clauses)
-        witness = None if backbone is None else {
-            v: backbone[v] is not BackboneStatus.FORCED_FALSE for v in variables
-        }
-    else:
-        _check_inputs(variables, clauses)
-        witness = _solve_dpll(variables, clauses)
+    _check_inputs(variables, clauses)
+    witness = _sat(variables, clauses, use_general)
     return witness is not None, witness
+
+
+def _backbone(
+    variables: Sequence[int], clauses: Sequence[ClauseTuple], use_general: bool
+) -> dict[int, BackboneStatus]:
+    # unchecked compute_backbone
+    if not use_general and is_restricted_shape(clauses):
+        # None (unsatisfiable) and a zero-variable backbone are both empty
+        return _closed_form(variables, clauses) or {}
+    witness = _sat(variables, clauses, use_general)
+    if witness is None:
+        return {}
+    base = list(clauses)
+    backbone: dict[int, BackboneStatus] = {}
+    for v in sorted(variables):
+        if witness[v]:
+            probe_sat = _sat(variables, base + [(-v,)], use_general) is not None
+            backbone[v] = BackboneStatus.FORCED_TRUE if not probe_sat else BackboneStatus.FREE
+        else:
+            probe_sat = _sat(variables, base + [(v,)], use_general) is not None
+            backbone[v] = BackboneStatus.FORCED_FALSE if not probe_sat else BackboneStatus.FREE
+    return backbone
 
 
 def compute_backbone(
@@ -157,23 +189,8 @@ def compute_backbone(
     variable seen true in the witness can only be ForcedTrue (probe with the
     negated literal); seen false, only ForcedFalse. One probe each.
     """
-    if not use_general and is_restricted_shape(clauses):
-        # None (unsatisfiable) and a zero-variable backbone are both empty
-        return _closed_form(variables, clauses) or {}
-    sat, witness = check_sat(variables, clauses, use_general=use_general)
-    if not sat:
-        return {}
-    assert witness is not None
-    base = list(clauses)
-    backbone: dict[int, BackboneStatus] = {}
-    for v in sorted(variables):
-        if witness[v]:
-            probe_sat, _ = check_sat(variables, base + [(-v,)], use_general=use_general)
-            backbone[v] = BackboneStatus.FORCED_TRUE if not probe_sat else BackboneStatus.FREE
-        else:
-            probe_sat, _ = check_sat(variables, base + [(v,)], use_general=use_general)
-            backbone[v] = BackboneStatus.FORCED_FALSE if not probe_sat else BackboneStatus.FREE
-    return backbone
+    _check_inputs(variables, clauses)
+    return _backbone(variables, clauses, use_general)
 
 
 def _count_blocking(
@@ -184,8 +201,8 @@ def _count_blocking(
     working = list(clauses)
     ordered = sorted(variables)
     while count < cap:
-        sat, witness = check_sat(variables, working, use_general=True)
-        if not sat:
+        witness = _solve_dpll(variables, working)
+        if witness is None:
             break
         count += 1
         working.append(tuple(-v if witness[v] else v for v in ordered))
@@ -236,30 +253,28 @@ def count_models(
     """min(number of models, cap). Counting never proceeds past the cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    _check_inputs(variables, clauses)
     if not use_general and is_restricted_shape(clauses):
         backbone = _closed_form(variables, clauses)
         return 0 if backbone is None else _count_restricted(variables, clauses, cap, backbone)
-    sat, _ = check_sat(variables, clauses, use_general=use_general)
-    if not sat:
-        return 0
     return _count_blocking(variables, clauses, cap)
 
 
 def _solve(
     variables: Sequence[int], clauses: Sequence[ClauseTuple], cap: int
 ) -> tuple[SolutionStatus, int, dict[int, BackboneStatus]]:
-    # status, capped model count and backbone: restricted-shape CNFs in
-    # closed form, the rest by DPLL
+    # status, capped model count and backbone of an already checked CNF:
+    # restricted-shape CNFs in closed form, the rest by DPLL
     if is_restricted_shape(clauses):
         backbone = _closed_form(variables, clauses)
         if backbone is None:
             return SolutionStatus.UNSAT, 0, {}
         count = _count_restricted(variables, clauses, cap, backbone)
     else:
-        count = count_models(variables, clauses, cap)
+        count = _count_blocking(variables, clauses, cap)
         if count == 0:
             return SolutionStatus.UNSAT, 0, {}
-        backbone = compute_backbone(variables, clauses)
+        backbone = _backbone(variables, clauses, use_general=False)
     status = SolutionStatus.UNIQUE if count == 1 else SolutionStatus.MULTIPLE
     return status, count, backbone
 

@@ -222,6 +222,12 @@ def test_parse_measurements_round_trip():
     assert records[0] == make_record()
 
 
+def _traceroutes(completed=True, hops=None) -> list:
+    if hops is None:
+        hops = [{"ttl": 1, "addr": "9.9.0.1"}]
+    return [{"completed": completed, "hops": hops}] * 3
+
+
 def test_parse_measurements_skip_accounting():
     lines = [
         _record_line(),
@@ -236,6 +242,14 @@ def test_parse_measurements_skip_accounting():
         _record_line(traceroutes=[]),
         _record_line(surprise=1),
         "",
+        _record_line(record_id=""),
+        _record_line(traceroutes=_traceroutes(hops=[{"ttl": 0, "addr": "9.9.0.1"}])),
+        _record_line(traceroutes=_traceroutes(hops=[{"ttl": True, "addr": "9.9.0.1"}])),
+        _record_line(traceroutes=_traceroutes(hops=[{"ttl": 1, "addr": 7}])),
+        _record_line(traceroutes=_traceroutes(completed="yes")),
+        _record_line(traceroutes=_traceroutes(hops=[])),
+        # record fields are checked before traceroutes, so the record_id wins
+        _record_line(record_id="", traceroutes=_traceroutes(hops=[{"ttl": 0, "addr": 7}])),
     ]
     records, report = parse_measurements("\n".join(lines) + "\n")
     assert len(records) == 1
@@ -247,6 +261,11 @@ def test_parse_measurements_skip_accounting():
     assert report.skip_reasons["traceroute count != 3"] == 1
     assert report.skip_reasons["unexpected key: surprise"] == 1
     assert report.skip_reasons["blank line"] == 1
+    assert report.skip_reasons["invalid record_id"] == 2
+    assert report.skip_reasons["invalid hop ttl"] == 2
+    assert report.skip_reasons["invalid hop addr"] == 1
+    assert report.skip_reasons["invalid traceroute completed flag"] == 1
+    assert report.skip_reasons["completed traceroute without hops"] == 1
 
 
 def test_parse_measurements_splits_only_at_newlines():

@@ -1,13 +1,15 @@
 """Value-type invariants and JSON round-trips."""
 from __future__ import annotations
 
+import json
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _helpers import make_record, ts
+from _helpers import make_record, make_traceroute, ts
+from censorloc.ingest import parse_measurements
 from censorloc.model import (
     AnomalyType,
     AsPath,
@@ -19,7 +21,6 @@ from censorloc.model import (
     CnfInstance,
     Hop,
     LeakageEdge,
-    MeasurementRecord,
     SolutionStatus,
     SolutionSummary,
     TimeGranularity,
@@ -72,51 +73,72 @@ def test_timestamp_round_trip_and_utc_normalization():
         parse_timestamp(1462192496)
 
 
+def _skip_reason(obj) -> str:
+    """The one skip reason ingest gives a record object; ingest alone checks
+    Hop, Traceroute and MeasurementRecord."""
+    good = json.dumps(make_record().to_json_obj())
+    _, report = parse_measurements(good + "\n" + json.dumps(obj) + "\n")
+    ((reason, count),) = report.skip_reasons.items()
+    assert count == 1
+    return reason
+
+
+def _record_obj(**overrides) -> dict:
+    obj = make_record().to_json_obj()
+    obj.update(overrides)
+    return obj
+
+
+def _traceroutes_obj(completed: bool, hops: list) -> list:
+    return [{"completed": completed, "hops": hops}] * 3
+
+
 def test_hop_invariants():
     assert Hop(addr="1.2.3.4", ttl_index=1).responsive
     assert not Hop(addr=None, ttl_index=2).responsive
-    with pytest.raises(ValueError, match=">= 1"):
-        Hop(addr=None, ttl_index=0)
-    with pytest.raises(ValueError, match="must be an integer"):
-        Hop(addr=None, ttl_index=True)
+    for ttl in (0, True):
+        hops = [{"ttl": ttl, "addr": "*"}]
+        assert _skip_reason(_record_obj(traceroutes=_traceroutes_obj(True, hops))) == (
+            "invalid hop ttl"
+        )
     # non-responsive hops serialize as "*"
     assert Hop(addr=None, ttl_index=3).to_json_obj() == {"ttl": 3, "addr": "*"}
-    assert Hop.from_json_obj({"ttl": 3, "addr": "*"}) == Hop(addr=None, ttl_index=3)
 
 
 def test_traceroute_invariants():
-    with pytest.raises(ValueError, match="at least one hop"):
-        Traceroute(hops=(), completed=True)
-    with pytest.raises(ValueError, match="strictly increase"):
-        Traceroute(
-            hops=(Hop(addr=None, ttl_index=2), Hop(addr=None, ttl_index=2)),
-            completed=False,
-        )
+    assert _skip_reason(_record_obj(traceroutes=_traceroutes_obj(True, []))) == (
+        "completed traceroute without hops"
+    )
+    repeated = [{"ttl": 2, "addr": "*"}, {"ttl": 2, "addr": "*"}]
+    assert _skip_reason(_record_obj(traceroutes=_traceroutes_obj(False, repeated))) == (
+        "hop ttls not strictly increasing"
+    )
     # an incomplete, hopless probe is representable
-    assert Traceroute(hops=(), completed=False).hops == ()
+    line = json.dumps(_record_obj(traceroutes=_traceroutes_obj(False, [])))
+    (record,), _ = parse_measurements(line + "\n")
+    assert record.traceroutes == (Traceroute(hops=(), completed=False),) * 3
 
 
 def test_measurement_record_invariants():
-    with pytest.raises(ValueError, match="exactly 3"):
-        make_record(traceroutes=(Traceroute(hops=(), completed=False),))
-    with pytest.raises(ValueError, match="record_id"):
-        make_record(record_id="")
-    with pytest.raises(ValueError, match="timezone-aware"):
-        MeasurementRecord(
-            record_id="r1",
-            vantage_asn=100,
-            url="http://e/",
-            dst_ip="9.9.0.1",
-            anomaly=AnomalyType.DNS,
-            detected=False,
-            timestamp=datetime(2016, 5, 2),
-            traceroutes=tuple(Traceroute(hops=(), completed=False) for _ in range(3)),
-        )
+    one_traceroute = _record_obj(traceroutes=_record_obj()["traceroutes"][:1])
+    assert _skip_reason(one_traceroute) == "traceroute count != 3"
+    assert _skip_reason(_record_obj(record_id="")) == "invalid record_id"
+    assert _skip_reason(_record_obj(timestamp="2016-05-02T12:00:00")) == (
+        "timestamp not in YYYY-MM-DDThh:mm:ssZ form: '2016-05-02T12:00:00'"
+    )
+    # timestamps come out timezone-aware, in UTC
+    (record,), _ = parse_measurements(json.dumps(_record_obj()) + "\n")
+    assert record.timestamp.tzinfo is timezone.utc
 
 
 def test_measurement_record_round_trip():
-    record = make_record(detected=True)
-    assert MeasurementRecord.from_json_obj(record.to_json_obj()) == record
+    record = make_record(
+        detected=True,
+        traceroutes=(make_traceroute("2.2.0.1", "*", "9.9.0.1"),) * 3,
+    )
+    (parsed,), report = parse_measurements(json.dumps(record.to_json_obj()) + "\n")
+    assert report.skipped == 0
+    assert parsed == record
 
 
 def test_as_path_invariants():

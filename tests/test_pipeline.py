@@ -231,6 +231,33 @@ def test_pipeline_classification_makes_no_sat_probes(monkeypatch):
     assert [solver.classify(instance) for instance in instances] == expected
 
 
+def test_solver_inputs_are_checked_once_per_public_call(monkeypatch):
+    calls = []
+    check = solver._check_inputs
+
+    def counted(variables, clauses):
+        calls.append(len(variables))
+        check(variables, clauses)
+
+    monkeypatch.setattr(solver, "_check_inputs", counted)
+    records, pfx2as = _noisy_corpus(3)
+    pairs, _ = pipeline.infer_paths(records, parse_pfx2as(pfx2as)[0])
+    instances = tomography.build_instances(pairs, tuple(G))
+    # bucket CNFs were checked when their Clause and CnfInstance were built
+    pipeline.solve_instances(instances, 5)
+    assert calls == []
+    # a general CNF: one check for the call, none for its SAT probes
+    variables = (1, 2, 3, 4, 5, 6)
+    clauses = [(1, -2), (2, -3), (-1, 3, 4), (-5, 6)]
+    for entry in (solver.compute_backbone, solver.count_models, solver.check_sat):
+        calls.clear()
+        entry(variables, clauses)
+        assert calls == [len(variables)], entry.__name__
+    calls.clear()
+    solver.solve_dimacs_text("p cnf 6 4\n1 -2 0\n2 -3 0\n-1 3 4 0\n-5 6 0\n")
+    assert calls == []
+
+
 def test_elimination_summary_shape():
     failures = {rule: 0 for rule in InferenceRule}
     failures[InferenceRule.TRACEROUTE_ERROR] = 2
@@ -342,6 +369,66 @@ def test_cmd_ablate_writes_comparison_table(world):
     day_row = lines[1].split(",")
     assert day_row[0] == "day" and day_row[1] == "1"
     assert day_row[4] == "1"  # one ambiguous bucket
+
+
+def _hop_trace(ttl: int, addr: str, mapping: str, *origins: int) -> dict:
+    if mapping == "non_responsive":
+        return {"ttl": ttl, "addr": addr, "mapping": mapping}
+    return {"ttl": ttl, "addr": addr, "mapping": mapping, "origins": list(origins)}
+
+
+def _record_trace(record_id, dst_ip, dst_mapping, hops, outcome) -> dict:
+    traceroute = {"completed": True, "hops": hops, "outcome": outcome}
+    return {
+        "record_id": record_id,
+        "dst_ip": dst_ip,
+        "dst_mapping": dst_mapping,
+        "traceroutes": [traceroute] * 3,
+        "result": outcome,
+    }
+
+
+GONE_TRACE = _record_trace(
+    "gone",
+    "9.9.0.1",
+    {"kind": "mapped", "origins": [900]},
+    [
+        _hop_trace(1, "2.2.0.1", "mapped", 200),
+        _hop_trace(2, "*", "non_responsive"),
+        _hop_trace(3, "8.8.0.1", "unmapped"),
+    ],
+    {"rule": "unresolvable_gap", "detail": "gap between AS200 and AS900"},
+)
+LOST_TRACE = _record_trace(
+    "lost",
+    "8.8.0.1",
+    {"kind": "unmapped", "origins": []},
+    [_hop_trace(1, "2.2.0.1", "mapped", 200), _hop_trace(2, "8.8.0.1", "unmapped")],
+    {"rule": "mapping_impossible", "detail": "destination 8.8.0.1 does not map to a single AS"},
+)
+
+
+def test_debug_trace_has_one_line_per_loaded_record(world):
+    lost = make_record(
+        record_id="lost",
+        dst_ip="8.8.0.1",
+        timestamp="2016-05-03T14:00:00Z",
+        traceroutes=(make_traceroute("2.2.0.1", "8.8.0.1"),) * 3,
+    )
+    with (world / "measurements.jsonl").open("a") as fh:
+        fh.write(json.dumps(lost.to_json_obj()) + "\n")
+    for command in (pipeline.cmd_localize, pipeline.cmd_leak, pipeline.cmd_ablate):
+        out = world / command.__name__
+        command(_config(world, out_dir=out, debug_trace=True))
+        lines = (out / "inference_trace.jsonl").read_text().splitlines()
+        assert [json.loads(line)["record_id"] for line in lines] == [
+            "hit", "clean", "gone", "lost"
+        ]
+        assert lines[2] == json.dumps(GONE_TRACE, sort_keys=True)
+        assert lines[3] == json.dumps(LOST_TRACE, sort_keys=True)
+    # export-dimacs accepts the flag and writes no trace
+    pipeline.cmd_export_dimacs(_config(world, out_dir=world / "cnf", debug_trace=True))
+    assert not (world / "cnf" / "inference_trace.jsonl").exists()
 
 
 def test_cmd_export_dimacs_and_solve_round_trip(world):
