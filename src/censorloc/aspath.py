@@ -41,14 +41,6 @@ class HopMapping:
     kind: MappingKind
     origins: frozenset[int] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.kind is MappingKind.MAPPED and len(self.origins) != 1:
-            raise ValueError("a mapped hop has exactly one origin")
-        if self.kind is MappingKind.AMBIGUOUS and len(self.origins) < 2:
-            raise ValueError("an ambiguous hop has at least two origins")
-        if self.kind is MappingKind.UNMAPPED and self.origins:
-            raise ValueError("an unmapped hop has no origins")
-
     @property
     def asn(self) -> int:
         if self.kind is not MappingKind.MAPPED:

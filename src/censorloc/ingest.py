@@ -117,26 +117,15 @@ class PrefixTable:
 
     def __init__(self, entries: Iterable[tuple[int, int, frozenset[int]]]):
         by_len: dict[int, dict[int, frozenset[int]]] = {}
-        count = 0
         for network, prefix_len, origins in entries:
             by_len.setdefault(prefix_len, {})[network] = origins
-            count += 1
         self._probes = [
             (prefix_mask(length), by_len[length]) for length in sorted(by_len, reverse=True)
         ]
-        self._size = count
         self.mappings: dict[str, HopMapping] = {}
 
-    def __len__(self) -> int:
-        return self._size
-
-    def lookup(self, ip: str) -> frozenset[int] | None:
-        """Origin set of the most specific covering prefix, or None."""
-        addr = parse_ipv4(ip)
-        return None if addr is None else self.lookup_int(addr)
-
     def lookup_int(self, addr: int) -> frozenset[int] | None:
-        """``lookup`` for an address already parsed by ``parse_ipv4``."""
+        """Origin set of the most specific prefix covering a parsed address, or None."""
         for mask, networks in self._probes:
             origins = networks.get(addr & mask)
             if origins is not None:
@@ -150,7 +139,7 @@ def _parse_origin_spec(spec: str) -> frozenset[int]:
     for alt in spec.split(","):
         for part in alt.split("_"):
             part = part.strip()
-            if not part or not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise ValueError(f"invalid origin: {spec!r}")
             origins.add(validate_asn(int(part), "origin asn"))
     if not origins:
@@ -175,7 +164,8 @@ def parse_pfx2as(text: str) -> tuple[PrefixTable, ParseReport]:
             report.skip("malformed line")
             continue
         prefix_raw, len_raw, origin_raw = fields
-        if not len_raw.strip().isdigit():
+        len_raw = len_raw.strip()
+        if not (len_raw.isascii() and len_raw.isdigit()):
             report.skip("invalid prefix length")
             continue
         prefix_len = int(len_raw)
@@ -209,32 +199,14 @@ _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 _AS_META_HEADER = ["asn", "country", "name"]
 
 
-@dataclass(frozen=True)
-class AsInfo:
-    asn: int
-    country: str
-    name: str
-
-
 class AsRegistry:
-    """ASN -> (country, organization name) lookups for the leakage analysis."""
+    """ASN -> country lookups for the leakage analysis."""
 
-    def __init__(self, infos: dict[int, AsInfo]):
-        self._infos = infos
-
-    def __len__(self) -> int:
-        return len(self._infos)
-
-    def __contains__(self, asn: int) -> bool:
-        return asn in self._infos
+    def __init__(self, countries: dict[int, str]):
+        self._countries = countries
 
     def country(self, asn: int) -> str | None:
-        info = self._infos.get(asn)
-        return info.country if info else None
-
-    def name(self, asn: int) -> str | None:
-        info = self._infos.get(asn)
-        return info.name if info else None
+        return self._countries.get(asn)
 
 
 def parse_as_metadata(text: str) -> tuple[AsRegistry, ParseReport]:
@@ -249,7 +221,7 @@ def parse_as_metadata(text: str) -> tuple[AsRegistry, ParseReport]:
         raise IngestError(
             f"AS metadata header must be {','.join(_AS_META_HEADER)!r}, got {header!r}"
         )
-    infos: dict[int, AsInfo] = {}
+    countries: dict[int, str] = {}
     for row in reader:
         if not row or all(not f.strip() for f in row):
             report.skip("blank line")
@@ -257,8 +229,8 @@ def parse_as_metadata(text: str) -> tuple[AsRegistry, ParseReport]:
         if len(row) != 3:
             report.skip("malformed row")
             continue
-        asn_raw, country, name = row[0].strip(), row[1].strip(), row[2]
-        if not asn_raw.isdigit():
+        asn_raw, country = row[0].strip(), row[1].strip()
+        if not (asn_raw.isascii() and asn_raw.isdigit()):
             report.skip("invalid asn")
             continue
         asn = int(asn_raw)
@@ -270,13 +242,13 @@ def parse_as_metadata(text: str) -> tuple[AsRegistry, ParseReport]:
         if not _COUNTRY_RE.match(country):
             report.skip("country code not alpha-2")
             continue
-        if asn in infos:
+        if asn in countries:
             report.warn("duplicate asn overridden")
-        infos[asn] = AsInfo(asn=asn, country=country, name=name)
+        countries[asn] = country
         report.kept += 1
-    if not infos:
+    if not countries:
         raise IngestError("AS metadata is empty after parsing")
-    return AsRegistry(infos), report
+    return AsRegistry(countries), report
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +379,13 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     )
 
 
-def parse_measurements(
-    text: str,
-    period: tuple[datetime, datetime] | None = None,
-) -> tuple[list[MeasurementRecord], ParseReport]:
+def parse_measurements(text: str) -> tuple[list[MeasurementRecord], ParseReport]:
     """Parse measurement JSONL; one object per line, schema-checked strictly.
 
     Lines end at LF only; a CR before it is JSON whitespace. So a record may
     hold U+2028 and the other characters ``str.splitlines`` would break at,
-    and a final LF does not start another line. When ``period``
-    is given, records timestamped outside [start, end] are counted as skips.
-    Zero surviving records is fatal.
+    and a final LF does not start another line. Zero surviving records is
+    fatal.
     """
     report = ParseReport()
     records: list[MeasurementRecord] = []
@@ -438,9 +406,6 @@ def parse_measurements(
             record = _validate_record(obj, seen)
         except ValueError as exc:
             report.skip(str(exc))
-            continue
-        if period is not None and not (period[0] <= record.timestamp <= period[1]):
-            report.skip("timestamp outside analysis period")
             continue
         records.append(record)
         report.kept += 1

@@ -1,11 +1,14 @@
 """Domain types shared by every stage of the censorship-localization pipeline.
 
 All types here are immutable values: two instances with equal fields compare
-equal, and each type with a ``from_json_obj`` round-trips losslessly through
-``to_json_obj`` / ``from_json_obj``. ``Hop``, ``Traceroute`` and
-``MeasurementRecord`` have neither a reader nor checks of their own:
-``ingest.parse_measurements`` validates measurement JSON and builds them, and
-their ``to_json_obj`` writes the form it reads.
+equal. ``BucketKey`` and ``CensorVerdict`` round-trip losslessly through
+``to_json_obj`` / ``from_json_obj``, which is how ``evaluate`` reads a
+``censors.json`` back. ``Hop``, ``Traceroute`` and ``MeasurementRecord`` have
+neither a reader nor checks of their own: ``ingest.parse_measurements``
+validates measurement JSON and builds them, and their ``to_json_obj`` writes
+the form it reads. ``Clause``, ``CnfInstance`` and ``LeakageEdge`` check
+nothing either, because their only builders (``tomography.build_clause`` /
+``build_cnf`` and ``analysis.detect_leakage``) have already checked.
 """
 from __future__ import annotations
 
@@ -182,13 +185,6 @@ class AsPath:
     def dst_asn(self) -> int:
         return self.asns[-1]
 
-    def to_json_obj(self) -> list[int]:
-        return list(self.asns)
-
-    @classmethod
-    def from_json_obj(cls, obj: list[int]) -> "AsPath":
-        return cls(asns=tuple(obj))
-
 
 @dataclass(frozen=True)
 class BucketKey:
@@ -230,24 +226,9 @@ class Clause:
     literal_asns: frozenset[int]
     truth: bool
 
-    def __post_init__(self) -> None:
-        if not self.literal_asns:
-            raise ValueError("a clause needs at least one literal")
-        for asn in self.literal_asns:
-            validate_asn(asn, "clause literal")
-        if not isinstance(self.truth, bool):
-            raise ValueError("clause truth must be a boolean")
-
     def canonical_key(self) -> tuple:
         # True clauses sort ahead of False ones, then by literal tuple
         return (0 if self.truth else 1, tuple(sorted(self.literal_asns)))
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {"asns": sorted(self.literal_asns), "truth": self.truth}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "Clause":
-        return cls(literal_asns=frozenset(obj["asns"]), truth=obj["truth"])
 
 
 @dataclass(frozen=True)
@@ -264,41 +245,6 @@ class CnfInstance:
     variables: tuple[int, ...]
     clauses: tuple[Clause, ...]
     source_paths: tuple[tuple[AsPath, bool, str], ...]
-
-    def __post_init__(self) -> None:
-        union: set[int] = set()
-        for clause in self.clauses:
-            union |= clause.literal_asns
-        if tuple(sorted(union)) != self.variables:
-            raise ValueError("variables must be the sorted union of clause literals")
-        keys = [c.canonical_key() for c in self.clauses]
-        if keys != sorted(keys):
-            raise ValueError("clauses must be in canonical order")
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate clauses in instance")
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "key": self.key.to_json_obj(),
-            "variables": list(self.variables),
-            "clauses": [c.to_json_obj() for c in self.clauses],
-            "source_paths": [
-                {"path": p.to_json_obj(), "truth": t, "record_id": r}
-                for p, t, r in self.source_paths
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "CnfInstance":
-        return cls(
-            key=BucketKey.from_json_obj(obj["key"]),
-            variables=tuple(obj["variables"]),
-            clauses=tuple(Clause.from_json_obj(c) for c in obj["clauses"]),
-            source_paths=tuple(
-                (AsPath.from_json_obj(s["path"]), s["truth"], s["record_id"])
-                for s in obj["source_paths"]
-            ),
-        )
 
 
 class SolutionStatus(str, Enum):
@@ -350,23 +296,6 @@ class SolutionSummary:
     def forced_true_asns(self) -> tuple[int, ...]:
         return tuple(
             sorted(a for a, s in self.backbone.items() if s is BackboneStatus.FORCED_TRUE)
-        )
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "key": self.key.to_json_obj(),
-            "status": self.status.value,
-            "model_count_capped": self.model_count_capped,
-            "backbone": {str(a): s.value for a, s in sorted(self.backbone.items())},
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "SolutionSummary":
-        return cls(
-            key=BucketKey.from_json_obj(obj["key"]),
-            status=SolutionStatus(obj["status"]),
-            model_count_capped=obj["model_count_capped"],
-            backbone={int(a): BackboneStatus(s) for a, s in obj["backbone"].items()},
         )
 
 
@@ -430,12 +359,6 @@ class LeakageEdge:
     witness_key: BucketKey
     witness_record_id: str
 
-    def __post_init__(self) -> None:
-        validate_asn(self.censor_asn, "censor_asn")
-        validate_asn(self.victim_asn, "victim_asn")
-        if self.victim_asn == self.censor_asn:
-            raise ValueError("an AS cannot leak onto itself")
-
     @property
     def crosses_border(self) -> bool:
         return self.victim_country != self.censor_country
@@ -450,15 +373,3 @@ class LeakageEdge:
             "witness_key": self.witness_key.to_json_obj(),
             "witness_record_id": self.witness_record_id,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "LeakageEdge":
-        return cls(
-            censor_asn=obj["censor_asn"],
-            victim_asn=obj["victim_asn"],
-            censor_country=obj["censor_country"],
-            victim_country=obj["victim_country"],
-            anomaly=AnomalyType.parse(obj["anomaly"]),
-            witness_key=BucketKey.from_json_obj(obj["witness_key"]),
-            witness_record_id=obj["witness_record_id"],
-        )

@@ -287,8 +287,9 @@ def brute_force_models(
     """Exact model set by exhaustive enumeration of all 2^n assignments.
 
     Oracle for the solver paths; shares no logic with them. Refuses more
-    than max_vars variables. numpy is imported here, not at module level, so
-    the CLI starts without it.
+    than max_vars variables. It needs numpy, which only the ``dev`` extra
+    installs; numpy is imported here, not at module level, so the CLI starts
+    and runs without it.
     """
     import numpy as np
 
@@ -337,6 +338,11 @@ def classify(instance: CnfInstance, cap: int = DEFAULT_MODEL_CAP) -> SolutionSum
 # DIMACS
 
 
+def _plain(text: str) -> bool:
+    # int() would also read "1_0" as 10 and "-١" as -1
+    return text.isascii() and "_" not in text
+
+
 def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
     """Parse DIMACS CNF; returns (declared variable count, clauses)."""
     n_vars: int | None = None
@@ -350,7 +356,7 @@ def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
             if n_vars is not None:
                 raise ValueError("duplicate DIMACS header")
             parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not _plain(parts[2] + parts[3]):
                 raise ValueError(f"malformed DIMACS header: {stripped!r}")
             try:
                 n_vars = int(parts[2])
@@ -362,7 +368,13 @@ def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
             continue
         if n_vars is None:
             raise ValueError("DIMACS clause before header")
-        for token in stripped.split():
+        tokens = stripped.split()
+        if not _plain(stripped):
+            # checked per line; only a suspect line is searched token by token
+            for token in tokens:
+                if not _plain(token):
+                    raise ValueError(f"bad DIMACS literal: {token!r}")
+        for token in tokens:
             try:
                 lit = int(token)
             except ValueError:

@@ -125,3 +125,13 @@ def backbone_from_models(variables, models: list[Assignment]) -> dict[int, Backb
         else:
             out[v] = BackboneStatus.FREE
     return out
+
+
+def assert_canonical_cnf(instance) -> None:
+    """The facts ``build_cnf`` establishes and ``CnfInstance`` takes on trust:
+    variables are the sorted union of the clause literals, and the clauses
+    are in canonical order with none repeated."""
+    union = frozenset().union(*(c.literal_asns for c in instance.clauses))
+    assert instance.variables == tuple(sorted(union))
+    keys = [c.canonical_key() for c in instance.clauses]
+    assert keys == sorted(set(keys))

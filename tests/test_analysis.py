@@ -160,11 +160,15 @@ _REGISTRY_CSV = (
 )
 
 
-def _leak_world(window="2016-05-02"):
-    """Unique bucket: censor 300 pinned on a detected path 100-200-300-900."""
+def _leak_world(window="2016-05-02", repeats=()):
+    """Unique bucket: censor 300 pinned on a detected path 100-200-300-900.
+
+    Each id in ``repeats`` adds one more detected entry on that same path.
+    """
     entries = [
         (AsPath((100, 200, 300, 900)), True, "t1"),
         (AsPath((100, 200, 900)), False, "c1"),
+        *((AsPath((100, 200, 300, 900)), True, rid) for rid in repeats),
     ]
     inst = build_cnf(_key(window), entries)
     summary = solver.classify(inst)
@@ -197,6 +201,13 @@ def test_detect_leakage_skips_unknown_countries():
     report = detect_leakage([(inst, summary)], registry)
     assert [(e.censor_asn, e.victim_asn) for e in report.edges] == [(300, 100)]
     assert report.skipped_missing_country == 1
+    # the tally counts source entries, not distinct paths: a repeat of the
+    # detected path skips AS200 again, while the edge keeps its first witness
+    inst, summary = _leak_world(repeats=("t2",))
+    report = detect_leakage([(inst, summary)], registry)
+    assert [(e.censor_asn, e.victim_asn) for e in report.edges] == [(300, 100)]
+    assert report.skipped_missing_country == 2
+    assert all(e.witness_record_id == "t1" for e in report.edges)
 
 
 def test_detect_leakage_dedups_across_buckets():

@@ -83,6 +83,9 @@ def test_console_script_is_installed(tmp_path):
         cwd=REPO_ROOT, capture_output=True, text=True, check=False,
     )
     assert egg_info.returncode == 0, egg_info.stderr
+    # the program needs nothing at run time; numpy serves only the test oracle
+    requires = (meta_dir / "censorloc.egg-info" / "requires.txt").read_text()
+    assert requires.startswith("\n[dev]\n") and "numpy" in requires
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CONSOLE_SCRIPT, str(meta_dir), str(REPO_ROOT / "src")],
         cwd=tmp_path, capture_output=True, text=True, check=False,
@@ -135,6 +138,9 @@ def test_simulate_honors_force(tmp_path, capsys):
 
 def test_localize_end_to_end(tmp_path):
     sim_dir = _simulate(tmp_path)
+    # a non-ASCII digit in one table line skips that line, not the run
+    with (sim_dir / "pfx2as.tsv").open("a", encoding="utf-8") as fh:
+        fh.write("1.0.0.0\t²\t100\n")
     out_dir = tmp_path / "loc"
     assert main(_localize_args(sim_dir, out_dir)) == 0
     for name in LOCALIZE_FILES:

@@ -348,6 +348,12 @@ def test_parse_dimacs_flushes_unterminated_clause():
         ("p cnf -1 0\n", "malformed DIMACS header"),
         ("p cnf 2 1\n3 0\n", "exceeds declared variable count"),
         ("p cnf 2 1\none 0\n", "bad DIMACS literal"),
+        # int() alone would read these as 10 variables and as -1
+        ("p cnf 1_0 1\n1 0\n", "malformed DIMACS header"),
+        ("p cnf ١ 1\n1 0\n", "malformed DIMACS header"),
+        ("p cnf 2 1\n-١ 0\n", "bad DIMACS literal: '-١'"),
+        ("p cnf 20 1\n1_0 0\n", "bad DIMACS literal: '1_0'"),
+        ("p cnf 2 1\n1 ² 0\n", "bad DIMACS literal: '²'"),
         ("", "missing DIMACS header"),
     ],
 )

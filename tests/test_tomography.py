@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_record
+from _helpers import assert_canonical_cnf, make_record
 from censorloc.ingest import window_id
 from censorloc.model import (
     AnomalyType,
@@ -277,6 +277,8 @@ def test_build_instances_matches_a_per_bucket_reference(seed, url_split):
     expected.sort(key=lambda inst: inst.key.sort_key())
     built = build_instances(pairs, list(G), url_split)
     assert built == expected
+    for inst in built:
+        assert_canonical_cnf(inst)
     # the buckets of all four granularities share one Clause per distinct
     # (path, detected)
     shared = {id(clause) for inst in built for clause in inst.clauses}
