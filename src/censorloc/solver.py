@@ -5,9 +5,9 @@ input); a clause is a tuple of signed variables. Pipeline CNFs have a
 restricted shape: every clause is all-positive or a negative unit. For that
 shape satisfiability, the witness and the backbone follow in closed form in
 one pass over the clauses (``_closed_form``), and counting enumerates only
-the free variables. Everything else (externally supplied DIMACS, blocking
-clauses during enumeration) goes through DPLL, with one SAT probe per
-variable for the backbone.
+the free variables. Every other CNF goes through ``_Engine``, an iterative
+DPLL with two watched literals that counts by resuming its search after each
+model and filters the backbone with the models it finds.
 
 Inputs are checked once, on entry to ``check_sat``, ``compute_backbone``,
 ``count_models`` and ``brute_force_models``; the probes they make are not.
@@ -16,7 +16,7 @@ where they were built (``CnfInstance`` and ``parse_dimacs``).
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Container, Iterator, Sequence
 
 from .model import (
     BackboneStatus,
@@ -33,7 +33,7 @@ DEFAULT_MODEL_CAP = 5
 BRUTE_FORCE_MAX_VARS = 20
 
 # residual enumeration bail-out: beyond this many free variables the
-# blocking-clause path is used instead of direct enumeration
+# search engine counts instead of direct enumeration
 _RESIDUAL_ENUM_LIMIT = 20
 
 
@@ -89,57 +89,165 @@ def _closed_form(
     }
 
 
-def _solve_dpll(
-    variables: Sequence[int], clauses: Sequence[ClauseTuple]
-) -> Assignment | None:
-    order = sorted(variables)
+class _Engine:
+    """Iterative DPLL over one CNF: a trail of true literals, chronological
+    backtracking, unit propagation through two watched literals per clause.
 
-    def solve(working: list[ClauseTuple], assigned: Assignment) -> Assignment | None:
-        working = list(working)
-        assigned = dict(assigned)
-        while True:
-            unit = None
-            for clause in working:
-                if not clause:
-                    return None
-                if len(clause) == 1:
-                    unit = clause[0]
-                    break
-            if unit is None:
-                break
-            assigned[abs(unit)] = unit > 0
-            simplified: list[ClauseTuple] = []
-            for clause in working:
-                if unit in clause:
+    Intake dedupes each clause's literals and drops tautologies; an empty
+    clause makes the CNF unsat, and unit clauses are asserted at the root,
+    whose implied literals are ``trail[:root]``. Only a variable in a clause
+    that nothing satisfies yet is decided, so no refutation is repeated over
+    the value of one that no open clause mentions.
+    """
+
+    def __init__(self, variables: Sequence[int], clauses: Sequence[ClauseTuple]) -> None:
+        self.true: set[int] = set()
+        self.trail: list[int] = []
+        self.head = 0  # trail[:head] is propagated
+        self.watches: dict[int, list[list[int]]] = {lit: [] for v in variables for lit in (v, -v)}
+        # variable -> its clauses of two or more literals
+        self.occurs: dict[int, list[list[int]]] = {v: [] for v in variables}
+        self.order = sorted(variables)
+        self.ok = True
+        units = []
+        for clause in clauses:
+            lits = list(dict.fromkeys(clause))
+            clause_vars = set(map(abs, lits))
+            if len(clause_vars) < len(lits):
+                continue  # a tautology
+            if not lits:
+                self.ok = False
+            elif len(lits) == 1:
+                units.append(lits[0])
+            else:
+                # visited when the negation of a watched literal comes true
+                self.watches[-lits[0]].append(lits)
+                self.watches[-lits[1]].append(lits)
+                for v in clause_vars:
+                    self.occurs[v].append(lits)
+        self.ok = self.ok and all(map(self._assign, units)) and self._propagate()
+        self.root = len(self.trail)
+
+    def _assign(self, lit: int) -> bool:
+        # False on a conflict
+        if lit not in self.true:
+            if -lit in self.true:
+                return False
+            self.true.add(lit)
+            self.trail.append(lit)
+        return True
+
+    def _open(self, v: int) -> bool:
+        # unassigned, and in a clause that no true literal satisfies
+        true = self.true
+        return v not in true and -v not in true and any(map(true.isdisjoint, self.occurs[v]))
+
+    def _undo(self, mark: int) -> None:
+        self.true.difference_update(self.trail[mark:])
+        del self.trail[mark:]
+        self.head = mark
+
+    def _propagate(self) -> bool:
+        true, trail, watches = self.true, self.trail, self.watches
+        while self.head < len(trail):
+            lit = trail[self.head]
+            self.head += 1
+            watching = watches[lit]
+            i = 0
+            while i < len(watching):
+                clause = watching[i]
+                # keep the literal just made false at clause[1]
+                if clause[0] == -lit:
+                    clause[0], clause[1] = clause[1], clause[0]
+                i += 1
+                if clause[0] in true:
                     continue
-                if -unit in clause:
-                    clause = tuple(lit for lit in clause if lit != -unit)
-                simplified.append(clause)
-            working = simplified
-        if not working:
-            # every clause satisfied; unconstrained variables default true
-            return {v: assigned.get(v, True) for v in order}
-        branch = min(abs(lit) for clause in working for lit in clause)
-        for value in (True, False):
-            lit = branch if value else -branch
-            result = solve(working + [(lit,)], assigned)
-            if result is not None:
-                return result
-        return None
+                for k in range(2, len(clause)):
+                    if -clause[k] not in true:
+                        # watch clause[k] instead
+                        clause[1], clause[k] = clause[k], clause[1]
+                        watches[-clause[1]].append(clause)
+                        i -= 1
+                        watching[i] = watching[-1]
+                        watching.pop()
+                        break
+                else:
+                    if not self._assign(clause[0]):
+                        return False
+        return True
 
-    return solve([tuple(c) for c in clauses], {})
+    def models(self, against: Container[int] = (), assume: int = 0) -> Iterator[set[int]]:
+        """Yield the true literals of each leaf, under ``assume`` if nonzero;
+        a decision tries true first, false first for a variable in ``against``.
+        A leaf satisfies every clause, whatever its unassigned variables are,
+        and leaves share no model, so resuming the search counts exactly.
+        The yielded set is live: read it before resuming.
+        """
+        self._undo(self.root)
+        if not self.ok or (assume and not (self._assign(assume) and self._propagate())):
+            return
+        order, true = self.order, self.true
+        # (trail length before, order index, literal, both values tried)
+        stack: list[tuple[int, int, int, bool]] = []
+        i = 0
+        while True:
+            while i < len(order) and not self._open(order[i]):
+                i += 1
+            if i == len(order):
+                yield true
+                ok = False
+            else:
+                v = order[i]
+                lit = -v if v in against else v
+                stack.append((len(self.trail), i, lit, False))
+                ok = self._assign(lit) and self._propagate()
+            while not ok:
+                while stack and stack[-1][3]:
+                    stack.pop()
+                if not stack:
+                    return
+                mark, i, lit, _ = stack.pop()
+                self._undo(mark)
+                stack.append((mark, i, -lit, True))
+                ok = self._assign(-lit) and self._propagate()
+
+    def backbone(self, candidates: set[int]) -> dict[int, BackboneStatus]:
+        """Backbone of a satisfiable CNF, given a superset of the literals
+        true in every model. Literals implied at the root are forced. Each
+        other candidate gets one probe under its negation, decisions steered
+        away from every candidate: with no model it is forced and joins the
+        root; a model drops every candidate it does not make true.
+        """
+        for lit in sorted(candidates, key=abs):
+            self._undo(self.root)
+            if lit not in candidates or lit in self.true:
+                continue
+            model = next(self.models(candidates, -lit), None)
+            if model is None:
+                self._undo(self.root)
+                self._assign(lit) and self._propagate()
+                self.root = len(self.trail)
+            else:
+                candidates &= model
+        forced = set(self.trail[: self.root])
+        return {
+            v: BackboneStatus.FORCED_TRUE if v in forced
+            else BackboneStatus.FORCED_FALSE if -v in forced
+            else BackboneStatus.FREE
+            for v in self.order
+        }
 
 
-def _sat(
-    variables: Sequence[int], clauses: Sequence[ClauseTuple], use_general: bool
-) -> Assignment | None:
-    # unchecked check_sat: a witness, or None when unsatisfiable
-    if not use_general and is_restricted_shape(clauses):
-        backbone = _closed_form(variables, clauses)
-        if backbone is None:
-            return None
-        return {v: backbone[v] is not BackboneStatus.FORCED_FALSE for v in variables}
-    return _solve_dpll(variables, clauses)
+def _enumerate(engine: _Engine, cap: int) -> tuple[int, set[int]]:
+    # capped model count and the literals every counted model shares; a
+    # leaf with u unassigned variables stands for 2^u models
+    count, shared = 0, set()
+    for true in engine.models():
+        shared = set(true) if count == 0 else shared & true
+        count = min(cap, count + (1 << (len(engine.order) - len(true))))
+        if count == cap:
+            break
+    return count, shared
 
 
 def check_sat(
@@ -149,33 +257,20 @@ def check_sat(
 ) -> tuple[bool, Assignment | None]:
     """Satisfiability plus a witness assignment when satisfiable.
 
-    The witness of a restricted-shape CNF is all true but its forced-false set.
+    The witness of a restricted-shape CNF is all true but its forced-false
+    set; any other is the first model of the search.
     """
     _check_inputs(variables, clauses)
-    witness = _sat(variables, clauses, use_general)
-    return witness is not None, witness
-
-
-def _backbone(
-    variables: Sequence[int], clauses: Sequence[ClauseTuple], use_general: bool
-) -> dict[int, BackboneStatus]:
-    # unchecked compute_backbone
     if not use_general and is_restricted_shape(clauses):
-        # None (unsatisfiable) and a zero-variable backbone are both empty
-        return _closed_form(variables, clauses) or {}
-    witness = _sat(variables, clauses, use_general)
-    if witness is None:
-        return {}
-    base = list(clauses)
-    backbone: dict[int, BackboneStatus] = {}
-    for v in sorted(variables):
-        if witness[v]:
-            probe_sat = _sat(variables, base + [(-v,)], use_general) is not None
-            backbone[v] = BackboneStatus.FORCED_TRUE if not probe_sat else BackboneStatus.FREE
-        else:
-            probe_sat = _sat(variables, base + [(v,)], use_general) is not None
-            backbone[v] = BackboneStatus.FORCED_FALSE if not probe_sat else BackboneStatus.FREE
-    return backbone
+        backbone = _closed_form(variables, clauses)
+        witness = None if backbone is None else {
+            v: backbone[v] is not BackboneStatus.FORCED_FALSE for v in variables
+        }
+    else:
+        count, model = _enumerate(_Engine(variables, clauses), 1)
+        # variables the first leaf leaves unassigned are true
+        witness = {v: -v not in model for v in sorted(variables)} if count else None
+    return witness is not None, witness
 
 
 def compute_backbone(
@@ -185,28 +280,16 @@ def compute_backbone(
 ) -> dict[int, BackboneStatus]:
     """Per-variable forced role; empty map when unsatisfiable.
 
-    Restricted-shape CNFs get it in closed form. Otherwise by SAT probes: a
-    variable seen true in the witness can only be ForcedTrue (probe with the
-    negated literal); seen false, only ForcedFalse. One probe each.
+    Restricted-shape CNFs get it in closed form, the rest by ``_Engine``:
+    the first model is the candidate set that its probes filter.
     """
     _check_inputs(variables, clauses)
-    return _backbone(variables, clauses, use_general)
-
-
-def _count_blocking(
-    variables: Sequence[int], clauses: Sequence[ClauseTuple], cap: int
-) -> int:
-    # enumerate models, blocking each full assignment, until the cap
-    count = 0
-    working = list(clauses)
-    ordered = sorted(variables)
-    while count < cap:
-        witness = _solve_dpll(variables, working)
-        if witness is None:
-            break
-        count += 1
-        working.append(tuple(-v if witness[v] else v for v in ordered))
-    return count
+    if not use_general and is_restricted_shape(clauses):
+        # None (unsatisfiable) and a zero-variable backbone are both empty
+        return _closed_form(variables, clauses) or {}
+    engine = _Engine(variables, clauses)
+    count, model = _enumerate(engine, 1)
+    return engine.backbone(model) if count else {}
 
 
 def _count_restricted(
@@ -224,7 +307,7 @@ def _count_restricted(
     if m + 1 >= cap:
         return cap
     if m > _RESIDUAL_ENUM_LIMIT:
-        return _count_blocking(variables, clauses, cap)
+        return _enumerate(_Engine(variables, clauses), cap)[0]
     free_index = {v: i for i, v in enumerate(free)}
     residual: list[tuple[int, ...]] = []
     for clause in clauses:
@@ -257,24 +340,25 @@ def count_models(
     if not use_general and is_restricted_shape(clauses):
         backbone = _closed_form(variables, clauses)
         return 0 if backbone is None else _count_restricted(variables, clauses, cap, backbone)
-    return _count_blocking(variables, clauses, cap)
+    return _enumerate(_Engine(variables, clauses), cap)[0]
 
 
 def _solve(
     variables: Sequence[int], clauses: Sequence[ClauseTuple], cap: int
 ) -> tuple[SolutionStatus, int, dict[int, BackboneStatus]]:
     # status, capped model count and backbone of an already checked CNF:
-    # restricted-shape CNFs in closed form, the rest by DPLL
+    # restricted-shape CNFs in closed form, the rest by one _Engine
     if is_restricted_shape(clauses):
         backbone = _closed_form(variables, clauses)
         if backbone is None:
             return SolutionStatus.UNSAT, 0, {}
         count = _count_restricted(variables, clauses, cap, backbone)
     else:
-        count = _count_blocking(variables, clauses, cap)
+        engine = _Engine(variables, clauses)
+        count, shared = _enumerate(engine, cap)
         if count == 0:
             return SolutionStatus.UNSAT, 0, {}
-        backbone = _backbone(variables, clauses, use_general=False)
+        backbone = engine.backbone(shared)
     status = SolutionStatus.UNIQUE if count == 1 else SolutionStatus.MULTIPLE
     return status, count, backbone
 
@@ -344,12 +428,15 @@ def _plain(text: str) -> bool:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
-    """Parse DIMACS CNF; returns (declared variable count, clauses)."""
+    """Parse DIMACS CNF; returns (declared variable count, clauses). Reading
+    stops at a ``%`` line (SATLIB's end marker); the header's clause count must hold."""
     n_vars: int | None = None
     clauses: list[ClauseTuple] = []
     pending: list[int] = []
     for line in text.splitlines():
         stripped = line.strip()
+        if stripped == "%":
+            break  # the end marker of SATLIB files
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("p"):
@@ -390,6 +477,8 @@ def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
         raise ValueError("missing DIMACS header")
     if pending:
         clauses.append(tuple(pending))
+    if len(clauses) != declared_clauses:
+        raise ValueError(f"DIMACS header declares {declared_clauses} clauses, found {len(clauses)}")
     return n_vars, clauses
 
 

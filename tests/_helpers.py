@@ -105,6 +105,22 @@ def random_general_cnf(
     return variables, clauses
 
 
+def structured_dimacs(family: str, n: int) -> str:
+    """DIMACS text of a structured general CNF over variables 1..n.
+
+    "alternating" is (x1 v -x2)(x3 v -x4)..., "chain" the implications
+    x1 -> x2 -> ... -> xn, and "chain-head" the chain plus the unit (x1).
+    """
+    chain = [(-i, i + 1) for i in range(1, n)]
+    clauses = {
+        "alternating": [(2 * i - 1, -2 * i) for i in range(1, n // 2 + 1)],
+        "chain": chain,
+        "chain-head": [(1,), *chain],
+    }[family]
+    body = "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses)
+    return f"p cnf {n} {len(clauses)}\n{body}"
+
+
 def satisfies(assignment: Assignment, clauses) -> bool:
     return all(
         any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in clauses

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from _helpers import structured_dimacs
 from censorloc import __version__
 from censorloc.cli import main
 from censorloc.pipeline import LOCALIZE_FILES, SIMULATION_FILES
@@ -297,6 +298,31 @@ def test_solve_dimacs_inline_example(tmp_path, capsys):
         "count_capped": 1,
         "status": "unique",
     }
+
+
+def test_solve_dimacs_large_alternating_cnf(tmp_path, capsys):
+    cnf = tmp_path / "alternating.cnf"
+    cnf.write_text(structured_dimacs("alternating", 2400))
+    assert main(["solve-dimacs", str(cnf)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["count_capped"]) == ("multiple", 5)
+    assert set(out["backbone"].values()) == {"free"} and len(out["backbone"]) == 2400
+
+
+def test_solve_dimacs_needs_no_deep_stack(tmp_path):
+    """The general solver is iterative: a recursion limit of 200 still solves
+    a CNF with 2,400 variables."""
+    cnf = tmp_path / "alternating.cnf"
+    cnf.write_text(structured_dimacs("alternating", 2400))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); from censorloc.cli import main; "
+         "sys.setrecursionlimit(200); sys.exit(main(['solve-dimacs', sys.argv[2]]))",
+         str(REPO_ROOT / "src"), str(cnf)],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count_capped"] == 5
 
 
 def test_evaluate_cli_writes_scorecard(tmp_path, capsys):

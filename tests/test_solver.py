@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from _helpers import (
     random_general_cnf,
     random_pipeline_cnf,
     satisfies,
+    structured_dimacs,
 )
 from censorloc import solver
 from censorloc.model import (
@@ -127,6 +129,8 @@ def test_count_handles_many_free_variables():
     variables = tuple(range(1, 31))
     clauses = [tuple(variables)]
     assert solver.count_models(variables, clauses, cap=5) == 5
+    # past the residual enumeration limit the search engine counts
+    assert solver.count_models(variables, clauses, cap=40) == 40
     sat, witness = solver.check_sat(variables, clauses)
     assert sat and satisfies(witness, clauses)
 
@@ -229,6 +233,86 @@ def test_closed_form_matches_brute_force(cnf):
             "count_capped": count,
             "backbone": {str(v): s.value for v, s in sorted(backbone.items())},
         }
+
+
+@st.composite
+def general_dimacs_cnfs(draw):
+    """CNFs over 1..n with mixed signs and the edge cases the engine's
+    intake must get right: repeated literals in a clause, tautologies, the
+    empty clause, variables in no clause, and (x) / (-x) pairs."""
+    n = draw(st.integers(0, 12))
+    var = st.integers(1, max(n, 1))
+    lit = st.tuples(var, st.booleans()).map(lambda p: p[0] if p[1] else -p[0])
+    # with no variables only the empty clause can be drawn
+    most = 1 if n else 0
+    plain = draw(st.lists(st.lists(lit, max_size=4 * most).map(tuple), max_size=3 * n + 2))
+    # a literal repeated, and a clause holding both signs of a variable
+    repeated = draw(st.lists(st.lists(lit, min_size=1, max_size=3).map(lambda c: (*c, c[0])),
+                             max_size=2 * most))
+    tautologies = draw(st.lists(st.tuples(lit, lit).map(lambda t: (t[0], t[1], -t[0])),
+                                max_size=2 * most))
+    pairs = draw(st.lists(var, max_size=most))
+    clauses = plain + repeated + tautologies + [c for v in pairs for c in ((v,), (-v,))]
+    return n, draw(st.permutations(clauses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_dimacs_cnfs(), st.integers(1, 8))
+def test_general_cnfs_match_brute_force(cnf, cap):
+    n, clauses = cnf
+    variables = tuple(range(1, n + 1))
+    for use_general in (False, True):
+        check_against_brute_force(variables, clauses, cap=cap, use_general=use_general)
+    models = solver.brute_force_models(variables, clauses)
+    # the witness is the first model in variable order, true before false
+    first = max(models, key=lambda m: [m[v] for v in variables], default=None)
+    for use_general in (False, True):
+        assert solver.check_sat(variables, clauses, use_general)[1] == first
+    backbone = backbone_from_models(variables, models)
+    # solve_dimacs_text refuses a cap of 1
+    count = min(len(models), max(cap, 2))
+    status = "unsat" if count == 0 else "unique" if count == 1 else "multiple"
+    assert solver.solve_dimacs_text(_dimacs_text(n, clauses), max(cap, 2)) == {
+        "status": status,
+        "count_capped": count,
+        "backbone": {str(v): s.value for v, s in sorted(backbone.items())},
+    }
+
+
+@pytest.mark.parametrize(
+    "family, n, status, count, role",
+    [
+        ("alternating", 2400, "multiple", 5, "free"),
+        ("chain", 1500, "multiple", 5, "free"),
+        ("chain-head", 1500, "unique", 1, "forced_true"),
+    ],
+)
+def test_large_structured_cnfs_solve_fast(family, n, status, count, role):
+    # each takes well under 0.1 s; a recursive search overflows the stack on
+    # the first, and one that re-solves per model or probes every variable
+    # takes minutes on the chains
+    start = time.perf_counter()
+    out = solver.solve_dimacs_text(structured_dimacs(family, n))
+    assert time.perf_counter() - start < 5.0
+    assert out == {
+        "status": status,
+        "count_capped": count,
+        "backbone": {str(v): role for v in range(1, n + 1)},
+    }
+
+
+def test_search_decides_only_variables_of_open_clauses():
+    # below a pigeonhole core (4 pigeons, 3 holes) that takes search to
+    # refute lie 20 variables in no clause and 20 whose only clause (y v x)
+    # a unit x satisfies at the root; deciding them would repeat the
+    # refutation up to 2^40 times
+    hole = [[60 + 3 * p + h for h in (1, 2, 3)] for p in range(4)]
+    clauses = [(y, y + 20) for y in range(21, 41)] + [(x,) for x in range(41, 61)]
+    clauses += [tuple(row) for row in hole]
+    clauses += [(-a[h], -b[h]) for h in range(3) for i, a in enumerate(hole) for b in hole[i + 1:]]
+    start = time.perf_counter()
+    assert solver.solve_dimacs_text(_dimacs_text(72, clauses))["status"] == "unsat"
+    assert time.perf_counter() - start < 5.0
 
 
 def test_closed_form_counts_a_sole_survivor_over_distinct_literals():
@@ -338,6 +422,12 @@ def test_parse_dimacs_flushes_unterminated_clause():
     assert solver.parse_dimacs("p cnf 2 1\n1 2") == (2, [(1, 2)])
 
 
+def test_parse_dimacs_stops_at_the_satlib_end_marker():
+    text = "p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n"
+    assert solver.parse_dimacs(text) == (3, [(1, -2), (2, 3)])
+    assert solver.solve_dimacs_text(text)["status"] == "multiple"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -355,6 +445,10 @@ def test_parse_dimacs_flushes_unterminated_clause():
         ("p cnf 20 1\n1_0 0\n", "bad DIMACS literal: '1_0'"),
         ("p cnf 2 1\n1 ² 0\n", "bad DIMACS literal: '²'"),
         ("", "missing DIMACS header"),
+        # "%" ends a SATLIB file only on a line of its own
+        ("p cnf 3 2\n1 % -2 0\n2 3 0\n", "bad DIMACS literal: '%'"),
+        ("p cnf 2 3\n1 2 0\n", "DIMACS header declares 3 clauses, found 1"),
+        ("p cnf 2 1\n1 2 0\n-1 0\n", "DIMACS header declares 1 clauses, found 2"),
     ],
 )
 def test_parse_dimacs_rejects(text, message):
