@@ -217,12 +217,22 @@ def parse_as_metadata(text: str) -> tuple[AsRegistry, ParseReport]:
         header = next(reader)
     except StopIteration:
         raise IngestError("AS metadata file is empty") from None
+    except csv.Error as exc:
+        raise IngestError(f"AS metadata header is malformed: {exc}") from None
     if [h.strip() for h in header] != _AS_META_HEADER:
         raise IngestError(
             f"AS metadata header must be {','.join(_AS_META_HEADER)!r}, got {header!r}"
         )
     countries: dict[int, str] = {}
-    for row in reader:
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error:
+            # a field over csv.field_size_limit(); the reader resumes at the next row
+            report.skip("malformed row")
+            continue
+        if row is None:
+            break
         if not row or all(not f.strip() for f in row):
             report.skip("blank line")
             continue
@@ -399,7 +409,9 @@ def parse_measurements(text: str) -> tuple[list[MeasurementRecord], ParseReport]
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # a JSONDecodeError, an integer over sys.get_int_max_str_digits(),
+            # or nesting deeper than the decoder recurses
             report.skip("invalid json")
             continue
         try:

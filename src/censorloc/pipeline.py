@@ -61,7 +61,7 @@ class RunConfig:
 def _read_text(path: Path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from None
 
 
@@ -217,24 +217,6 @@ def _share(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _solution_csv_rows(rows: list[dict], group_field: str) -> list[list[Any]]:
-    return [
-        [
-            row[group_field],
-            row["cnf_count"],
-            row["unsat"],
-            row["unique"],
-            row["multiple"],
-            row["at_cap"],
-            _share(row["share_unsat"]),
-            _share(row["share_unique"]),
-            _share(row["share_multiple"]),
-            _share(row["share_at_cap"]),
-        ]
-        for row in rows
-    ]
-
-
 _SOLUTION_HEADER_TAIL = [
     "cnf_count",
     "unsat",
@@ -246,6 +228,17 @@ _SOLUTION_HEADER_TAIL = [
     "share_multiple",
     "share_at_cap",
 ]
+
+
+def _write_solutions(path: Path, rows: list[dict], group_field: str) -> None:
+    write_csv(path, [group_field, *_SOLUTION_HEADER_TAIL], [
+        [row[group_field]] + [
+            _share(row[col]) if col.startswith("share_") else row[col]
+            for col in _SOLUTION_HEADER_TAIL
+        ]
+        for row in rows
+    ])
+
 
 LOCALIZE_FILES = (
     "ingest_summary.json",
@@ -279,16 +272,10 @@ def write_localize_outputs(cfg: RunConfig, result: LocalizeResult, out_dir: Path
             else "n/a",
         },
     )
-    write_csv(
-        out_dir / "solutions_by_granularity.csv",
-        ["granularity", *_SOLUTION_HEADER_TAIL],
-        _solution_csv_rows(result.rows_granularity, "granularity"),
+    _write_solutions(
+        out_dir / "solutions_by_granularity.csv", result.rows_granularity, "granularity"
     )
-    write_csv(
-        out_dir / "solutions_by_anomaly.csv",
-        ["anomaly", *_SOLUTION_HEADER_TAIL],
-        _solution_csv_rows(result.rows_anomaly, "anomaly"),
-    )
+    _write_solutions(out_dir / "solutions_by_anomaly.csv", result.rows_anomaly, "anomaly")
     if cfg.debug_trace:
         lines = [
             json.dumps(trace_inference(record, result.loaded.table), sort_keys=True)
@@ -432,11 +419,7 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
     ablated_name = "ablated_solutions_by_granularity.csv"
     out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg, ablated_name), cfg.force)
     write_localize_outputs(cfg, result, out_dir)
-    write_csv(
-        out_dir / ablated_name,
-        ["granularity", *_SOLUTION_HEADER_TAIL],
-        _solution_csv_rows(ablated_rows, "granularity"),
-    )
+    _write_solutions(out_dir / ablated_name, ablated_rows, "granularity")
     return _warnings(result.loaded, result.pairs)
 
 
@@ -464,12 +447,14 @@ def cmd_evaluate(censors_path: Path, truth_path: Path) -> dict:
     try:
         verdict_objs = json.loads(_read_text(censors_path, "censors"))
         truth_obj = json.loads(_read_text(truth_path, "ground truth"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer over sys.get_int_max_str_digits(),
+        # or nesting deeper than the decoder recurses
         raise InputError(f"invalid JSON input: {exc}") from None
     try:
         verdicts = [CensorVerdict.from_json_obj(v) for v in verdict_objs]
         truth = simulate.ground_truth_from_obj(truth_obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed input: {exc}") from None
     return simulate.evaluate(verdicts, truth)
 

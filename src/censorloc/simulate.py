@@ -26,6 +26,7 @@ from .model import (
     CensorClass,
     CensorVerdict,
     format_timestamp,
+    validate_asn,
 )
 
 ALL_ANOMALIES = tuple(AnomalyType)
@@ -114,7 +115,7 @@ class CensorPolicy:
     @classmethod
     def from_json_obj(cls, obj: dict[str, Any]) -> "CensorPolicy":
         return cls(
-            asn=obj["asn"],
+            asn=validate_asn(obj["asn"]),
             anomaly=AnomalyType.parse(obj["anomaly"]),
             urls=frozenset(obj["urls"]),
             active_days=tuple(obj["active_days"]),

@@ -1,13 +1,15 @@
 """SAT machinery for bucket CNFs.
 
 Variables are positive integers (ASNs in the pipeline, 1..n for DIMACS
-input); a clause is a tuple of signed variables. Pipeline CNFs have a
-restricted shape: every clause is all-positive or a negative unit. For that
-shape satisfiability, the witness and the backbone follow in closed form in
-one pass over the clauses (``_closed_form``), and counting enumerates only
-the free variables. Every other CNF goes through ``_Engine``, an iterative
-DPLL with two watched literals that counts by resuming its search after each
-model and filters the backbone with the models it finds.
+input); a clause is a tuple of signed variables. ``_solve`` is the one
+dispatcher. Pipeline CNFs have a restricted shape: every clause is
+all-positive or a negative unit. For that shape satisfiability and the
+backbone follow in closed form in one pass over the clauses
+(``_closed_form``), and m free variables give at least m + 1 models, exactly
+m + 1 when m < 2. Every other count, and every other CNF, goes through
+``_Engine``, an iterative DPLL with two watched literals that counts by
+resuming its search after each model and filters the backbone with the
+models it finds.
 
 Inputs are checked once, on entry to ``check_sat``, ``compute_backbone``,
 ``count_models`` and ``brute_force_models``; the probes they make are not.
@@ -31,10 +33,6 @@ ClauseTuple = tuple[int, ...]
 
 DEFAULT_MODEL_CAP = 5
 BRUTE_FORCE_MAX_VARS = 20
-
-# residual enumeration bail-out: beyond this many free variables the
-# search engine counts instead of direct enumeration
-_RESIDUAL_ENUM_LIMIT = 20
 
 
 def _check_inputs(variables: Sequence[int], clauses: Sequence[ClauseTuple]) -> None:
@@ -251,25 +249,18 @@ def _enumerate(engine: _Engine, cap: int) -> tuple[int, set[int]]:
 
 
 def check_sat(
-    variables: Sequence[int],
-    clauses: Sequence[ClauseTuple],
-    use_general: bool = False,
+    variables: Sequence[int], clauses: Sequence[ClauseTuple]
 ) -> tuple[bool, Assignment | None]:
     """Satisfiability plus a witness assignment when satisfiable.
 
-    The witness of a restricted-shape CNF is all true but its forced-false
-    set; any other is the first model of the search.
+    The witness is the engine's first model: the first in variable order,
+    true before false. On a restricted-shape CNF that is all true but the
+    forced-false set.
     """
     _check_inputs(variables, clauses)
-    if not use_general and is_restricted_shape(clauses):
-        backbone = _closed_form(variables, clauses)
-        witness = None if backbone is None else {
-            v: backbone[v] is not BackboneStatus.FORCED_FALSE for v in variables
-        }
-    else:
-        count, model = _enumerate(_Engine(variables, clauses), 1)
-        # variables the first leaf leaves unassigned are true
-        witness = {v: -v not in model for v in sorted(variables)} if count else None
+    count, model = _enumerate(_Engine(variables, clauses), 1)
+    # variables the first leaf leaves unassigned are true
+    witness = {v: -v not in model for v in sorted(variables)} if count else None
     return witness is not None, witness
 
 
@@ -278,53 +269,9 @@ def compute_backbone(
     clauses: Sequence[ClauseTuple],
     use_general: bool = False,
 ) -> dict[int, BackboneStatus]:
-    """Per-variable forced role; empty map when unsatisfiable.
-
-    Restricted-shape CNFs get it in closed form, the rest by ``_Engine``:
-    the first model is the candidate set that its probes filter.
-    """
+    """Per-variable forced role; empty map when unsatisfiable."""
     _check_inputs(variables, clauses)
-    if not use_general and is_restricted_shape(clauses):
-        # None (unsatisfiable) and a zero-variable backbone are both empty
-        return _closed_form(variables, clauses) or {}
-    engine = _Engine(variables, clauses)
-    count, model = _enumerate(engine, 1)
-    return engine.backbone(model) if count else {}
-
-
-def _count_restricted(
-    variables: Sequence[int],
-    clauses: Sequence[ClauseTuple],
-    cap: int,
-    backbone: dict[int, BackboneStatus],
-) -> int:
-    # counting over free variables after backbone fixing
-    free = sorted(v for v, s in backbone.items() if s is BackboneStatus.FREE)
-    m = len(free)
-    # Every residual clause keeps >= 2 free literals (a singleton would have
-    # been forced true), so all-true plus each single-flip assignment are
-    # models: at least m + 1 in total.
-    if m + 1 >= cap:
-        return cap
-    if m > _RESIDUAL_ENUM_LIMIT:
-        return _enumerate(_Engine(variables, clauses), cap)[0]
-    free_index = {v: i for i, v in enumerate(free)}
-    residual: list[tuple[int, ...]] = []
-    for clause in clauses:
-        if len(clause) == 1 and clause[0] < 0:
-            continue
-        if any(backbone[lit] is BackboneStatus.FORCED_TRUE for lit in clause):
-            continue
-        reduced = tuple(free_index[lit] for lit in clause if backbone[lit] is BackboneStatus.FREE)
-        assert reduced, "unsatisfied clause under a satisfiable backbone"
-        residual.append(reduced)
-    count = 0
-    for bits in range(1 << m):
-        if all(any(bits >> i & 1 for i in clause) for clause in residual):
-            count += 1
-            if count == cap:
-                break
-    return count
+    return _solve(variables, clauses, 1, use_general)[2]
 
 
 def count_models(
@@ -337,22 +284,29 @@ def count_models(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     _check_inputs(variables, clauses)
-    if not use_general and is_restricted_shape(clauses):
-        backbone = _closed_form(variables, clauses)
-        return 0 if backbone is None else _count_restricted(variables, clauses, cap, backbone)
-    return _enumerate(_Engine(variables, clauses), cap)[0]
+    return _solve(variables, clauses, cap, use_general)[1]
 
 
 def _solve(
-    variables: Sequence[int], clauses: Sequence[ClauseTuple], cap: int
+    variables: Sequence[int],
+    clauses: Sequence[ClauseTuple],
+    cap: int,
+    use_general: bool = False,
 ) -> tuple[SolutionStatus, int, dict[int, BackboneStatus]]:
-    # status, capped model count and backbone of an already checked CNF:
-    # restricted-shape CNFs in closed form, the rest by one _Engine
-    if is_restricted_shape(clauses):
+    # status, capped model count and backbone of an already checked CNF;
+    # the only place that picks a method by clause shape
+    if not use_general and is_restricted_shape(clauses):
         backbone = _closed_form(variables, clauses)
         if backbone is None:
             return SolutionStatus.UNSAT, 0, {}
-        count = _count_restricted(variables, clauses, cap, backbone)
+        m = sum(s is BackboneStatus.FREE for s in backbone.values())
+        # Every clause left unsatisfied keeps >= 2 free literals (one would
+        # have been forced true), so all-true plus each single flip are
+        # models: at least m + 1, and exactly m + 1 when m < 2.
+        if m < 2 or m + 1 >= cap:
+            count = min(m + 1, cap)
+        else:
+            count = _enumerate(_Engine(variables, clauses), cap)[0]
     else:
         engine = _Engine(variables, clauses)
         count, shared = _enumerate(engine, cap)

@@ -345,6 +345,37 @@ def test_evaluate_cli_writes_scorecard(tmp_path, capsys):
     assert "overall" in saved and "per_anomaly" in saved
 
 
+_GOOD_TRUTH = {"censors": [], "countries": {}, "paths": {}}
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "censors, truth, message",
+    [
+        ("[]", {**_GOOD_TRUTH, "countries": []}, "malformed input"),
+        ("[]", {**_GOOD_TRUTH, "countries": None}, "malformed input"),
+        ("[]", {**_GOOD_TRUTH, "paths": []}, "malformed input"),
+        ("[]", {**_GOOD_TRUTH, "paths": None}, "malformed input"),
+        ("[]", {**_GOOD_TRUTH, "censors": [
+            {"asn": [1], "anomaly": "dns", "urls": [], "active_days": [0, 1]}]},
+         "malformed input"),
+        ("[]", _DEEP, "invalid JSON input"),
+        (_DEEP, _GOOD_TRUTH, "invalid JSON input"),
+        ("[" + "1" * 5000 + "]", _GOOD_TRUTH, "invalid JSON input"),
+    ],
+    ids=["countries-list", "countries-null", "paths-list", "paths-null",
+         "censor-asn-list", "truth-too-deep", "censors-too-deep", "censors-huge-int"],
+)
+def test_evaluate_rejects_malformed_files(tmp_path, capsys, censors, truth, message):
+    censors_file = tmp_path / "censors.json"
+    truth_file = tmp_path / "truth.json"
+    censors_file.write_text(censors)
+    truth_file.write_text(truth if isinstance(truth, str) else json.dumps(truth))
+    code = main(["evaluate", "--censors", str(censors_file), "--truth", str(truth_file)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}: ")
+
+
 def test_warnings_go_to_stderr(tmp_path, capsys):
     sim_dir = _simulate(tmp_path)
     out_dir = tmp_path / "loc"

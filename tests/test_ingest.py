@@ -193,19 +193,24 @@ def test_parse_as_metadata_skips_bad_rows():
         # int() reads these digits, but the format allows ASCII digits only
         "²,US,Superscript\n"
         "١٠٠,DE,ArabicIndic\n"
+        # a field over the csv module's size limit; the next row still parses
+        f"400,US,{'x' * 131_073}\n"
+        "500,FR,AfterTheLongRow\n"
     )
     registry, report = parse_as_metadata(text)
-    assert report.kept == 1
-    assert report.skipped == 7
+    assert report.kept == 2
+    assert report.skipped == 8
     assert report.skip_reasons == {
         "invalid asn": 4,
         "country code not alpha-2": 1,
-        "malformed row": 1,
+        "malformed row": 2,
         "blank line": 1,
     }
     assert report.warnings == {}
     assert registry.country(100) == "US"
     assert registry.country(200) is None
+    assert registry.country(400) is None
+    assert registry.country(500) == "FR"
 
 
 def test_parse_as_metadata_header_is_mandatory():
@@ -213,6 +218,8 @@ def test_parse_as_metadata_header_is_mandatory():
         parse_as_metadata("asn,cc,name\n100,US,X\n")
     with pytest.raises(IngestError, match="empty"):
         parse_as_metadata("")
+    with pytest.raises(IngestError, match="header is malformed"):
+        parse_as_metadata(f"asn,country,{'x' * 131_073}\n100,US,X\n")
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +247,10 @@ def test_parse_measurements_skip_accounting():
     lines = [
         _record_line(),
         "not json",
+        # nested deeper than the JSON decoder recurses
+        "[" * 200_000 + "]" * 200_000,
+        # an integer over the interpreter's digit limit
+        '{"record_id": ' + "1" * 5000 + "}",
         json.dumps({"record_id": "x"}),
         _record_line(anomaly="ddos"),
         _record_line(vantage_asn=0),
@@ -264,7 +275,7 @@ def test_parse_measurements_skip_accounting():
     assert report.kept == 1
     assert report.skipped == len(lines) - 1
     assert sum(report.skip_reasons.values()) == report.skipped
-    assert report.skip_reasons["invalid json"] == 1
+    assert report.skip_reasons["invalid json"] == 3
     assert report.skip_reasons["unknown anomaly type: 'ddos'"] == 1
     assert report.skip_reasons["traceroute count != 3"] == 1
     assert report.skip_reasons["unexpected key: surprise"] == 1

@@ -86,6 +86,11 @@ def test_load_inputs_missing_file(world):
     cfg = _config(world, measurements=world / "nope.jsonl")
     with pytest.raises(pipeline.InputError, match="cannot read measurements"):
         pipeline.load_inputs(cfg)
+    # a file that is not UTF-8 cannot be read either
+    (world / "latin1.jsonl").write_bytes(b"\xff\n")
+    cfg = _config(world, measurements=world / "latin1.jsonl")
+    with pytest.raises(pipeline.InputError, match="cannot read measurements"):
+        pipeline.load_inputs(cfg)
 
 
 def test_load_inputs_wraps_parser_failures(world):
@@ -229,6 +234,31 @@ def test_pipeline_classification_makes_no_sat_probes(monkeypatch):
 
     monkeypatch.setattr(solver, "check_sat", no_probe)
     assert [solver.classify(instance) for instance in instances] == expected
+
+
+def test_only_buckets_the_bound_cannot_count_build_an_engine(monkeypatch):
+    """A restricted CNF with m free variables has m + 1 models when m < 2 and
+    at least m + 1 otherwise, so only 2 <= m < cap - 1 needs the engine."""
+    records, pfx2as = _noisy_corpus(3)
+    pairs, _ = pipeline.infer_paths(records, parse_pfx2as(pfx2as)[0])
+    instances = tomography.build_instances(pairs, tuple(G))
+    free = [
+        list(s.backbone.values()).count(BackboneStatus.FREE)
+        for s in pipeline.solve_instances(instances, 5)
+    ]
+    built = []
+
+    class CountedEngine(solver._Engine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_Engine", CountedEngine)
+    pipeline.solve_instances(instances, 5)
+    assert len(built) == sum(2 <= m < 4 for m in free) > 0
+    built.clear()
+    pipeline.solve_instances(instances, 2)
+    assert built == []
 
 
 def test_solver_inputs_are_checked_once_per_public_call(monkeypatch):

@@ -35,7 +35,7 @@ FREE = BackboneStatus.FREE
 def check_against_brute_force(variables, clauses, cap=5, use_general=False):
     models = solver.brute_force_models(variables, clauses)
 
-    sat, witness = solver.check_sat(variables, clauses, use_general=use_general)
+    sat, witness = solver.check_sat(variables, clauses)
     assert sat == bool(models)
     if sat:
         assert witness is not None
@@ -88,7 +88,7 @@ def test_frozen_model_counts_and_backbones(variables, clauses, n_models, backbon
 
 @pytest.mark.parametrize("variables, clauses, n_models, backbone", FROZEN_CASES)
 def test_frozen_cases_on_general_path(variables, clauses, n_models, backbone):
-    sat, _ = solver.check_sat(variables, clauses, use_general=True)
+    sat, _ = solver.check_sat(variables, clauses)
     assert sat == (n_models > 0)
     assert solver.compute_backbone(variables, clauses, use_general=True) == backbone
     assert solver.count_models(variables, clauses, cap=50, use_general=True) == n_models
@@ -129,7 +129,7 @@ def test_count_handles_many_free_variables():
     variables = tuple(range(1, 31))
     clauses = [tuple(variables)]
     assert solver.count_models(variables, clauses, cap=5) == 5
-    # past the residual enumeration limit the search engine counts
+    # 30 free variables and a cap above 31: the engine counts
     assert solver.count_models(variables, clauses, cap=40) == 40
     sat, witness = solver.check_sat(variables, clauses)
     assert sat and satisfies(witness, clauses)
@@ -266,8 +266,7 @@ def test_general_cnfs_match_brute_force(cnf, cap):
     models = solver.brute_force_models(variables, clauses)
     # the witness is the first model in variable order, true before false
     first = max(models, key=lambda m: [m[v] for v in variables], default=None)
-    for use_general in (False, True):
-        assert solver.check_sat(variables, clauses, use_general)[1] == first
+    assert solver.check_sat(variables, clauses)[1] == first
     backbone = backbone_from_models(variables, models)
     # solve_dimacs_text refuses a cap of 1
     count = min(len(models), max(cap, 2))
