@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Sequence
 
-from .ingest import AsRegistry, window_id
+from .ingest import window_id
 from .model import (
     AnomalyType,
     AsPath,
@@ -142,7 +142,7 @@ class LeakageReport:
 
 def detect_leakage(
     solved: Sequence[tuple[CnfInstance, SolutionSummary]],
-    registry: AsRegistry,
+    countries: dict[int, str],
 ) -> LeakageReport:
     """Find cross-AS (and cross-border) censorship spill-over.
 
@@ -170,11 +170,11 @@ def detect_leakage(
                 continue
             for censor in on_path:
                 first_idx = path.asns.index(censor)
-                censor_country = registry.country(censor)
+                censor_country = countries.get(censor)
                 for victim in path.asns[:first_idx]:
                     if backbone.get(victim) is not BackboneStatus.FORCED_FALSE:
                         continue
-                    victim_country = registry.country(victim)
+                    victim_country = countries.get(victim)
                     if censor_country is None or victim_country is None:
                         skipped += 1
                         continue

@@ -1,7 +1,8 @@
 """Traceroute to AS-path inference.
 
-IP hops are mapped through the prefix table, then collapsed to an AS-level
-path anchored at the vantage AS and the destination AS. Records whose
+Each IP hop is mapped through the prefix table to its origin set, a plain
+``frozenset`` of ASNs, and each traceroute is collapsed in one pass to an
+AS-level path anchored at the vantage AS and the destination AS. Records whose
 traceroutes cannot be collapsed unambiguously are eliminated, each with a
 specific rule, so downstream accounting can show exactly what was dropped.
 """
@@ -28,51 +29,27 @@ _EXCLUDED_RANGES = tuple(
 )
 
 
-class MappingKind(str, Enum):
-    MAPPED = "mapped"
-    AMBIGUOUS = "ambiguous"
-    UNMAPPED = "unmapped"
-
-
-@dataclass(frozen=True)
-class HopMapping:
-    """Result of mapping one IP to origin AS(es)."""
-
-    kind: MappingKind
-    origins: frozenset[int] = frozenset()
-
-    @property
-    def asn(self) -> int:
-        if self.kind is not MappingKind.MAPPED:
-            raise ValueError("only mapped hops carry a single ASN")
-        return next(iter(self.origins))
-
-
-_UNMAPPED = HopMapping(kind=MappingKind.UNMAPPED)
-
-
-def map_ip(table: PrefixTable, ip: str) -> HopMapping:
-    """Longest-prefix match one IP; reserved/private space never maps.
+def map_ip(table: PrefixTable, ip: str) -> frozenset[int]:
+    """Origin set of one IP by longest-prefix match: one ASN when mapped,
+    several when ambiguous, none when malformed, reserved/private or unrouted.
 
     Each distinct string is mapped once per table and then read from
     ``table.mappings``.
     """
-    mapping = table.mappings.get(ip)
-    if mapping is None:
-        mapping = table.mappings[ip] = _map_uncached(table, ip)
-    return mapping
-
-
-def _map_uncached(table: PrefixTable, ip: str) -> HopMapping:
-    addr = parse_ipv4(ip)
-    if addr is None or any(addr & mask == network for network, mask in _EXCLUDED_RANGES):
-        return _UNMAPPED
-    origins = table.lookup_int(addr)
+    origins = table.mappings.get(ip)
     if origins is None:
-        return _UNMAPPED
-    if len(origins) == 1:
-        return HopMapping(kind=MappingKind.MAPPED, origins=origins)
-    return HopMapping(kind=MappingKind.AMBIGUOUS, origins=origins)
+        addr = parse_ipv4(ip)
+        if addr is None or any(addr & mask == network for network, mask in _EXCLUDED_RANGES):
+            origins = frozenset()
+        else:
+            origins = table.lookup_int(addr) or frozenset()
+        table.mappings[ip] = origins
+    return origins
+
+
+def mapping_kind(origins: frozenset[int]) -> str:
+    """The ``--debug-trace`` name of an origin set's size."""
+    return "mapped" if len(origins) == 1 else "ambiguous" if origins else "unmapped"
 
 
 class InferenceRule(str, Enum):
@@ -100,7 +77,10 @@ class InferenceFailure:
         return {"rule": self.rule.value, "detail": self.detail}
 
 
-_GAP = None  # token marking a hop that cannot vote for any AS
+def _gap_failure(left: int, right: int) -> InferenceFailure:
+    return InferenceFailure(
+        rule=InferenceRule.UNRESOLVABLE_GAP, detail=f"gap between AS{left} and AS{right}"
+    )
 
 
 def collapse_traceroute(
@@ -109,80 +89,62 @@ def collapse_traceroute(
     vantage_asn: int,
     dst_asn: int,
 ) -> Union[AsPath, InferenceFailure]:
-    """Collapse one IP traceroute to an AS path, or explain why it cannot be.
+    """Collapse one IP traceroute to an AS path in one pass, or explain why
+    it cannot be.
 
-    Non-responsive and ambiguous (multi-origin) hops are gaps. A gap run
-    flanked by the same AS on both sides is dropped; flanked by two different
-    ASes it hides an unknown AS boundary and the traceroute is eliminated.
-    The vantage and destination ASes are appended as virtual endpoints before
-    gap resolution, so no gap run can touch either end of the sequence.
+    The path starts at the vantage AS. A non-responsive hop, or one whose
+    origin set is not exactly one ASN, opens a gap. A mapped hop repeating
+    the path's last AS closes the gap; a different AS behind an open gap
+    hides an unknown AS boundary and eliminates the traceroute, otherwise
+    it is appended. The destination AS closes the path like one more hop,
+    once at least one hop has mapped.
     """
     if not traceroute.completed or not traceroute.hops:
         return InferenceFailure(
             rule=InferenceRule.TRACEROUTE_ERROR,
             detail="traceroute incomplete or empty",
         )
-    tokens: list[int | None] = []
-    mapped_any = False
+    path = [vantage_asn]
+    gap = mapped_any = False
     for hop in traceroute.hops:
-        if not hop.responsive:
-            tokens.append(_GAP)
+        origins = map_ip(table, hop.addr) if hop.responsive else frozenset()
+        if len(origins) != 1:
+            gap = True
             continue
-        mapping = map_ip(table, hop.addr)
-        if mapping.kind is MappingKind.MAPPED:
-            tokens.append(mapping.asn)
-            mapped_any = True
-        else:
-            tokens.append(_GAP)
+        (asn,) = origins
+        if asn != path[-1]:
+            if gap:
+                return _gap_failure(path[-1], asn)
+            path.append(asn)
+        gap = False
+        mapped_any = True
     if not mapped_any:
         return InferenceFailure(
             rule=InferenceRule.MAPPING_IMPOSSIBLE,
             detail="no traceroute hop maps to an AS",
         )
-    tokens = [vantage_asn, *tokens, dst_asn]
-
-    # resolve gap runs against their mapped neighbours
-    resolved: list[int] = []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if token is not _GAP:
-            resolved.append(token)
-            i += 1
-            continue
-        j = i
-        while tokens[j] is _GAP:
-            j += 1
-        left = resolved[-1]
-        right = tokens[j]
-        if left != right:
-            return InferenceFailure(
-                rule=InferenceRule.UNRESOLVABLE_GAP,
-                detail=f"gap between AS{left} and AS{right}",
-            )
-        i = j
-
-    collapsed: list[int] = []
-    for asn in resolved:
-        if not collapsed or collapsed[-1] != asn:
-            collapsed.append(asn)
-    return AsPath(asns=tuple(collapsed))
+    if dst_asn != path[-1]:
+        if gap:
+            return _gap_failure(path[-1], dst_asn)
+        path.append(dst_asn)
+    return AsPath(asns=tuple(path))
 
 
 def _outcomes(
     record: MeasurementRecord, table: PrefixTable
-) -> tuple[HopMapping, list[Union[AsPath, InferenceFailure]]]:
-    # the destination mapping plus one collapse outcome per traceroute; an
-    # unmapped destination fails every traceroute without collapsing it
-    dst_mapping = map_ip(table, record.dst_ip)
-    if dst_mapping.kind is not MappingKind.MAPPED:
+) -> tuple[frozenset[int], list[Union[AsPath, InferenceFailure]]]:
+    # the destination origin set plus one collapse outcome per traceroute; a
+    # destination without exactly one origin fails every traceroute without
+    # collapsing it
+    dst_origins = map_ip(table, record.dst_ip)
+    if len(dst_origins) != 1:
         failure = InferenceFailure(
             rule=InferenceRule.MAPPING_IMPOSSIBLE,
             detail=f"destination {record.dst_ip} does not map to a single AS",
         )
-        return dst_mapping, [failure] * len(record.traceroutes)
-    dst_asn = dst_mapping.asn
-    return dst_mapping, [
+        return dst_origins, [failure] * len(record.traceroutes)
+    (dst_asn,) = dst_origins
+    return dst_origins, [
         collapse_traceroute(traceroute, table, record.vantage_asn, dst_asn)
         for traceroute in record.traceroutes
     ]
@@ -226,12 +188,12 @@ def _result_obj(outcome: Union[AsPath, InferenceFailure]) -> dict[str, Any]:
 def _hop_obj(hop: Hop, table: PrefixTable) -> dict[str, Any]:
     if not hop.responsive:
         return {"ttl": hop.ttl_index, "addr": "*", "mapping": "non_responsive"}
-    mapping = map_ip(table, hop.addr)
+    origins = map_ip(table, hop.addr)
     return {
         "ttl": hop.ttl_index,
         "addr": hop.addr,
-        "mapping": mapping.kind.value,
-        "origins": sorted(mapping.origins),
+        "mapping": mapping_kind(origins),
+        "origins": sorted(origins),
     }
 
 
@@ -240,14 +202,11 @@ def trace_inference(record: MeasurementRecord, table: PrefixTable) -> dict[str, 
 
     Built from the same per-traceroute outcomes as ``infer_as_path``.
     """
-    dst_mapping, outcomes = _outcomes(record, table)
+    dst_origins, outcomes = _outcomes(record, table)
     return {
         "record_id": record.record_id,
         "dst_ip": record.dst_ip,
-        "dst_mapping": {
-            "kind": dst_mapping.kind.value,
-            "origins": sorted(dst_mapping.origins),
-        },
+        "dst_mapping": {"kind": mapping_kind(dst_origins), "origins": sorted(dst_origins)},
         "traceroutes": [
             {
                 "completed": traceroute.completed,

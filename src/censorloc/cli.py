@@ -173,7 +173,7 @@ def _sim_params_from_args(args: argparse.Namespace) -> simulate.SimParams:
             ) from None
     try:
         return simulate.SimParams(**kwargs)
-    except ValueError as exc:
+    except simulate.SimulationError as exc:
         raise pipeline.InputError(str(exc)) from None
 
 

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from .model import (
     TRACEROUTES_PER_RECORD,
@@ -27,9 +27,6 @@ from .model import (
     parse_timestamp,
     validate_asn,
 )
-
-if TYPE_CHECKING:
-    from .aspath import HopMapping
 
 
 class IngestError(Exception):
@@ -111,8 +108,9 @@ class PrefixTable:
     """Longest-prefix-match table from IPv4 prefixes to origin AS sets.
 
     One probe per distinct prefix length present in the table, longest first.
-    ``mappings`` memoises ``aspath.map_ip`` per address string for the
-    table's lifetime; the table never changes after construction.
+    ``mappings`` memoises the origin set ``aspath.map_ip`` finds per address
+    string for the table's lifetime; the table never changes after
+    construction.
     """
 
     def __init__(self, entries: Iterable[tuple[int, int, frozenset[int]]]):
@@ -122,7 +120,7 @@ class PrefixTable:
         self._probes = [
             (prefix_mask(length), by_len[length]) for length in sorted(by_len, reverse=True)
         ]
-        self.mappings: dict[str, HopMapping] = {}
+        self.mappings: dict[str, frozenset[int]] = {}
 
     def lookup_int(self, addr: int) -> frozenset[int] | None:
         """Origin set of the most specific prefix covering a parsed address, or None."""
@@ -199,18 +197,9 @@ _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 _AS_META_HEADER = ["asn", "country", "name"]
 
 
-class AsRegistry:
-    """ASN -> country lookups for the leakage analysis."""
-
-    def __init__(self, countries: dict[int, str]):
-        self._countries = countries
-
-    def country(self, asn: int) -> str | None:
-        return self._countries.get(asn)
-
-
-def parse_as_metadata(text: str) -> tuple[AsRegistry, ParseReport]:
-    """Parse "asn,country,name" CSV. Missing header is fatal; bad rows skip."""
+def parse_as_metadata(text: str) -> tuple[dict[int, str], ParseReport]:
+    """Parse "asn,country,name" CSV into ASN -> country. Missing header is
+    fatal; bad rows skip."""
     report = ParseReport()
     reader = csv.reader(io.StringIO(text))
     try:
@@ -258,7 +247,7 @@ def parse_as_metadata(text: str) -> tuple[AsRegistry, ParseReport]:
         report.kept += 1
     if not countries:
         raise IngestError("AS metadata is empty after parsing")
-    return AsRegistry(countries), report
+    return countries, report
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,9 @@ def parse_timestamp(raw: str) -> datetime:
     if not isinstance(raw, str):
         raise ValueError(f"timestamp must be a string, got {raw!r}")
     try:
+        # strptime alone takes non-ASCII digits and unpadded fields
+        if len(raw) != 20 or not raw.isascii():
+            raise ValueError
         naive = datetime.strptime(raw, TIMESTAMP_FORMAT)
     except ValueError:
         raise ValueError(f"timestamp not in YYYY-MM-DDThh:mm:ssZ form: {raw!r}") from None

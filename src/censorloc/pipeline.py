@@ -16,7 +16,6 @@ from typing import Any, Sequence
 from . import analysis, simulate, solver, tomography
 from .aspath import InferenceFailure, InferenceRule, infer_as_path, trace_inference
 from .ingest import (
-    AsRegistry,
     IngestError,
     ParseReport,
     PrefixTable,
@@ -70,7 +69,7 @@ class LoadedInputs:
     records: list[MeasurementRecord]
     measurement_report: ParseReport
     table: PrefixTable
-    registry: AsRegistry | None
+    registry: dict[int, str] | None
     warnings: list[str] = field(default_factory=list)
 
 

@@ -60,6 +60,8 @@ class SimParams:
     def __post_init__(self) -> None:
         if self.n_ases < 1 or self.n_urls < 1 or self.days < 1:
             raise SimulationError("n_ases, n_urls and days must all be >= 1")
+        if self.start_date.toordinal() + self.days - 1 > date.max.toordinal():
+            raise SimulationError("start_date plus days runs past the year 9999")
         if not 1 <= self.n_vantage <= self.n_ases:
             raise SimulationError("n_vantage must be in [1, n_ases]")
         if self.n_censors < 0:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _helpers import make_record, make_table, make_traceroute
 from censorloc import aspath, pipeline
-from censorloc.aspath import InferenceFailure, InferenceRule, MappingKind, map_ip
+from censorloc.aspath import InferenceFailure, InferenceRule, map_ip
 from censorloc.model import AsPath
 
 DATA = Path(__file__).parent / "data"
@@ -85,17 +85,12 @@ def test_accounting_identity_over_golden_corpus():
 
 def test_map_ip_longest_prefix_and_kinds():
     table = _fixture_table()
-    assert map_ip(table, "7.7.7.200").asn == 700
-    assert map_ip(table, "7.7.8.1").asn == 777
-    assert map_ip(table, "11.200.1.1").asn == 1100
-
-    moas = map_ip(table, "5.5.1.1")
-    assert moas.kind is MappingKind.AMBIGUOUS
-    assert moas.origins == frozenset({500, 501})
-    with pytest.raises(ValueError, match="single ASN"):
-        _ = moas.asn
-
-    assert map_ip(table, "66.66.0.1").kind is MappingKind.UNMAPPED
+    assert map_ip(table, "7.7.7.200") == frozenset({700})
+    assert map_ip(table, "7.7.8.1") == frozenset({777})
+    assert map_ip(table, "11.200.1.1") == frozenset({1100})
+    # an ambiguous (multi-origin) address keeps every origin
+    assert map_ip(table, "5.5.1.1") == frozenset({500, 501})
+    assert map_ip(table, "66.66.0.1") == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -105,7 +100,7 @@ def test_map_ip_longest_prefix_and_kinds():
 def test_map_ip_excludes_reserved_space(ip):
     # cover the reserved ranges with a /0-like umbrella to prove exclusion wins
     table = make_table({"0.0.0.0/0": 12345})
-    assert map_ip(table, ip).kind is MappingKind.UNMAPPED
+    assert map_ip(table, ip) == frozenset()
 
 
 _RESERVED = [
@@ -127,26 +122,24 @@ def _near(net: IPv4Network) -> st.SearchStrategy[int]:
 def test_map_ip_exclusion_agrees_with_ipaddress(value):
     addr = IPv4Address(value)
     table = make_table({"0.0.0.0/0": 12345})
-    expected = (
-        MappingKind.UNMAPPED if any(addr in net for net in _RESERVED) else MappingKind.MAPPED
-    )
-    assert map_ip(table, str(addr)).kind is expected
+    expected = frozenset() if any(addr in net for net in _RESERVED) else frozenset({12345})
+    assert map_ip(table, str(addr)) == expected
 
 
 def test_map_ip_rejects_garbage_addresses():
     table = _fixture_table()
     for _ in range(2):
         # the second call is answered from the table's memo
-        assert map_ip(table, "not-an-ip").kind is MappingKind.UNMAPPED
-        assert map_ip(table, "1.2.3.4.5").kind is MappingKind.UNMAPPED
-        assert map_ip(table, "07.7.7.200").kind is MappingKind.UNMAPPED
-    assert map_ip(table, "7.7.7.200").asn == 700
+        assert map_ip(table, "not-an-ip") == frozenset()
+        assert map_ip(table, "1.2.3.4.5") == frozenset()
+        assert map_ip(table, "07.7.7.200") == frozenset()
+    assert map_ip(table, "7.7.7.200") == frozenset({700})
 
 
 def test_default_route_matches_when_nothing_longer_does():
     table = make_table({"0.0.0.0/0": 12345, "9.9.0.0/16": 900})
-    assert map_ip(table, "8.8.8.8").asn == 12345
-    assert map_ip(table, "9.9.1.1").asn == 900
+    assert map_ip(table, "8.8.8.8") == frozenset({12345})
+    assert map_ip(table, "9.9.1.1") == frozenset({900})
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +161,62 @@ def test_collapse_anchors_both_endpoints():
     assert isinstance(out, AsPath)
     assert out.vantage_asn == 100
     assert out.dst_asn == 900
+
+
+def _two_pass_collapse(traceroute, table, vantage_asn, dst_asn):
+    """The two-pass collapse that preceded the one-pass one, kept as an oracle.
+
+    Every hop becomes a token, an ASN or a gap; gap runs are resolved against
+    their neighbours with the endpoints in place, then repeats are collapsed.
+    """
+    if not traceroute.completed or not traceroute.hops:
+        return InferenceFailure(InferenceRule.TRACEROUTE_ERROR, "traceroute incomplete or empty")
+    tokens = []
+    for hop in traceroute.hops:
+        origins = map_ip(table, hop.addr) if hop.responsive else frozenset()
+        tokens.append(next(iter(origins)) if len(origins) == 1 else None)
+    if all(token is None for token in tokens):
+        return InferenceFailure(InferenceRule.MAPPING_IMPOSSIBLE, "no traceroute hop maps to an AS")
+    tokens = [vantage_asn, *tokens, dst_asn]
+    resolved = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i] is not None:
+            resolved.append(tokens[i])
+            i += 1
+            continue
+        j = i
+        while tokens[j] is None:
+            j += 1
+        if resolved[-1] != tokens[j]:
+            return InferenceFailure(
+                InferenceRule.UNRESOLVABLE_GAP, f"gap between AS{resolved[-1]} and AS{tokens[j]}"
+            )
+        i = j
+    collapsed = [asn for k, asn in enumerate(resolved) if k == 0 or resolved[k - 1] != asn]
+    return AsPath(asns=tuple(collapsed))
+
+
+# mapped (several per AS), ambiguous, unrouted, reserved and non-responsive
+_HOP_POOL = (
+    "1.1.0.1", "2.2.0.1", "2.2.0.2", "3.3.0.1", "4.4.0.1", "7.7.7.1", "7.7.8.1", "9.9.0.1",
+    "5.5.0.1", "66.66.0.1", "10.0.0.1", "192.168.1.1", "*",
+)
+
+
+@given(
+    hops=st.lists(st.sampled_from(_HOP_POOL), max_size=8),
+    # one traceroute in six never completed
+    completed=st.integers(0, 5).map(bool),
+    # each endpoint either also appears as a hop's AS or never does
+    vantage_asn=st.sampled_from([100, 200, 300, 4242]),
+    dst_asn=st.sampled_from([900, 300, 100, 5151]),
+)
+def test_collapse_matches_two_pass_reference(hops, completed, vantage_asn, dst_asn):
+    table = _fixture_table()
+    tr = make_traceroute(*hops, completed=completed)
+    got = aspath.collapse_traceroute(tr, table, vantage_asn, dst_asn)
+    assert got == _two_pass_collapse(tr, table, vantage_asn, dst_asn)
 
 
 def test_trace_inference_reports_every_hop():

@@ -122,12 +122,17 @@ def test_simulate_writes_the_four_inputs(tmp_path):
 
 
 def test_simulate_rejects_impossible_topology(tmp_path, capsys):
-    code = main(
-        ["simulate", "--out", str(tmp_path / "s"), "--n-ases", "5", "--n-vantage", "2",
-         "--n-urls", "2", "--n-censors", "1"]
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # an impossible world, then parameters SimParams itself rejects
+    for bad in (
+        ["--n-ases", "5", "--n-vantage", "2", "--n-urls", "2", "--n-censors", "1"],
+        ["--days", "0"],
+        ["--churn-prob", "2"],
+        ["--active-days", "5", "1"],
+        ["--start-date", "9999-12-31", "--days", "2"],
+    ):
+        code = main(["simulate", "--out", str(tmp_path / "s"), *bad])
+        assert code == 2, bad
+        assert "error:" in capsys.readouterr().err, bad
 
 
 def test_simulate_honors_force(tmp_path, capsys):

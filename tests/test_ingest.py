@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import make_record, make_traceroute, ts
-from censorloc.aspath import MappingKind, map_ip
+from censorloc.aspath import map_ip
 from censorloc.ingest import (
     IngestError,
     ParseReport,
@@ -144,21 +144,21 @@ def test_parse_pfx2as_counts_and_lookup():
         "invalid prefix address": 1,
         "invalid origin": 3,
     }
-    assert map_ip(table, "9.9.4.4").origins == frozenset({900})
-    assert map_ip(table, "5.5.5.5").origins == frozenset({500, 501})
-    assert map_ip(table, "6.6.6.6").origins == frozenset({600, 601})
+    assert map_ip(table, "9.9.4.4") == frozenset({900})
+    assert map_ip(table, "5.5.5.5") == frozenset({500, 501})
+    assert map_ip(table, "6.6.6.6") == frozenset({600, 601})
     for unmapped in ("8.8.8.8", "1.0.0.1", "definitely-not-an-ip"):
-        assert map_ip(table, unmapped).kind is MappingKind.UNMAPPED
+        assert map_ip(table, unmapped) == frozenset()
 
 
 def test_parse_pfx2as_host_bits_are_masked():
     table, _ = parse_pfx2as("9.9.255.255\t16\t900\n")
-    assert map_ip(table, "9.9.0.1").origins == frozenset({900})
+    assert map_ip(table, "9.9.0.1") == frozenset({900})
 
 
 def test_parse_pfx2as_later_duplicate_wins():
     table, report = parse_pfx2as("9.9.0.0\t16\t900\n9.9.0.0\t16\t901\n")
-    assert map_ip(table, "9.9.0.1").origins == frozenset({901})
+    assert map_ip(table, "9.9.0.1") == frozenset({901})
     assert report.warnings == {"duplicate prefix overridden": 1}
 
 
@@ -174,11 +174,11 @@ AS_META = "asn,country,name\n100,US,Example Backbone\n200,CN,Great Transit\n"
 
 
 def test_parse_as_metadata():
-    registry, report = parse_as_metadata(AS_META)
+    countries, report = parse_as_metadata(AS_META)
     assert report.kept == 2
-    assert registry.country(100) == "US"
-    assert registry.country(200) == "CN"
-    assert registry.country(300) is None
+    assert countries.get(100) == "US"
+    assert countries.get(200) == "CN"
+    assert countries.get(300) is None
 
 
 def test_parse_as_metadata_skips_bad_rows():
@@ -197,7 +197,7 @@ def test_parse_as_metadata_skips_bad_rows():
         f"400,US,{'x' * 131_073}\n"
         "500,FR,AfterTheLongRow\n"
     )
-    registry, report = parse_as_metadata(text)
+    countries, report = parse_as_metadata(text)
     assert report.kept == 2
     assert report.skipped == 8
     assert report.skip_reasons == {
@@ -207,10 +207,10 @@ def test_parse_as_metadata_skips_bad_rows():
         "blank line": 1,
     }
     assert report.warnings == {}
-    assert registry.country(100) == "US"
-    assert registry.country(200) is None
-    assert registry.country(400) is None
-    assert registry.country(500) == "FR"
+    assert countries.get(100) == "US"
+    assert countries.get(200) is None
+    assert countries.get(400) is None
+    assert countries.get(500) == "FR"
 
 
 def test_parse_as_metadata_header_is_mandatory():
@@ -256,6 +256,7 @@ def test_parse_measurements_skip_accounting():
         _record_line(vantage_asn=0),
         _record_line(detected="yes"),
         _record_line(timestamp="yesterday"),
+        _record_line(timestamp="٢٠١٦-05-02T12:00:00Z"),
         _record_line(url="no-scheme"),
         _record_line(dst_ip="999.1.1.1"),
         _record_line(traceroutes=[]),
@@ -277,6 +278,9 @@ def test_parse_measurements_skip_accounting():
     assert sum(report.skip_reasons.values()) == report.skipped
     assert report.skip_reasons["invalid json"] == 3
     assert report.skip_reasons["unknown anomaly type: 'ddos'"] == 1
+    assert report.skip_reasons[
+        "timestamp not in YYYY-MM-DDThh:mm:ssZ form: '٢٠١٦-05-02T12:00:00Z'"
+    ] == 1
     assert report.skip_reasons["traceroute count != 3"] == 1
     assert report.skip_reasons["unexpected key: surprise"] == 1
     assert report.skip_reasons["blank line"] == 1

@@ -68,8 +68,10 @@ def test_timestamp_round_trip_and_utc_normalization():
     parsed = parse_timestamp(raw)
     assert parsed.tzinfo is timezone.utc
     assert format_timestamp(parsed) == raw
-    with pytest.raises(ValueError, match="not in"):
-        parse_timestamp("2016-05-02 12:34:56")
+    # strptime alone reads non-ASCII digits and unpadded fields
+    for bad in ("2016-05-02 12:34:56", "٢٠١٦-05-02T12:00:00Z", "2016-5-2T1:2:3Z"):
+        with pytest.raises(ValueError, match="not in"):
+            parse_timestamp(bad)
     with pytest.raises(ValueError, match="must be a string"):
         parse_timestamp(1462192496)
 

@@ -1,6 +1,8 @@
 """Synthetic world generation: determinism, structure, scoring."""
 from __future__ import annotations
 
+from datetime import date
+
 import pytest
 
 from censorloc.model import AnomalyType, BucketKey, CensorClass, CensorVerdict, TimeGranularity
@@ -46,6 +48,7 @@ def _small_params(**overrides) -> SimParams:
         (dict(active_day_range=(0, 3)), "active_day_range"),
         (dict(active_day_range=(4, 2)), "active_day_range"),
         (dict(active_day_range=(1, 9)), "active_day_range"),
+        (dict(start_date=date(9999, 12, 31), days=2), "runs past the year 9999"),
     ],
 )
 def test_params_validation(overrides, message):
