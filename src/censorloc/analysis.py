@@ -151,7 +151,7 @@ def detect_leakage(
     the solution forces false is a victim: its traffic was answered by a
     censor it provably does not operate. A victim in another country is
     additionally a country-level leak. ASes without a known country are
-    skipped and tallied.
+    skipped and tallied once per record of the path.
     """
     edges: dict[tuple[int, int, AnomalyType], LeakageEdge] = {}
     skipped = 0
@@ -162,7 +162,7 @@ def detect_leakage(
         forced_true = {
             asn for asn, role in backbone.items() if role is BackboneStatus.FORCED_TRUE
         }
-        for path, truth, record_id in instance.source_paths:
+        for path, truth, record_id, count in instance.source_paths:
             on_path = [asn for asn in path.asns if asn in forced_true]
             if not truth:
                 # a pinned censor can never sit on a clean path
@@ -176,7 +176,7 @@ def detect_leakage(
                         continue
                     victim_country = countries.get(victim)
                     if censor_country is None or victim_country is None:
-                        skipped += 1
+                        skipped += count
                         continue
                     dedup_key = (censor, victim, instance.key.anomaly)
                     if dedup_key in edges:
@@ -304,6 +304,10 @@ def ablate_churn(
 # ---------------------------------------------------------------------------
 # solution-share tables
 
+# per-group counts of a solution table, the SolutionStatus values and then
+# at_cap; each count also gets a share_ column
+SOLUTION_COUNTS = ("unsat", "unique", "multiple", "at_cap")
+
 
 def solution_rows_by_granularity(
     summaries: Sequence[SolutionSummary], cap: int
@@ -331,23 +335,14 @@ def _solution_rows(
     rows = []
     for group in order:
         members = groups[group]
-        total = len(members)
-        unsat = sum(1 for s in members if s.status is SolutionStatus.UNSAT)
-        unique = sum(1 for s in members if s.status is SolutionStatus.UNIQUE)
-        multiple = sum(1 for s in members if s.status is SolutionStatus.MULTIPLE)
-        at_cap = sum(1 for s in members if s.model_count_capped >= cap)
-        rows.append(
-            {
-                ("anomaly" if by_anomaly else "granularity"): group,
-                "cnf_count": total,
-                "unsat": unsat,
-                "unique": unique,
-                "multiple": multiple,
-                "at_cap": at_cap,
-                "share_unsat": unsat / total,
-                "share_unique": unique / total,
-                "share_multiple": multiple / total,
-                "share_at_cap": at_cap / total,
-            }
-        )
+        counts = dict.fromkeys(SOLUTION_COUNTS, 0)
+        for summary in members:
+            counts[summary.status.value] += 1
+            counts["at_cap"] += summary.model_count_capped >= cap
+        rows.append({
+            ("anomaly" if by_anomaly else "granularity"): group,
+            "cnf_count": len(members),
+            **counts,
+            **{f"share_{name}": n / len(members) for name, n in counts.items()},
+        })
     return rows

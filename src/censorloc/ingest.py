@@ -14,7 +14,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime
 from typing import Any, Iterable
 
 from .model import (
@@ -33,21 +33,20 @@ class IngestError(Exception):
     """Raised when an input is unusable as a whole (not a per-line problem)."""
 
 
-def window_id(ts: datetime, granularity: TimeGranularity) -> str:
-    """Name the time window a UTC timestamp falls into.
+def window_id(day: date, granularity: TimeGranularity) -> str:
+    """Name the time window a UTC date (or a UTC timestamp's date) falls into.
 
     Weeks are ISO-8601, so the window's year can differ from the calendar
     year near January 1st (2016-01-01 falls into "2015-W53").
     """
-    ts = ts.astimezone(timezone.utc)
     if granularity is TimeGranularity.DAY:
-        return f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+        return f"{day.year:04d}-{day.month:02d}-{day.day:02d}"
     if granularity is TimeGranularity.WEEK:
-        iso_year, iso_week, _ = ts.isocalendar()
+        iso_year, iso_week, _ = day.isocalendar()
         return f"{iso_year:04d}-W{iso_week:02d}"
     if granularity is TimeGranularity.MONTH:
-        return f"{ts.year:04d}-{ts.month:02d}"
-    return f"{ts.year:04d}"
+        return f"{day.year:04d}-{day.month:02d}"
+    return f"{day.year:04d}"
 
 
 @dataclass

@@ -89,7 +89,8 @@ def validate_asn(asn: Any, what: str = "asn") -> int:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime(TIMESTAMP_FORMAT)
+    # strftime("%Y") leaves years before 1000 unpadded; isoformat pads them
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat("T", "seconds") + "Z"
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -223,7 +224,8 @@ class BucketKey:
 class Clause:
     """An AS-set observation: the ASes of one path and the verdict seen on it.
 
-    Literals are a set; the path order lives in CnfInstance.source_paths.
+    Literals are a set; the path order lives in CnfInstance.source_paths,
+    which holds each distinct (path, verdict) once, with its multiplicity.
     """
 
     literal_asns: frozenset[int]
@@ -240,14 +242,14 @@ class CnfInstance:
 
     Variables are the union of clause literals, stored ascending; clauses are
     stored deduplicated in canonical order so downstream output is byte-stable.
-    source_paths preserves per-entry path order and record identity, which the
-    leakage analysis needs.
+    source_paths holds each distinct (path, detected, first record_id, record
+    count) of the bucket in order of first appearance, as leakage analysis needs.
     """
 
     key: BucketKey
     variables: tuple[int, ...]
     clauses: tuple[Clause, ...]
-    source_paths: tuple[tuple[AsPath, bool, str], ...]
+    source_paths: tuple[tuple[AsPath, bool, str, int], ...]
 
 
 class SolutionStatus(str, Enum):

@@ -218,14 +218,8 @@ def _share(x: float) -> str:
 
 _SOLUTION_HEADER_TAIL = [
     "cnf_count",
-    "unsat",
-    "unique",
-    "multiple",
-    "at_cap",
-    "share_unsat",
-    "share_unique",
-    "share_multiple",
-    "share_at_cap",
+    *analysis.SOLUTION_COUNTS,
+    *(f"share_{name}" for name in analysis.SOLUTION_COUNTS),
 ]
 
 
@@ -423,13 +417,15 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
 
 
 def cmd_export_dimacs(cfg: RunConfig) -> list[str]:
-    result = run_localize_stages(cfg)
-    filenames = [tomography.dimacs_filename(inst.key) for inst in result.instances]
+    loaded = load_inputs(cfg)
+    pairs, _failures = infer_paths(loaded.records, loaded.table)
+    instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
+    filenames = [tomography.dimacs_filename(inst.key) for inst in instances]
     out_dir = prepare_out_dir(cfg.out_dir, filenames, cfg.force)
-    for instance, name in zip(result.instances, filenames):
+    for instance, name in zip(instances, filenames):
         (out_dir / name).write_text(tomography.to_dimacs(instance), encoding="utf-8")
-    warnings = list(result.loaded.warnings)
-    if not result.instances:
+    warnings = list(loaded.warnings)
+    if not instances:
         warnings.append("no CNF instances to export")
     return warnings
 

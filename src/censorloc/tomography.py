@@ -5,17 +5,16 @@ bucket's (anomaly, URL) in this window". A path that observed the anomaly
 says at least one AS on it is responsible (one all-positive disjunction); a
 clean path says no AS on it is (one negative unit clause per AS). Every CNF
 clause this module emits is therefore either all-positive or a negative unit.
+A bucket keeps each distinct (path, verdict) once, with its first record_id
+and the number of records that made it, as CnfInstance.source_paths.
 """
 from __future__ import annotations
 
 import hashlib
-from datetime import datetime
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .ingest import window_id
 from .model import (
-    AnomalyType,
     AsPath,
     BucketKey,
     Clause,
@@ -27,8 +26,8 @@ from .model import (
 MERGED_URL = "*"
 """Bucket-key url value when URL splitting is disabled."""
 
-# (path, detected, record_id) as flowing out of bucketing into CNF building
-Entry = tuple[AsPath, bool, str]
+# (path, detected, first record_id, record count) of a bucket, into CNF building
+Observation = tuple[AsPath, bool, str, int]
 
 
 def build_clause(path: AsPath, detected: bool) -> Clause:
@@ -38,28 +37,45 @@ def build_clause(path: AsPath, detected: bool) -> Clause:
 
 def bucket(
     pairs: Iterable[tuple[MeasurementRecord, AsPath]],
-    granularity: TimeGranularity,
+    granularities: Sequence[TimeGranularity],
     url_split: bool = True,
-) -> dict[BucketKey, list[Entry]]:
-    """Group inferred paths by (anomaly, url, window); entries stay in
-    timestamp order within each bucket (ties keep input order)."""
-    windows: dict[datetime, str] = {}
-    grouped: dict[tuple[AnomalyType, str, str], list[tuple[datetime, Entry]]] = {}
-    for record, path in pairs:
-        stamp = record.timestamp
-        window = windows.get(stamp)
-        if window is None:
-            window = windows[stamp] = window_id(stamp, granularity)
-        grouped.setdefault(
-            (record.anomaly, record.url if url_split else MERGED_URL, window), []
-        ).append((stamp, (path, record.detected, record.record_id)))
-    out: dict[BucketKey, list[Entry]] = {}
-    for (anomaly, url, window), rows in grouped.items():
-        # rows arrive in input order and the sort is stable
-        rows.sort(key=itemgetter(0))
-        key = BucketKey(anomaly=anomaly, url=url, granularity=granularity, window_id=window)
-        out[key] = list(map(itemgetter(1), rows))
-    return out
+) -> dict[BucketKey, list[Observation]]:
+    """Group inferred paths by (anomaly, url, window) into distinct observations.
+
+    One pass over the pairs in timestamp order (ties keep input order) folds
+    each (anomaly, url, UTC day) into its distinct (path, detected) in order
+    of first appearance. A window is a run of whole days, so merging its days
+    in date order gives the order, first records and counts of its records.
+    """
+    # [path, detected, first record_id, count] by (asns, detected): AsPath hashes in Python
+    days: dict[tuple, dict[tuple[tuple[int, ...], bool], list]] = {}
+    for record, path in sorted(pairs, key=lambda pair: pair[0].timestamp):
+        key = (record.anomaly, record.url if url_split else MERGED_URL, record.timestamp.date())
+        day = days.get(key)
+        if day is None:
+            day = days[key] = {}
+        seen = day.get((path.asns, record.detected))
+        if seen is None:
+            day[path.asns, record.detected] = [path, record.detected, record.record_id, 1]
+        else:
+            seen[3] += 1
+    windows: dict[tuple, dict[tuple[tuple[int, ...], bool], list]] = {}
+    # within each (anomaly, url) the days arrive in date order
+    for (anomaly, url, utc_date), day in days.items():
+        for granularity in granularities:
+            window = windows.setdefault(
+                (anomaly, url, granularity, window_id(utc_date, granularity)), {}
+            )
+            for observation, entry in day.items():
+                seen = window.get(observation)
+                if seen is None:
+                    window[observation] = entry.copy()
+                else:
+                    seen[3] += entry[3]
+    return {
+        BucketKey(*key): [tuple(observation) for observation in window.values()]
+        for key, window in windows.items()
+    }
 
 
 class _ClauseMemo(dict):
@@ -72,30 +88,23 @@ class _ClauseMemo(dict):
 
 
 def build_cnf(
-    key: BucketKey, entries: Sequence[Entry], memo: _ClauseMemo | None = None
+    key: BucketKey, observations: Sequence[Observation], memo: _ClauseMemo | None = None
 ) -> CnfInstance:
-    """Build one bucket's CNF instance.
+    """Build one bucket's CNF instance from its distinct observations.
 
     Clauses are deduplicated per (literal set, truth); contradictory pairs
     (same set, both truths) are retained and left for the solver to expose as
-    unsatisfiable. source_paths keeps every entry verbatim. ``memo`` shares
-    clauses between the buckets of one run.
+    unsatisfiable. source_paths keeps the observations as given. ``memo``
+    shares clauses between the buckets of one run.
     """
-    if not entries:
+    if not observations:
         raise ValueError("a bucket cannot be empty")
     if memo is None:
         memo = _ClauseMemo()
-    seen = dict(memo[path, detected] for path, detected, _ in entries)
+    seen = dict(memo[path, detected] for path, detected, _, _ in observations)
     clauses = tuple(seen[k] for k in sorted(seen))
-    variables: set[int] = set()
-    for clause in clauses:
-        variables |= clause.literal_asns
-    return CnfInstance(
-        key=key,
-        variables=tuple(sorted(variables)),
-        clauses=clauses,
-        source_paths=tuple(entries),
-    )
+    variables = frozenset().union(*(clause.literal_asns for clause in clauses))
+    return CnfInstance(key, tuple(sorted(variables)), clauses, tuple(observations))
 
 
 def build_instances(
@@ -105,10 +114,10 @@ def build_instances(
 ) -> list[CnfInstance]:
     """All CNF instances for a run, sorted by bucket key."""
     memo = _ClauseMemo()
-    instances: list[CnfInstance] = []
-    for granularity in granularities:
-        for key, entries in bucket(pairs, granularity, url_split).items():
-            instances.append(build_cnf(key, entries, memo))
+    instances = [
+        build_cnf(key, observations, memo)
+        for key, observations in bucket(pairs, granularities, url_split).items()
+    ]
     instances.sort(key=lambda inst: inst.key.sort_key())
     return instances
 
@@ -130,14 +139,10 @@ def to_cnf_clauses(instance: CnfInstance) -> list[tuple[int, ...]]:
     return positives + [(-asn,) for asn in sorted(negative_units)]
 
 
-def _variable_numbering(instance: CnfInstance) -> dict[int, int]:
-    # DIMACS variables 1..n in ascending ASN order
-    return {asn: i for i, asn in enumerate(instance.variables, start=1)}
-
-
 def to_dimacs(instance: CnfInstance) -> str:
     """Render one instance in DIMACS CNF, with the AS map in comments."""
-    numbering = _variable_numbering(instance)
+    # DIMACS variables 1..n in ascending ASN order
+    numbering = {asn: i for i, asn in enumerate(instance.variables, start=1)}
     clauses = to_cnf_clauses(instance)
     lines = [f"p cnf {len(instance.variables)} {len(clauses)}"]
     for asn, i in numbering.items():

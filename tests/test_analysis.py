@@ -1,7 +1,11 @@
 """Censor classification, suspect-set reduction, leakage, churn, ablation."""
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import make_record, ts
 from censorloc import solver
@@ -15,18 +19,19 @@ from censorloc.analysis import (
     solution_rows_by_anomaly,
     solution_rows_by_granularity,
 )
-from censorloc.ingest import parse_as_metadata
+from censorloc.ingest import parse_as_metadata, window_id
 from censorloc.model import (
     AnomalyType,
     AsPath,
     BackboneStatus,
     BucketKey,
     CensorClass,
+    LeakageEdge,
     SolutionStatus,
     SolutionSummary,
     TimeGranularity,
 )
-from censorloc.tomography import build_cnf
+from censorloc.tomography import bucket, build_cnf, build_instances
 
 FT = BackboneStatus.FORCED_TRUE
 FF = BackboneStatus.FORCED_FALSE
@@ -163,14 +168,28 @@ _REGISTRY_CSV = (
 def _leak_world(window="2016-05-02", repeats=()):
     """Unique bucket: censor 300 pinned on a detected path 100-200-300-900.
 
-    Each id in ``repeats`` adds one more detected entry on that same path.
+    Each id in ``repeats`` adds one more detected record on that same path.
     """
-    entries = [
-        (AsPath((100, 200, 300, 900)), True, "t1"),
-        (AsPath((100, 200, 900)), False, "c1"),
-        *((AsPath((100, 200, 300, 900)), True, rid) for rid in repeats),
+    rows = [
+        ("t1", (100, 200, 300, 900), True),
+        ("c1", (100, 200, 900), False),
+        *((rid, (100, 200, 300, 900), True) for rid in repeats),
     ]
-    inst = build_cnf(_key(window), entries)
+    pairs = [
+        (
+            make_record(
+                record_id=rid,
+                url="http://e.com/",
+                detected=detected,
+                timestamp=f"{window}T12:00:00Z",
+            ),
+            AsPath(asns),
+        )
+        for rid, asns, detected in rows
+    ]
+    ((key, observations),) = bucket(pairs, [G.DAY]).items()
+    assert key == _key(window)
+    inst = build_cnf(key, observations)
     summary = solver.classify(inst)
     assert summary.status is SolutionStatus.UNIQUE
     assert summary.forced_true_asns() == (300,)
@@ -201,8 +220,8 @@ def test_detect_leakage_skips_unknown_countries():
     report = detect_leakage([(inst, summary)], registry)
     assert [(e.censor_asn, e.victim_asn) for e in report.edges] == [(300, 100)]
     assert report.skipped_missing_country == 1
-    # the tally counts source entries, not distinct paths: a repeat of the
-    # detected path skips AS200 again, while the edge keeps its first witness
+    # the tally counts records, not distinct paths: a repeat of the detected
+    # path skips AS200 again, while the edge keeps its first witness
     inst, summary = _leak_world(repeats=("t2",))
     report = detect_leakage([(inst, summary)], registry)
     assert [(e.censor_asn, e.victim_asn) for e in report.edges] == [(300, 100)]
@@ -224,7 +243,7 @@ def test_detect_leakage_dedups_across_buckets():
 
 def test_detect_leakage_ignores_ambiguous_and_unsat_buckets():
     registry, _ = parse_as_metadata(_REGISTRY_CSV)
-    inst = build_cnf(_key(), [(AsPath((100, 300, 900)), True, "t1")])
+    inst = build_cnf(_key(), [(AsPath((100, 300, 900)), True, "t1", 1)])
     summary = solver.classify(inst)
     assert summary.status is SolutionStatus.MULTIPLE
     report = detect_leakage([(inst, summary)], registry)
@@ -241,6 +260,93 @@ def test_detect_leakage_same_country_spill_is_not_a_country_leak():
     (per_censor,) = report.per_censor
     assert per_censor.leaks_as == 2
     assert per_censor.leaks_country == 0
+
+
+def _leaky_pairs(rng: random.Random):
+    """Records over a small pool of paths, so paths repeat; a record is
+    detected when its path crosses a planted censor, so many buckets pin
+    their censors and leak upstream."""
+    censors = set(rng.sample(range(3, 8), rng.randint(1, 2)))
+    paths = []
+    for _ in range(rng.randint(3, 10)):
+        asns = [rng.choice((1, 2))]
+        for _ in range(rng.randint(1, 4)):
+            nxt = rng.randint(1, 7)
+            if nxt != asns[-1]:
+                asns.append(nxt)
+        paths.append(AsPath(tuple(asns)))
+    pairs = []
+    for i in range(rng.randint(5, 40)):
+        path = rng.choice(paths)
+        record = make_record(
+            record_id=f"r{i}",
+            anomaly=rng.choice((AnomalyType.DNS, AnomalyType.RESET)),
+            detected=bool(censors & set(path.asns)),
+            timestamp=f"2016-05-{rng.randint(1, 10):02d}T{rng.randint(0, 23):02d}:00:00Z",
+            vantage_asn=path.asns[0],
+        )
+        pairs.append((record, path))
+    return pairs
+
+
+def _verbatim_leakage(pairs, solved, countries):
+    """The leakage walk over every record of each bucket, in timestamp order
+    (ties in input order): (edges, per-censor counts, skipped tally)."""
+    edges = {}
+    skipped = 0
+    order = sorted(range(len(pairs)), key=lambda i: (pairs[i][0].timestamp, i))
+    for inst, summary in sorted(solved, key=lambda t: t[0].key.sort_key()):
+        if summary.status is not SolutionStatus.UNIQUE:
+            continue
+        key, backbone = inst.key, summary.backbone
+        for i in order:
+            record, path = pairs[i]
+            in_bucket = (record.anomaly, record.url) == (key.anomaly, key.url)
+            if not in_bucket or window_id(record.timestamp, key.granularity) != key.window_id:
+                continue
+            if not record.detected:
+                continue
+            for censor in [asn for asn in path.asns if backbone.get(asn) is FT]:
+                for victim in path.asns[: path.asns.index(censor)]:
+                    if backbone.get(victim) is not FF:
+                        continue
+                    if censor not in countries or victim not in countries:
+                        skipped += 1
+                        continue
+                    edges.setdefault((censor, victim, key.anomaly), LeakageEdge(
+                        censor_asn=censor,
+                        victim_asn=victim,
+                        censor_country=countries[censor],
+                        victim_country=countries[victim],
+                        anomaly=key.anomaly,
+                        witness_key=key,
+                        witness_record_id=record.record_id,
+                    ))
+    per_censor = {}
+    for edge in edges.values():
+        victims, foreign = per_censor.setdefault(edge.censor_asn, (set(), set()))
+        victims.add(edge.victim_asn)
+        if edge.crosses_border:
+            foreign.add(edge.victim_country)
+    counts = {c: (len(v), len(f)) for c, (v, f) in per_censor.items()}
+    ordered = [edges[k] for k in sorted(edges, key=lambda k: (k[0], k[1], k[2].value))]
+    return ordered, counts, skipped
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_detect_leakage_over_distinct_observations_matches_a_verbatim_walk(seed):
+    rng = random.Random(seed)
+    pairs = _leaky_pairs(rng)
+    # some ASes have no country, so the skipped tally moves too
+    countries = {asn: rng.choice(("US", "CN")) for asn in range(1, 8) if rng.random() < 0.7}
+    instances = build_instances(pairs, list(G))
+    solved = [(inst, solver.classify(inst)) for inst in instances]
+    report = detect_leakage(solved, countries)
+    edges, counts, skipped = _verbatim_leakage(pairs, solved, countries)
+    assert list(report.edges) == edges
+    assert {c.censor_asn: (c.leaks_as, c.leaks_country) for c in report.per_censor} == counts
+    assert report.skipped_missing_country == skipped
 
 
 # ---------------------------------------------------------------------------

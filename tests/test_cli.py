@@ -155,6 +155,16 @@ def test_localize_end_to_end(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["granularity", "day", "week", "month", "year"]
 
 
+def test_localize_reads_a_corpus_simulated_before_year_1000(tmp_path, capsys):
+    sim_dir = _simulate(tmp_path, "--start-date", "0999-01-01", "--days", "2")
+    lines = (sim_dir / "measurements.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["timestamp"].startswith("0999-01-0")
+    assert main(_localize_args(sim_dir, tmp_path / "out")) == 0
+    assert "no measurement records parsed" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "elimination_summary.json").read_text())
+    assert summary["records"] == len(lines)
+
+
 def test_localize_granularity_filter_dedups(tmp_path):
     sim_dir = _simulate(tmp_path)
     out_dir = tmp_path / "loc"

@@ -76,6 +76,14 @@ def test_timestamp_round_trip_and_utc_normalization():
         parse_timestamp(1462192496)
 
 
+def test_timestamps_before_year_1000_round_trip():
+    # strftime("%Y") writes year 999 as "999", which the reader rejects
+    for raw in ("0999-01-01T12:00:00Z", "0001-01-01T00:00:00Z", "0099-12-31T23:59:59Z"):
+        parsed = parse_timestamp(raw)
+        assert format_timestamp(parsed) == raw
+        assert parse_timestamp(format_timestamp(parsed)) == parsed
+
+
 def _skip_reason(obj) -> str:
     """The one skip reason ingest gives a record object; ingest alone checks
     Hop, Traceroute and MeasurementRecord."""
@@ -177,10 +185,9 @@ def _bucket_key() -> BucketKey:
 def test_cnf_instance_checks_variables_and_order():
     # build_cnf establishes what CnfInstance takes on trust
     entries = [
-        (AsPath(asns=(30, 20)), False, "c1"),
-        (AsPath(asns=(20, 10)), True, "t1"),
-        (AsPath(asns=(30, 20)), False, "c2"),
-        (AsPath(asns=(10, 20)), True, "t2"),
+        (AsPath(asns=(30, 20)), False, "c1", 2),
+        (AsPath(asns=(20, 10)), True, "t1", 1),
+        (AsPath(asns=(10, 20)), True, "t2", 1),
     ]
     inst = build_cnf(_bucket_key(), entries)
     assert_canonical_cnf(inst)
@@ -264,8 +271,8 @@ def test_leakage_edge_invariants():
     # the censor's first visit, so a path that revisits the censor yields no
     # self-leak
     inst = build_cnf(_bucket_key(), [
-        (AsPath(asns=(100, 300, 200, 300, 900)), True, "t1"),
-        (AsPath(asns=(100, 200, 900)), False, "c1"),
+        (AsPath(asns=(100, 300, 200, 300, 900)), True, "t1", 1),
+        (AsPath(asns=(100, 200, 900)), False, "c1", 1),
     ])
     registry, _ = parse_as_metadata("asn,country,name\n100,US,V\n300,CN,F\n")
     report = detect_leakage([(inst, classify(inst))], registry)

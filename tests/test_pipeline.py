@@ -473,6 +473,19 @@ def test_cmd_export_dimacs_and_solve_round_trip(world):
     assert solved["backbone"]["3"] == "forced_true"
 
 
+def test_cmd_export_dimacs_builds_buckets_without_solving_them(world, monkeypatch):
+    pipeline.cmd_export_dimacs(_config(world, out_dir=world / "solvable"))
+    expected = {p.name: p.read_bytes() for p in (world / "solvable").iterdir()}
+    assert len(expected) > 1
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("export-dimacs writes buckets; it does not solve them")
+
+    monkeypatch.setattr(pipeline, "solve_instances", no_solve)
+    assert pipeline.cmd_export_dimacs(_config(world, out_dir=world / "unsolved")) == []
+    assert {p.name: p.read_bytes() for p in (world / "unsolved").iterdir()} == expected
+
+
 def test_cmd_solve_dimacs_rejects_bad_input(tmp_path):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf x\n")

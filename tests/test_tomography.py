@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from censorloc.model import (
     Clause,
     CnfInstance,
     TimeGranularity,
+    format_timestamp,
 )
 from censorloc.tomography import (
     MERGED_URL,
@@ -55,7 +57,7 @@ def test_build_clause_maps_verdict_to_truth():
 def test_bucket_groups_by_anomaly_url_and_window():
     pairs = [
         (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), AsPath((100, 900))),
-        (make_record(record_id="b", timestamp="2016-05-03T12:00:00Z"), AsPath((100, 900))),
+        (make_record(record_id="b", timestamp="2016-05-03T12:00:00Z"), AsPath((100, 200, 900))),
         (
             make_record(record_id="c", timestamp="2016-05-02T13:00:00Z", url="http://other.net/"),
             AsPath((100, 900)),
@@ -65,24 +67,53 @@ def test_bucket_groups_by_anomaly_url_and_window():
             AsPath((100, 900)),
         ),
     ]
-    grouped = bucket(pairs, G.DAY)
+    grouped = bucket(pairs, [G.DAY])
     assert len(grouped) == 4
 
     # same records merge at month granularity except along anomaly/url
-    grouped_month = bucket(pairs, G.MONTH)
+    grouped_month = bucket(pairs, [G.MONTH])
     assert len(grouped_month) == 3
     key = _key(granularity=G.MONTH, window_id="2016-05")
-    assert [record_id for _, _, record_id in grouped_month[key]] == ["a", "b"]
+    assert [record_id for _, _, record_id, _ in grouped_month[key]] == ["a", "b"]
+    # one call buckets every granularity it is given
+    assert bucket(pairs, [G.DAY, G.MONTH]) == {**grouped, **grouped_month}
 
 
 def test_bucket_orders_entries_by_timestamp_then_input_order():
     early = make_record(record_id="early", timestamp="2016-05-02T01:00:00Z")
     late = make_record(record_id="late", timestamp="2016-05-02T23:00:00Z")
     tied = make_record(record_id="tied", timestamp="2016-05-02T01:00:00Z")
-    pairs = [(late, AsPath((100, 900))), (early, AsPath((100, 900))), (tied, AsPath((100, 900)))]
-    grouped = bucket(pairs, G.DAY)
+    pairs = [(late, AsPath((100, 900))), (early, AsPath((200, 900))), (tied, AsPath((300, 900)))]
+    grouped = bucket(pairs, [G.DAY])
     (entries,) = grouped.values()
-    assert [record_id for _, _, record_id in entries] == ["early", "tied", "late"]
+    assert [record_id for _, _, record_id, _ in entries] == ["early", "tied", "late"]
+
+
+def test_bucket_folds_repeats_into_first_record_and_count():
+    def record(rid, stamp, detected=True):
+        return make_record(record_id=rid, timestamp=stamp, detected=detected)
+
+    hit, other = AsPath((100, 300, 900)), AsPath((100, 200, 900))
+    pairs = [
+        (record("d2-late", "2016-05-03T20:00:00Z"), hit),
+        (record("d2-early", "2016-05-03T08:00:00Z"), other),
+        (record("d1", "2016-05-02T12:00:00Z"), hit),
+        (record("d2-clean", "2016-05-03T09:00:00Z", detected=False), hit),
+        (record("d1-tied", "2016-05-02T12:00:00Z"), hit),
+    ]
+    grouped = bucket(pairs, [G.DAY, G.WEEK])
+    assert grouped[_key(window_id="2016-05-03")] == [
+        (other, True, "d2-early", 1),
+        (hit, False, "d2-clean", 1),
+        (hit, True, "d2-late", 1),
+    ]
+    # the week merges its days in date order: a repeat keeps its first
+    # record and adds its count
+    assert grouped[_key(granularity=G.WEEK, window_id="2016-W18")] == [
+        (hit, True, "d1", 3),
+        (other, True, "d2-early", 1),
+        (hit, False, "d2-clean", 1),
+    ]
 
 
 def test_bucket_url_split_off_merges_urls():
@@ -90,7 +121,7 @@ def test_bucket_url_split_off_merges_urls():
         (make_record(record_id="a", url="http://one.com/"), AsPath((100, 900))),
         (make_record(record_id="b", url="http://two.com/"), AsPath((100, 900))),
     ]
-    grouped = bucket(pairs, G.DAY, url_split=False)
+    grouped = bucket(pairs, [G.DAY], url_split=False)
     assert len(grouped) == 1
     (key,) = grouped.keys()
     assert key.url == MERGED_URL
@@ -98,10 +129,10 @@ def test_bucket_url_split_off_merges_urls():
 
 def test_build_cnf_dedups_but_keeps_contradictions():
     entries = [
-        (AsPath((100, 200, 900)), True, "r1"),
-        (AsPath((100, 200, 900)), True, "r2"),
-        (AsPath((100, 200, 900)), False, "r3"),
-        (AsPath((100, 900)), False, "r4"),
+        (AsPath((100, 200, 900)), True, "r1", 2),
+        (AsPath((200, 100, 900)), True, "r2", 1),
+        (AsPath((100, 200, 900)), False, "r3", 1),
+        (AsPath((100, 900)), False, "r4", 1),
     ]
     inst = build_cnf(_key(), entries)
     assert inst.variables == (100, 200, 900)
@@ -112,7 +143,7 @@ def test_build_cnf_dedups_but_keeps_contradictions():
         Clause(literal_asns=frozenset({100, 200, 900}), truth=False),
         Clause(literal_asns=frozenset({100, 900}), truth=False),
     )
-    assert len(inst.source_paths) == 4
+    assert inst.source_paths == tuple(entries)
 
 
 def test_build_cnf_refuses_empty_bucket():
@@ -122,8 +153,8 @@ def test_build_cnf_refuses_empty_bucket():
 
 def test_to_cnf_clauses_expands_by_de_morgan():
     entries = [
-        (AsPath((100, 200, 900)), True, "r1"),
-        (AsPath((100, 300, 900)), False, "r2"),
+        (AsPath((100, 200, 900)), True, "r1", 1),
+        (AsPath((100, 300, 900)), False, "r2", 1),
     ]
     inst = build_cnf(_key(), entries)
     clauses = to_cnf_clauses(inst)
@@ -133,8 +164,8 @@ def test_to_cnf_clauses_expands_by_de_morgan():
 
 def test_to_cnf_clauses_dedups_negative_units_across_paths():
     entries = [
-        (AsPath((100, 200, 900)), False, "r1"),
-        (AsPath((100, 300, 900)), False, "r2"),
+        (AsPath((100, 200, 900)), False, "r1", 1),
+        (AsPath((100, 300, 900)), False, "r2", 1),
     ]
     inst = build_cnf(_key(), entries)
     assert to_cnf_clauses(inst) == [(-100,), (-200,), (-300,), (-900,)]
@@ -163,8 +194,8 @@ def test_build_instances_covers_each_granularity_and_sorts():
 
 def test_to_dimacs_frozen_text():
     entries = [
-        (AsPath((100, 200, 900)), True, "r1"),
-        (AsPath((100, 300, 900)), False, "r2"),
+        (AsPath((100, 200, 900)), True, "r1", 1),
+        (AsPath((100, 300, 900)), False, "r2", 1),
     ]
     inst = build_cnf(_key(), entries)
     assert to_dimacs(inst) == (
@@ -181,7 +212,7 @@ def test_to_dimacs_frozen_text():
 
 
 def test_dimacs_numbering_follows_ascending_asn():
-    entries = [(AsPath((900, 100)), True, "r1")]
+    entries = [(AsPath((900, 100)), True, "r1", 1)]
     inst = build_cnf(_key(), entries)
     text = to_dimacs(inst)
     assert "c var 1 = AS100 dns" in text
@@ -204,35 +235,54 @@ def test_dimacs_filename_layout():
 # properties
 
 def _random_pairs(rng: random.Random):
+    """Records over a small pool of paths, so paths repeat, at random hours
+    of days that span a month, an ISO week across a new year and a year."""
     anomalies = list(AnomalyType)
-    pairs = []
-    for i in range(rng.randint(1, 40)):
+    paths = []
+    for _ in range(rng.randint(1, 8)):
         asns = [rng.randint(1, 50)]
         for _ in range(rng.randint(0, 4)):
             nxt = rng.randint(1, 50)
             if nxt != asns[-1]:
                 asns.append(nxt)
+        paths.append(AsPath(tuple(asns)))
+    pairs = []
+    for i in range(rng.randint(1, 40)):
+        path = rng.choice(paths)
+        stamp = datetime(2015, 12, 20, tzinfo=timezone.utc) + timedelta(
+            days=rng.randint(0, 45), hours=rng.randint(0, 23)
+        )
         record = make_record(
             record_id=f"r{i}",
             anomaly=rng.choice(anomalies),
             url=rng.choice(["http://a.com/", "http://b.com/"]),
             detected=rng.random() < 0.5,
-            timestamp=f"2016-05-{rng.randint(1, 28):02d}T12:00:00Z",
-            vantage_asn=asns[0],
+            timestamp=format_timestamp(stamp),
+            vantage_asn=path.asns[0],
         )
-        pairs.append((record, AsPath(tuple(asns))))
+        pairs.append((record, path))
     return pairs
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), granularity=st.sampled_from(list(G)))
-def test_bucketing_partitions_the_input(seed, granularity):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bucketing_partitions_the_input(seed):
     pairs = _random_pairs(random.Random(seed))
-    grouped = bucket(pairs, granularity)
-    assert sum(len(entries) for entries in grouped.values()) == len(pairs)
-    for key, entries in grouped.items():
-        assert key.granularity is granularity
-        assert len(entries) >= 1
+    assert {key.granularity for key in bucket(pairs, [G.WEEK])} == {G.WEEK}
+    grouped = bucket(pairs, list(G))
+    for granularity in G:
+        counts = [
+            count
+            for key, observations in grouped.items()
+            if key.granularity is granularity
+            for _, _, _, count in observations
+        ]
+        assert sum(counts) == len(pairs)
+        assert min(counts) >= 1
+    for observations in grouped.values():
+        assert len(observations) >= 1
+        distinct = {(path, detected) for path, detected, _, _ in observations}
+        assert len(distinct) == len(observations)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +295,7 @@ def test_every_emitted_clause_is_positive_or_negative_unit(seed, granularity):
             is_negative_unit = len(clause) == 1 and clause[0] < 0
             assert is_negative_unit or all(lit > 0 for lit in clause)
         # every source path row is over the instance's variables
-        for path, _, _ in inst.source_paths:
+        for path, _, _, _ in inst.source_paths:
             assert set(path.asns) <= set(inst.variables)
 
 
@@ -264,15 +314,22 @@ def test_build_instances_matches_a_per_bucket_reference(seed, url_split):
             )
         for (anomaly, url, window), rows in groups.items():
             rows.sort(key=lambda row: row[:2])
+            # fold the verbatim rows into ordered distinct observations
+            folded: dict[tuple, list] = {}
+            for _, _, path, detected, rid in rows:
+                folded.setdefault((path, detected), [rid, 0])[1] += 1
             clauses = sorted(
-                {Clause(frozenset(path.asns), detected) for _, _, path, detected, _ in rows},
+                {Clause(frozenset(path.asns), detected) for path, detected in folded},
                 key=Clause.canonical_key,
             )
             expected.append(CnfInstance(
                 key=BucketKey(anomaly, url, granularity, window),
                 variables=tuple(sorted(frozenset().union(*(c.literal_asns for c in clauses)))),
                 clauses=tuple(clauses),
-                source_paths=tuple((path, detected, rid) for _, _, path, detected, rid in rows),
+                source_paths=tuple(
+                    (path, detected, rid, count)
+                    for (path, detected), (rid, count) in folded.items()
+                ),
             ))
     expected.sort(key=lambda inst: inst.key.sort_key())
     built = build_instances(pairs, list(G), url_split)
