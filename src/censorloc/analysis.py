@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import groupby
 from typing import Sequence
 
 from .ingest import window_id
@@ -195,16 +196,15 @@ def detect_leakage(
         edges.values(), key=lambda e: (e.censor_asn, e.victim_asn, e.anomaly.value)
     )
     per_censor: list[CensorLeakSummary] = []
-    for censor in sorted({e.censor_asn for e in edge_list}):
-        mine = [e for e in edge_list if e.censor_asn == censor]
-        victims = {e.victim_asn for e in mine}
-        foreign = {e.victim_country for e in mine if e.crosses_border}
+    # edge_list is sorted by censor, so each censor's edges are one run
+    for censor, run in groupby(edge_list, key=lambda e: e.censor_asn):
+        mine = list(run)
         per_censor.append(
             CensorLeakSummary(
                 censor_asn=censor,
                 censor_country=mine[0].censor_country,
-                leaks_as=len(victims),
-                leaks_country=len(foreign),
+                leaks_as=len({e.victim_asn for e in mine}),
+                leaks_country=len({e.victim_country for e in mine if e.crosses_border}),
             )
         )
     return LeakageReport(

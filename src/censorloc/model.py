@@ -1,14 +1,23 @@
 """Domain types shared by every stage of the censorship-localization pipeline.
 
 All types here are immutable values: two instances with equal fields compare
-equal. ``BucketKey`` and ``CensorVerdict`` round-trip losslessly through
-``to_json_obj`` / ``from_json_obj``, which is how ``evaluate`` reads a
-``censors.json`` back. ``Hop``, ``Traceroute`` and ``MeasurementRecord`` have
-neither a reader nor checks of their own: ``ingest.parse_measurements``
-validates measurement JSON and builds them, and their ``to_json_obj`` writes
-the form it reads. ``Clause``, ``CnfInstance`` and ``LeakageEdge`` check
-nothing either, because their only builders (``tomography.build_clause`` /
-``build_cnf`` and ``analysis.detect_leakage``) have already checked.
+equal. Each fact is checked once, where it enters the program or where it is
+made, and no type re-checks it on construction:
+
+- ``BucketKey`` and ``CensorVerdict`` round-trip through ``to_json_obj`` /
+  ``from_json_obj``, which is how ``evaluate`` reads a ``censors.json`` back;
+  the readers check what arrives, ``CensorVerdict.from_json_obj`` the ASN.
+- ``Hop``, ``Traceroute`` and ``MeasurementRecord`` are built only by
+  ``ingest.parse_measurements``, which validates measurement JSON, vantage
+  ASNs included; their ``to_json_obj`` writes the form it reads.
+- ``AsPath`` is built only by path inference: every ASN on it came from a
+  validated record or prefix-table origin, and ``aspath.collapse_traceroute``
+  starts it at the vantage AS, ends it at the destination AS and never
+  repeats an AS twice in a row.
+- ``Clause``, ``CnfInstance`` and ``LeakageEdge`` come from
+  ``tomography.build_clause`` / ``build_cnf`` and ``analysis.detect_leakage``.
+- ``SolutionSummary`` comes from ``solver.classify``, whose status, capped
+  count and backbone ``solver._solve`` fixes together.
 """
 from __future__ import annotations
 
@@ -165,21 +174,11 @@ class MeasurementRecord:
 class AsPath:
     """AS-level forward path from a vantage AS to a destination AS.
 
-    Consecutive duplicates are forbidden; the first element is the vantage AS
-    and the last is the destination AS.
+    The first element is the vantage AS and the last the destination AS; no
+    AS appears twice in a row. Path inference, its only builder, ensures it.
     """
 
     asns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.asns:
-            raise ValueError("an AS path cannot be empty")
-        prev = None
-        for asn in self.asns:
-            validate_asn(asn, "path element")
-            if asn == prev:
-                raise ValueError(f"consecutive duplicate AS {asn} in path")
-            prev = asn
 
     @property
     def vantage_asn(self) -> int:
@@ -282,22 +281,6 @@ class SolutionSummary:
     model_count_capped: int
     backbone: dict[int, BackboneStatus] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.model_count_capped < 0:
-            raise ValueError("model_count_capped cannot be negative")
-        if (self.status is SolutionStatus.UNSAT) != (self.model_count_capped == 0):
-            raise ValueError("status unsat iff capped model count is 0")
-        if (self.status is SolutionStatus.UNIQUE) != (self.model_count_capped == 1):
-            raise ValueError("status unique iff capped model count is 1")
-        if self.status is SolutionStatus.UNSAT:
-            if self.backbone:
-                raise ValueError("unsat summaries carry an empty backbone")
-        elif not self.backbone:
-            raise ValueError("satisfiable summaries carry a backbone entry per variable")
-        if self.status is SolutionStatus.UNIQUE:
-            if any(s is BackboneStatus.FREE for s in self.backbone.values()):
-                raise ValueError("a unique solution forces every variable")
-
     def forced_true_asns(self) -> tuple[int, ...]:
         return tuple(
             sorted(a for a, s in self.backbone.items() if s is BackboneStatus.FORCED_TRUE)
@@ -326,9 +309,6 @@ class CensorVerdict:
     anomaly: AnomalyType
     witnesses: tuple[BucketKey, ...]
 
-    def __post_init__(self) -> None:
-        validate_asn(self.asn)
-
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "asn": self.asn,
@@ -340,7 +320,7 @@ class CensorVerdict:
     @classmethod
     def from_json_obj(cls, obj: dict[str, Any]) -> "CensorVerdict":
         return cls(
-            asn=obj["asn"],
+            asn=validate_asn(obj["asn"]),
             censor_class=CensorClass(obj["class"]),
             anomaly=AnomalyType.parse(obj["anomaly"]),
             witnesses=tuple(BucketKey.from_json_obj(w) for w in obj["witnesses"]),

@@ -73,7 +73,7 @@ class LoadedInputs:
     warnings: list[str] = field(default_factory=list)
 
 
-def load_inputs(cfg: RunConfig, need_registry: bool = False) -> LoadedInputs:
+def load_inputs(cfg: RunConfig) -> LoadedInputs:
     registry = registry_report = None
     try:
         table, table_report = parse_pfx2as(_read_text(cfg.pfx2as, "prefix table"))
@@ -81,8 +81,6 @@ def load_inputs(cfg: RunConfig, need_registry: bool = False) -> LoadedInputs:
             registry, registry_report = parse_as_metadata(
                 _read_text(cfg.as_meta, "AS metadata")
             )
-        elif need_registry:
-            raise InputError("this command needs --as-meta (country lookups)")
         records, measurement_report = parse_measurements(
             _read_text(cfg.measurements, "measurements")
         )
@@ -162,9 +160,8 @@ class LocalizeResult:
     rows_anomaly: list[dict]
 
 
-def run_localize_stages(cfg: RunConfig, loaded: LoadedInputs | None = None) -> LocalizeResult:
-    if loaded is None:
-        loaded = load_inputs(cfg)
+def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
+    loaded = load_inputs(cfg)
     pairs, failures = infer_paths(loaded.records, loaded.table)
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
     summaries = solve_instances(instances, cfg.model_cap)
@@ -376,16 +373,16 @@ def cmd_localize(cfg: RunConfig) -> list[str]:
 
 
 def cmd_leak(cfg: RunConfig) -> list[str]:
-    loaded = load_inputs(cfg, need_registry=True)
-    result = run_localize_stages(cfg, loaded=loaded)
-    assert loaded.registry is not None
+    if cfg.as_meta is None:
+        raise InputError("this command needs --as-meta (country lookups)")
+    result = run_localize_stages(cfg)
     report = analysis.detect_leakage(
-        list(zip(result.instances, result.summaries)), loaded.registry
+        list(zip(result.instances, result.summaries)), result.loaded.registry
     )
     out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg, "leakage.json"), cfg.force)
     write_localize_outputs(cfg, result, out_dir)
     write_leakage_output(out_dir, report)
-    return _warnings(loaded, result.pairs)
+    return _warnings(result.loaded, result.pairs)
 
 
 def cmd_churn(cfg: RunConfig) -> list[str]:

@@ -16,6 +16,7 @@ counter-evidence.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
@@ -200,6 +201,10 @@ def generate_world(params: SimParams) -> SyntheticWorld:
         corridors[url] = rng.sample(transit, min(_CORRIDOR_SIZE, len(transit)))
         url_vantages[url] = tuple(sorted(rng.sample(vantage, per_url)))
 
+    # a path's middle is 2 or 3 distinct corridor ASes in order, so a pool
+    # larger than this count of routes can never fill: sampling is skipped
+    c = min(_CORRIDOR_SIZE, len(transit))
+    routes = sum(math.perm(c, k) for k in range(min(2, c), min(3, c) + 1))
     pools: dict[tuple[int, str], list[tuple[int, ...]]] = {}
     for url in urls:
         dst = url_dst[url]
@@ -208,7 +213,7 @@ def generate_world(params: SimParams) -> SyntheticWorld:
             pool: list[tuple[int, ...]] = []
             seen: set[tuple[int, ...]] = set()
             attempts = 0
-            limit = 200 * params.path_pool_size + 200
+            limit = 200 * params.path_pool_size + 200 if params.path_pool_size <= routes else 0
             while len(pool) < params.path_pool_size and attempts < limit:
                 attempts += 1
                 k = rng.randint(min(2, len(corridor)), min(3, len(corridor)))
@@ -220,7 +225,7 @@ def generate_world(params: SimParams) -> SyntheticWorld:
             if len(pool) < params.path_pool_size:
                 raise SimulationError(
                     f"cannot build {params.path_pool_size} distinct paths "
-                    f"from AS{v} to {url} (only {len(pool)} constructible)"
+                    f"from AS{v} to {url} (only {len(pool) if limit else routes} constructible)"
                 )
             pools[(v, url)] = pool
 

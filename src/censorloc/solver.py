@@ -265,37 +265,31 @@ def check_sat(
 
 
 def compute_backbone(
-    variables: Sequence[int],
-    clauses: Sequence[ClauseTuple],
-    use_general: bool = False,
+    variables: Sequence[int], clauses: Sequence[ClauseTuple]
 ) -> dict[int, BackboneStatus]:
     """Per-variable forced role; empty map when unsatisfiable."""
     _check_inputs(variables, clauses)
-    return _solve(variables, clauses, 1, use_general)[2]
+    return _solve(variables, clauses, 1)[2]
 
 
 def count_models(
     variables: Sequence[int],
     clauses: Sequence[ClauseTuple],
     cap: int = DEFAULT_MODEL_CAP,
-    use_general: bool = False,
 ) -> int:
     """min(number of models, cap). Counting never proceeds past the cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     _check_inputs(variables, clauses)
-    return _solve(variables, clauses, cap, use_general)[1]
+    return _solve(variables, clauses, cap)[1]
 
 
 def _solve(
-    variables: Sequence[int],
-    clauses: Sequence[ClauseTuple],
-    cap: int,
-    use_general: bool = False,
+    variables: Sequence[int], clauses: Sequence[ClauseTuple], cap: int
 ) -> tuple[SolutionStatus, int, dict[int, BackboneStatus]]:
     # status, capped model count and backbone of an already checked CNF;
     # the only place that picks a method by clause shape
-    if not use_general and is_restricted_shape(clauses):
+    if is_restricted_shape(clauses):
         backbone = _closed_form(variables, clauses)
         if backbone is None:
             return SolutionStatus.UNSAT, 0, {}

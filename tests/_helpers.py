@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from datetime import datetime, timezone
 
+from censorloc import solver
 from censorloc.ingest import PrefixTable, parse_pfx2as
 from censorloc.model import (
     AnomalyType,
@@ -119,6 +120,17 @@ def structured_dimacs(family: str, n: int) -> str:
     }[family]
     body = "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses)
     return f"p cnf {n} {len(clauses)}\n{body}"
+
+
+def engine_solve(variables, clauses, cap: int) -> tuple[int, dict[int, BackboneStatus]]:
+    """Capped model count and backbone from the DPLL engine alone.
+
+    ``solver._solve`` hands restricted-shape CNFs to the closed form, so this
+    is how a test runs the engine on them as well.
+    """
+    engine = solver._Engine(variables, clauses)
+    count, shared = solver._enumerate(engine, cap)
+    return count, engine.backbone(shared) if count else {}
 
 
 def satisfies(assignment: Assignment, clauses) -> bool:

@@ -217,6 +217,11 @@ def test_collapse_matches_two_pass_reference(hops, completed, vantage_asn, dst_a
     tr = make_traceroute(*hops, completed=completed)
     got = aspath.collapse_traceroute(tr, table, vantage_asn, dst_asn)
     assert got == _two_pass_collapse(tr, table, vantage_asn, dst_asn)
+    if isinstance(got, AsPath):
+        # what AsPath takes on trust: anchored at both ends, no AS twice in a row
+        assert got.asns[0] == vantage_asn
+        assert got.asns[-1] == dst_asn
+        assert all(a != b for a, b in zip(got.asns, got.asns[1:]))
 
 
 def test_trace_inference_reports_every_hop():

@@ -364,6 +364,10 @@ _GOOD_TRUTH = {"censors": [], "countries": {}, "paths": {}}
 _DEEP = "[" * 200_000 + "]" * 200_000
 
 
+def _verdicts(asn) -> str:
+    return json.dumps([{"asn": asn, "anomaly": "dns", "class": "censor", "witnesses": []}])
+
+
 @pytest.mark.parametrize(
     "censors, truth, message",
     [
@@ -377,9 +381,14 @@ _DEEP = "[" * 200_000 + "]" * 200_000
         ("[]", _DEEP, "invalid JSON input"),
         (_DEEP, _GOOD_TRUTH, "invalid JSON input"),
         ("[" + "1" * 5000 + "]", _GOOD_TRUTH, "invalid JSON input"),
+        (_verdicts(0), _GOOD_TRUTH, "malformed input"),
+        (_verdicts(True), _GOOD_TRUTH, "malformed input"),
+        (_verdicts("5"), _GOOD_TRUTH, "malformed input"),
+        (_verdicts(2**32), _GOOD_TRUTH, "malformed input"),
     ],
     ids=["countries-list", "countries-null", "paths-list", "paths-null",
-         "censor-asn-list", "truth-too-deep", "censors-too-deep", "censors-huge-int"],
+         "censor-asn-list", "truth-too-deep", "censors-too-deep", "censors-huge-int",
+         "verdict-asn-zero", "verdict-asn-bool", "verdict-asn-string", "verdict-asn-2^32"],
 )
 def test_evaluate_rejects_malformed_files(tmp_path, capsys, censors, truth, message):
     censors_file = tmp_path / "censors.json"

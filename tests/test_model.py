@@ -14,14 +14,11 @@ from censorloc.ingest import parse_as_metadata, parse_measurements
 from censorloc.model import (
     AnomalyType,
     AsPath,
-    BackboneStatus,
     BucketKey,
     CensorClass,
     CensorVerdict,
     Hop,
     LeakageEdge,
-    SolutionStatus,
-    SolutionSummary,
     TimeGranularity,
     Traceroute,
     format_timestamp,
@@ -152,18 +149,6 @@ def test_measurement_record_round_trip():
     assert parsed == record
 
 
-def test_as_path_invariants():
-    path = AsPath(asns=(100, 200, 900))
-    assert path.vantage_asn == 100
-    assert path.dst_asn == 900
-    with pytest.raises(ValueError, match="cannot be empty"):
-        AsPath(asns=())
-    with pytest.raises(ValueError, match="consecutive duplicate"):
-        AsPath(asns=(100, 100, 900))
-    # non-consecutive revisits are allowed
-    assert AsPath(asns=(100, 900, 200, 900)).dst_asn == 900
-
-
 def test_clause_invariants_and_canonical_order():
     # a clause is built from an AsPath, which is non-empty and holds valid ASNs
     true_clause = build_clause(AsPath(asns=(2, 1, 2)), True)
@@ -197,43 +182,6 @@ def test_cnf_instance_checks_variables_and_order():
         (False, [20, 30]),
     ]
     assert inst.source_paths == tuple(entries)
-
-
-def test_solution_summary_consistency_rules():
-    key = _bucket_key()
-    with pytest.raises(ValueError, match="unsat iff"):
-        SolutionSummary(key=key, status=SolutionStatus.UNSAT, model_count_capped=2)
-    with pytest.raises(ValueError, match="unique iff"):
-        SolutionSummary(
-            key=key,
-            status=SolutionStatus.MULTIPLE,
-            model_count_capped=1,
-            backbone={1: BackboneStatus.FREE},
-        )
-    with pytest.raises(ValueError, match="empty backbone"):
-        SolutionSummary(
-            key=key,
-            status=SolutionStatus.UNSAT,
-            model_count_capped=0,
-            backbone={1: BackboneStatus.FREE},
-        )
-    with pytest.raises(ValueError, match="backbone entry per variable"):
-        SolutionSummary(key=key, status=SolutionStatus.MULTIPLE, model_count_capped=3)
-    with pytest.raises(ValueError, match="forces every variable"):
-        SolutionSummary(
-            key=key,
-            status=SolutionStatus.UNIQUE,
-            model_count_capped=1,
-            backbone={1: BackboneStatus.FREE},
-        )
-
-    summary = SolutionSummary(
-        key=key,
-        status=SolutionStatus.UNIQUE,
-        model_count_capped=1,
-        backbone={7: BackboneStatus.FORCED_TRUE, 3: BackboneStatus.FORCED_FALSE},
-    )
-    assert summary.forced_true_asns() == (7,)
 
 
 def test_censor_verdict_round_trip():

@@ -99,12 +99,14 @@ def test_load_inputs_wraps_parser_failures(world):
         pipeline.load_inputs(_config(world))
 
 
-def test_load_inputs_requires_registry_when_asked(world):
+def test_cmd_leak_requires_registry(world):
     cfg = _config(world, as_meta=None)
     with pytest.raises(pipeline.InputError, match="needs --as-meta"):
-        pipeline.load_inputs(cfg, need_registry=True)
-    # but loads fine when the registry is optional
+        pipeline.cmd_leak(cfg)
+    assert not cfg.out_dir.exists()
+    # the other commands load fine without one
     assert pipeline.load_inputs(cfg).registry is None
+    assert pipeline.cmd_localize(cfg) == []
 
 
 def test_load_inputs_anomaly_filter_warns_when_everything_drops(world):

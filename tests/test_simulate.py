@@ -1,6 +1,7 @@
 """Synthetic world generation: determinism, structure, scoring."""
 from __future__ import annotations
 
+import time
 from datetime import date
 
 import pytest
@@ -65,6 +66,22 @@ def test_world_needs_transit_ases():
 def test_world_needs_one_url_per_censor():
     with pytest.raises(SimulationError, match="one URL per censor"):
         generate_world(_small_params(n_censors=4))
+
+
+@pytest.mark.parametrize("n_ases, routes", [(9, 2), (10, 12), (14, 36)])
+def test_world_pools_reach_every_route_of_the_corridor(n_ases, routes):
+    # 7 reserved ASes leave 2, 3 or 4+ transit ASes; corridors hold up to 4
+    world = generate_world(_small_params(n_ases=n_ases, path_pool_size=routes))
+    assert all(len(pool) == routes for pool in world.pools.values())
+    with pytest.raises(SimulationError, match=rf"\(only {routes} constructible\)"):
+        generate_world(_small_params(n_ases=n_ases, path_pool_size=routes + 1))
+
+
+def test_impossible_path_pool_fails_without_sampling():
+    start = time.perf_counter()
+    with pytest.raises(SimulationError, match=r"\(only 36 constructible\)"):
+        generate_world(_small_params(n_ases=20, days=1, path_pool_size=10**9))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
     backbone_from_models,
+    engine_solve,
     random_general_cnf,
     random_pipeline_cnf,
     satisfies,
@@ -32,7 +33,7 @@ FF = BackboneStatus.FORCED_FALSE
 FREE = BackboneStatus.FREE
 
 
-def check_against_brute_force(variables, clauses, cap=5, use_general=False):
+def check_against_brute_force(variables, clauses, cap=5, on_engine=False):
     models = solver.brute_force_models(variables, clauses)
 
     sat, witness = solver.check_sat(variables, clauses)
@@ -44,10 +45,13 @@ def check_against_brute_force(variables, clauses, cap=5, use_general=False):
     else:
         assert witness is None
 
-    backbone = solver.compute_backbone(variables, clauses, use_general=use_general)
+    if on_engine:
+        backbone = engine_solve(variables, clauses, 1)[1]
+        counted = engine_solve(variables, clauses, cap)[0]
+    else:
+        backbone = solver.compute_backbone(variables, clauses)
+        counted = solver.count_models(variables, clauses, cap)
     assert backbone == backbone_from_models(variables, models)
-
-    counted = solver.count_models(variables, clauses, cap, use_general=use_general)
     assert counted == min(len(models), cap)
 
 
@@ -90,8 +94,8 @@ def test_frozen_model_counts_and_backbones(variables, clauses, n_models, backbon
 def test_frozen_cases_on_general_path(variables, clauses, n_models, backbone):
     sat, _ = solver.check_sat(variables, clauses)
     assert sat == (n_models > 0)
-    assert solver.compute_backbone(variables, clauses, use_general=True) == backbone
-    assert solver.count_models(variables, clauses, cap=50, use_general=True) == n_models
+    assert engine_solve(variables, clauses, 1)[1] == backbone
+    assert engine_solve(variables, clauses, 50)[0] == n_models
 
 
 GENERAL_CASES = [
@@ -121,7 +125,7 @@ def test_count_stops_at_cap():
     variables = tuple(range(1, 11))
     assert solver.count_models(variables, [], cap=5) == 5
     assert solver.count_models(variables, [], cap=2) == 2
-    assert solver.count_models(variables, [], cap=5, use_general=True) == 5
+    assert engine_solve(variables, [], 5)[0] == 5
 
 
 def test_count_handles_many_free_variables():
@@ -175,14 +179,14 @@ def test_brute_force_refuses_large_instances():
 @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(1, 8))
 def test_restricted_path_matches_brute_force(seed, cap):
     variables, clauses = random_pipeline_cnf(random.Random(seed), max_vars=10)
-    check_against_brute_force(variables, clauses, cap=cap, use_general=False)
+    check_against_brute_force(variables, clauses, cap=cap)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(1, 8))
 def test_general_path_matches_brute_force_on_pipeline_shapes(seed, cap):
     variables, clauses = random_pipeline_cnf(random.Random(seed), max_vars=10)
-    check_against_brute_force(variables, clauses, cap=cap, use_general=True)
+    check_against_brute_force(variables, clauses, cap=cap, on_engine=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,8 +265,8 @@ def general_dimacs_cnfs(draw):
 def test_general_cnfs_match_brute_force(cnf, cap):
     n, clauses = cnf
     variables = tuple(range(1, n + 1))
-    for use_general in (False, True):
-        check_against_brute_force(variables, clauses, cap=cap, use_general=use_general)
+    for on_engine in (False, True):
+        check_against_brute_force(variables, clauses, cap=cap, on_engine=on_engine)
     models = solver.brute_force_models(variables, clauses)
     # the witness is the first model in variable order, true before false
     first = max(models, key=lambda m: [m[v] for v in variables], default=None)
@@ -403,6 +407,26 @@ def test_classify_rejects_cap_below_two():
     inst = _instance([(frozenset({10}), True)])
     with pytest.raises(ValueError, match="cap must be >= 2"):
         solver.classify(inst, cap=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cap=st.integers(2, 8))
+def test_classify_summaries_keep_the_consistency_rules(seed, cap):
+    # _solve fixes status, count and backbone together; SolutionSummary
+    # takes them on trust
+    _, clauses = random_pipeline_cnf(random.Random(seed), max_vars=10)
+    assume(clauses)  # a bucket always has a path, so never no variables
+    inst = _instance([(frozenset(map(abs, c)), c[0] > 0) for c in clauses])
+    summary = solver.classify(inst, cap)
+    status, count, backbone = summary.status, summary.model_count_capped, summary.backbone
+    assert 0 <= count <= cap
+    assert (status is SolutionStatus.UNSAT) == (count == 0)
+    assert (status is SolutionStatus.UNIQUE) == (count == 1)
+    assert (not backbone) == (status is SolutionStatus.UNSAT)
+    if status is not SolutionStatus.UNSAT:
+        assert set(backbone) == set(inst.variables)
+    if status is SolutionStatus.UNIQUE:
+        assert FREE not in backbone.values()
 
 
 # ---------------------------------------------------------------------------
