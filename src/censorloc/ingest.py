@@ -377,20 +377,18 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     )
 
 
-def parse_measurements(text: str) -> tuple[list[MeasurementRecord], ParseReport]:
+def parse_measurements(lines: Iterable[str]) -> tuple[list[MeasurementRecord], ParseReport]:
     """Parse measurement JSONL; one object per line, schema-checked strictly.
 
-    Lines end at LF only; a CR before it is JSON whitespace. So a record may
-    hold U+2028 and the other characters ``str.splitlines`` would break at,
-    and a final LF does not start another line. Zero surviving records is
-    fatal.
+    ``lines`` yields one line at a time, as a file opened with
+    ``newline="\n"`` or an ``io.StringIO`` does: lines end at LF only, and
+    a CR before it is JSON whitespace. So a record may hold U+2028 and the
+    other characters ``str.splitlines`` would break at. Zero surviving
+    records is fatal.
     """
     report = ParseReport()
     records: list[MeasurementRecord] = []
     seen = _Seen()
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
     for line in lines:
         if not line.strip():
             report.skip("blank line")

@@ -27,6 +27,7 @@ from .ingest import (
 from .model import (
     AnomalyType,
     AsPath,
+    BucketKey,
     CensorVerdict,
     CnfInstance,
     MeasurementRecord,
@@ -57,11 +58,25 @@ class RunConfig:
     debug_trace: bool = False
 
 
+def _read_error(path: Path, what: str, exc: Exception) -> InputError:
+    return InputError(f"cannot read {what} file {path}: {exc}")
+
+
 def _read_text(path: Path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc}") from None
+        raise _read_error(path, what, exc) from None
+
+
+def _read_measurements(path: Path) -> tuple[list[MeasurementRecord], ParseReport]:
+    # parsed line by line as the file is read, so its text is never held
+    # whole; a read or decode error can come from any line
+    try:
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            return parse_measurements(lines)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _read_error(path, "measurements", exc) from None
 
 
 @dataclass
@@ -81,9 +96,7 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
             registry, registry_report = parse_as_metadata(
                 _read_text(cfg.as_meta, "AS metadata")
             )
-        records, measurement_report = parse_measurements(
-            _read_text(cfg.measurements, "measurements")
-        )
+        records, measurement_report = _read_measurements(cfg.measurements)
     except IngestError as exc:
         raise InputError(str(exc)) from None
     warnings = []
@@ -201,6 +214,32 @@ def write_json(path: Path, obj: Any) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def write_censors(path: Path, verdicts: Sequence[CensorVerdict]) -> None:
+    """Write what write_json writes for the verdicts' JSON objects, byte for
+    byte, one verdict at a time: each distinct witness bucket is rendered
+    once, and the whole text is never held in memory."""
+    rendered: dict[BucketKey, str] = {}
+    with open(path, "w", encoding="utf-8") as out:
+        before = "[\n"
+        for verdict in verdicts:
+            for key in verdict.witnesses:
+                if key not in rendered:
+                    # indented three levels deep; ASCII-escaped JSON holds no
+                    # LF but the ones between its lines
+                    text = json.dumps(key.to_json_obj(), indent=2, sort_keys=True)
+                    rendered[key] = "      " + text.replace("\n", "\n      ")
+            listing = ",\n".join(rendered[key] for key in verdict.witnesses)
+            out.write(
+                f"{before}  {{\n"
+                f'    "anomaly": {json.dumps(verdict.anomaly.value)},\n'
+                f'    "asn": {json.dumps(verdict.asn)},\n'
+                f'    "class": {json.dumps(verdict.censor_class.value)},\n'
+                '    "witnesses": ' + (f"[\n{listing}\n    ]" if listing else "[]") + "\n  }"
+            )
+            before = ",\n"
+        out.write("\n]\n" if verdicts else "[]\n")
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -247,7 +286,7 @@ def write_localize_outputs(cfg: RunConfig, result: LocalizeResult, out_dir: Path
         out_dir / "elimination_summary.json",
         elimination_summary_obj(len(result.loaded.records), len(result.pairs), result.failures),
     )
-    write_json(out_dir / "censors.json", [v.to_json_obj() for v in result.verdicts])
+    write_censors(out_dir / "censors.json", result.verdicts)
     write_csv(
         out_dir / "reduction_cdf.csv",
         ["fraction", "cumulative_share"],
@@ -267,13 +306,12 @@ def write_localize_outputs(cfg: RunConfig, result: LocalizeResult, out_dir: Path
     )
     _write_solutions(out_dir / "solutions_by_anomaly.csv", result.rows_anomaly, "anomaly")
     if cfg.debug_trace:
-        lines = [
-            json.dumps(trace_inference(record, result.loaded.table), sort_keys=True)
-            for record in result.loaded.records
-        ]
-        (out_dir / "inference_trace.jsonl").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
+        with open(out_dir / "inference_trace.jsonl", "w", encoding="utf-8") as out:
+            for record in result.loaded.records:
+                out.write(
+                    json.dumps(trace_inference(record, result.loaded.table), sort_keys=True)
+                    + "\n"
+                )
 
 
 def write_leakage_output(out_dir: Path, report: analysis.LeakageReport) -> None:

@@ -1,6 +1,7 @@
 """Input parsing: window naming, prefix table, AS metadata, measurement JSONL."""
 from __future__ import annotations
 
+import io
 import json
 from datetime import datetime, timezone
 from ipaddress import AddressValueError, IPv4Address
@@ -232,7 +233,7 @@ def _record_line(**overrides) -> str:
 
 
 def test_parse_measurements_round_trip():
-    records, report = parse_measurements(_record_line() + "\n")
+    records, report = parse_measurements(io.StringIO(_record_line() + "\n"))
     assert report.kept == 1 and report.skipped == 0
     assert records[0] == make_record()
 
@@ -271,7 +272,7 @@ def test_parse_measurements_skip_accounting():
         # record fields are checked before traceroutes, so the record_id wins
         _record_line(record_id="", traceroutes=_traceroutes(hops=[{"ttl": 0, "addr": 7}])),
     ]
-    records, report = parse_measurements("\n".join(lines) + "\n")
+    records, report = parse_measurements(io.StringIO("\n".join(lines) + "\n"))
     assert len(records) == 1
     assert report.kept == 1
     assert report.skipped == len(lines) - 1
@@ -302,7 +303,7 @@ def test_parse_measurements_splits_only_at_newlines():
         (odd + "\r\n\r\n" + _record_line() + "\n\n", 2),
     ]
     for text, blank_lines in cases:
-        records, report = parse_measurements(text)
+        records, report = parse_measurements(io.StringIO(text))
         assert [r.record_id for r in records] == ["odd\u2028id", "r1"]
         assert records[0].url == "http://example.com/\x85\u2029"
         assert report.kept == 2 and report.skipped == blank_lines
@@ -312,7 +313,7 @@ def test_parse_measurements_splits_only_at_newlines():
 def test_parse_measurements_shares_equal_hops():
     tr = make_traceroute("9.9.0.1", "*", "9.9.0.2")
     line = _record_line(traceroutes=[tr.to_json_obj()] * 3)
-    records, _ = parse_measurements(line + "\n" + line + "\n")
+    records, _ = parse_measurements(io.StringIO(line + "\n" + line + "\n"))
     hops = [hop for r in records for t in r.traceroutes for hop in t.hops]
     assert [h.addr for h in hops] == ["9.9.0.1", None, "9.9.0.2"] * 6
     assert len({id(h) for h in hops}) == 3
@@ -332,7 +333,7 @@ def test_parse_measurements_parses_each_distinct_timestamp_once():
     text = "".join(
         _record_line(record_id=f"r{i}", timestamp=raw) + "\n" for i, raw in enumerate(stamps)
     )
-    records, report = parse_measurements(text)
+    records, report = parse_measurements(io.StringIO(text))
 
     # the report of parsing every stamp afresh
     expected = ParseReport()
@@ -360,13 +361,13 @@ def test_parse_measurements_rejects_non_increasing_ttls():
     record = make_record().to_json_obj()
     for tr in record["traceroutes"]:
         tr["hops"] = [{"ttl": 2, "addr": "1.2.3.4"}, {"ttl": 2, "addr": "1.2.3.5"}]
-    _, report = parse_measurements(_record_line() + "\n" + json.dumps(record))
+    _, report = parse_measurements(io.StringIO(_record_line() + "\n" + json.dumps(record)))
     assert report.skip_reasons == {"hop ttls not strictly increasing": 1}
 
 
 def test_parse_measurements_nothing_kept_is_fatal():
     with pytest.raises(IngestError, match="no measurement records parsed"):
-        parse_measurements("not json\n")
+        parse_measurements(io.StringIO("not json\n"))
 
 
 def test_ingest_summary_shape():

@@ -1,6 +1,7 @@
 """Value-type invariants, and JSON round-trips of the types read back."""
 from __future__ import annotations
 
+import io
 import json
 from datetime import datetime, timezone
 
@@ -85,7 +86,7 @@ def _skip_reason(obj) -> str:
     """The one skip reason ingest gives a record object; ingest alone checks
     Hop, Traceroute and MeasurementRecord."""
     good = json.dumps(make_record().to_json_obj())
-    _, report = parse_measurements(good + "\n" + json.dumps(obj) + "\n")
+    _, report = parse_measurements(io.StringIO(good + "\n" + json.dumps(obj) + "\n"))
     ((reason, count),) = report.skip_reasons.items()
     assert count == 1
     return reason
@@ -123,7 +124,7 @@ def test_traceroute_invariants():
     )
     # an incomplete, hopless probe is representable
     line = json.dumps(_record_obj(traceroutes=_traceroutes_obj(False, [])))
-    (record,), _ = parse_measurements(line + "\n")
+    (record,), _ = parse_measurements(io.StringIO(line + "\n"))
     assert record.traceroutes == (Traceroute(hops=(), completed=False),) * 3
 
 
@@ -135,7 +136,7 @@ def test_measurement_record_invariants():
         "timestamp not in YYYY-MM-DDThh:mm:ssZ form: '2016-05-02T12:00:00'"
     )
     # timestamps come out timezone-aware, in UTC
-    (record,), _ = parse_measurements(json.dumps(_record_obj()) + "\n")
+    (record,), _ = parse_measurements(io.StringIO(json.dumps(_record_obj()) + "\n"))
     assert record.timestamp.tzinfo is timezone.utc
 
 
@@ -144,7 +145,7 @@ def test_measurement_record_round_trip():
         detected=True,
         traceroutes=(make_traceroute("2.2.0.1", "*", "9.9.0.1"),) * 3,
     )
-    (parsed,), report = parse_measurements(json.dumps(record.to_json_obj()) + "\n")
+    (parsed,), report = parse_measurements(io.StringIO(json.dumps(record.to_json_obj()) + "\n"))
     assert report.skipped == 0
     assert parsed == record
 

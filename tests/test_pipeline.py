@@ -1,10 +1,11 @@
 """End-to-end pipeline stages over a small handcrafted world (no simulator)."""
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_record, make_traceroute
@@ -14,6 +15,7 @@ from censorloc.ingest import parse_measurements, parse_pfx2as
 from censorloc.model import (
     AnomalyType,
     BackboneStatus,
+    BucketKey,
     CensorClass,
     CensorVerdict,
     SolutionStatus,
@@ -91,6 +93,38 @@ def test_load_inputs_missing_file(world):
     cfg = _config(world, measurements=world / "latin1.jsonl")
     with pytest.raises(pipeline.InputError, match="cannot read measurements"):
         pipeline.load_inputs(cfg)
+
+
+def test_load_inputs_streams_what_parse_measurements_reads(world):
+    # CRLF endings, U+2028 inside a string, blank lines and no final LF; a
+    # lone CR ends no line, so its two records make one invalid line
+    odd = make_record(record_id="odd\u2028id").to_json_obj()
+    lines = _records_jsonl().splitlines()
+    text = (
+        json.dumps(odd, ensure_ascii=False) + "\r\n\n"
+        + lines[0] + "\r\n" + "\r\n"
+        + lines[1] + "\r" + lines[1] + "\n"
+        + "\n".join(lines[1:])
+    )
+    (world / "measurements.jsonl").write_bytes(text.encode("utf-8"))
+    loaded = pipeline.load_inputs(_config(world))
+    records, report = parse_measurements(io.StringIO(text))
+    assert loaded.records == records
+    assert loaded.measurement_report == report
+    assert [r.record_id for r in records] == ["odd\u2028id", "hit", "clean", "gone"]
+    assert report.skip_reasons == {"blank line": 2, "invalid json": 1}
+
+
+def test_undecodable_byte_after_valid_lines_writes_nothing(world):
+    # well past the reader's first chunk, so the error comes mid-stream
+    valid = _records_jsonl() * 100
+    (world / "measurements.jsonl").write_bytes(valid.encode("utf-8") + b"\xff\n")
+    cfg = _config(world)
+    with pytest.raises(pipeline.InputError, match="cannot read measurements"):
+        pipeline.load_inputs(cfg)
+    with pytest.raises(pipeline.InputError, match="cannot read measurements"):
+        pipeline.cmd_localize(cfg)
+    assert not cfg.out_dir.exists()
 
 
 def test_load_inputs_wraps_parser_failures(world):
@@ -182,7 +216,7 @@ def _noisy_corpus(seed: int) -> tuple[list, str]:
     )
     world = simulate.generate_world(params)
     rows, _ = simulate.generate_measurements(world, params)
-    records, _ = parse_measurements(simulate.measurements_jsonl(rows))
+    records, _ = parse_measurements(io.StringIO(simulate.measurements_jsonl(rows)))
     return records, simulate.pfx2as_text(world)
 
 
@@ -354,6 +388,48 @@ def test_cmd_localize_writes_the_full_file_set(world):
     cdf_lines = (out / "reduction_cdf.csv").read_text().splitlines()
     assert cdf_lines[0] == "fraction,cumulative_share"
     assert len(cdf_lines) == 102
+
+
+_WITNESS_KEYS = st.builds(
+    BucketKey,
+    anomaly=st.sampled_from(AnomalyType),
+    # non-ASCII, quotes, backslashes and control characters all get escaped
+    url=st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+    | st.sampled_from(['http://a.example/"q"\\', "http://\u00e9.example/\u2028\x00\x1f"]),
+    granularity=st.sampled_from(TimeGranularity),
+    window_id=st.text(max_size=8),
+)
+
+
+_ODD_KEY = BucketKey(AnomalyType.DNS, 'http://\u00e9.example/"\\\n', G.DAY, "2016-05-02")
+
+
+@example(verdicts=[])
+@example(verdicts=[
+    CensorVerdict(7, CensorClass.NON_CENSOR, AnomalyType.DNS, witnesses=()),
+    CensorVerdict(8, CensorClass.CENSOR, AnomalyType.DNS, witnesses=(_ODD_KEY, _ODD_KEY)),
+    CensorVerdict(9, CensorClass.CENSOR, AnomalyType.SEQNO, witnesses=(_ODD_KEY,)),
+])
+@given(
+    st.lists(_WITNESS_KEYS, min_size=1, max_size=4).flatmap(
+        # verdicts draw their witnesses from a small shared pool, so keys repeat
+        lambda pool: st.lists(
+            st.builds(
+                CensorVerdict,
+                asn=st.integers(1, 2**32 - 1),
+                censor_class=st.sampled_from(CensorClass),
+                anomaly=st.sampled_from(AnomalyType),
+                witnesses=st.lists(st.sampled_from(pool), max_size=5).map(tuple),
+            ),
+            max_size=5,
+        )
+    )
+)
+def test_write_censors_matches_write_json(tmp_path_factory, verdicts):
+    out = tmp_path_factory.mktemp("censors")
+    pipeline.write_censors(out / "streamed.json", verdicts)
+    pipeline.write_json(out / "reference.json", [v.to_json_obj() for v in verdicts])
+    assert (out / "streamed.json").read_bytes() == (out / "reference.json").read_bytes()
 
 
 def test_cmd_localize_second_run_needs_force(world):
