@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .model import (
     AnomalyType,
-    AsPath,
     BucketKey,
     CensorClass,
     CensorVerdict,
@@ -28,7 +27,6 @@ from .model import (
 __all__ = [
     "__version__",
     "AnomalyType",
-    "AsPath",
     "BucketKey",
     "CensorClass",
     "CensorVerdict",

@@ -164,15 +164,15 @@ def detect_leakage(
             asn for asn, role in backbone.items() if role is BackboneStatus.FORCED_TRUE
         }
         for path, truth, record_id, count in instance.source_paths:
-            on_path = [asn for asn in path.asns if asn in forced_true]
+            on_path = [asn for asn in path if asn in forced_true]
             if not truth:
                 # a pinned censor can never sit on a clean path
                 assert not on_path, "forced-true variable on a truth-false source path"
                 continue
             for censor in on_path:
-                first_idx = path.asns.index(censor)
+                first_idx = path.index(censor)
                 censor_country = countries.get(censor)
-                for victim in path.asns[:first_idx]:
+                for victim in path[:first_idx]:
                     if backbone.get(victim) is not BackboneStatus.FORCED_FALSE:
                         continue
                     victim_country = countries.get(victim)
@@ -252,11 +252,11 @@ def churn_stats(
     sequences; the churn fraction is taken over cells with >= 2 measurements
     so single-shot pairs cannot dilute it.
     """
-    acc: dict[tuple[int, int, str], tuple[int, set[tuple[int, ...]]]] = {}
+    acc: dict[tuple[int, int, str], tuple[int, set[AsPath]]] = {}
     for vantage, dst, ts, path in observations:
         cell_key = (vantage, dst, window_id(ts, granularity))
         count, paths = acc.setdefault(cell_key, (0, set()))
-        paths.add(path.asns)
+        paths.add(path)
         acc[cell_key] = (count + 1, paths)
     cells = tuple(
         ChurnCell(
@@ -294,7 +294,7 @@ def ablate_churn(
     first: dict[tuple[int, int], AsPath] = {}
     kept: list[tuple[MeasurementRecord, AsPath]] = []
     for _, (record, path) in indexed:
-        pair_key = (record.vantage_asn, path.dst_asn)
+        pair_key = (record.vantage_asn, path[-1])
         anchor = first.setdefault(pair_key, path)
         if path == anchor:
             kept.append((record, path))

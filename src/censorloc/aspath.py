@@ -127,7 +127,7 @@ def collapse_traceroute(
         if gap:
             return _gap_failure(path[-1], dst_asn)
         path.append(dst_asn)
-    return AsPath(asns=tuple(path))
+    return tuple(path)
 
 
 def _outcomes(
@@ -154,7 +154,7 @@ def _combine(
     outcomes: list[Union[AsPath, InferenceFailure]]
 ) -> Union[AsPath, InferenceFailure]:
     # successful collapses must agree; with none, the first failure stands
-    paths = {o.asns for o in outcomes if not isinstance(o, InferenceFailure)}
+    paths = {o for o in outcomes if not isinstance(o, InferenceFailure)}
     if not paths:
         return outcomes[0]
     if len(paths) > 1:
@@ -163,7 +163,7 @@ def _combine(
             rule=InferenceRule.MULTIPLE_AS_PATHS,
             detail=f"traceroutes disagree: {rendered}",
         )
-    return AsPath(asns=paths.pop())
+    return paths.pop()
 
 
 def infer_as_path(
@@ -182,7 +182,7 @@ def infer_as_path(
 def _result_obj(outcome: Union[AsPath, InferenceFailure]) -> dict[str, Any]:
     if isinstance(outcome, InferenceFailure):
         return outcome.to_json_obj()
-    return {"path": list(outcome.asns)}
+    return {"path": list(outcome)}
 
 
 def _hop_obj(hop: Hop, table: PrefixTable) -> dict[str, Any]:

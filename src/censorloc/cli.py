@@ -81,7 +81,6 @@ def _config_from_args(args: argparse.Namespace) -> pipeline.RunConfig:
         anomalies=_anomaly_list(args.anomaly),
         model_cap=args.model_cap,
         url_split=not args.no_url_split,
-        workers=args.workers,
         force=args.force,
         debug_trace=args.debug_trace,
     )

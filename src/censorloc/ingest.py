@@ -130,15 +130,27 @@ class PrefixTable:
         return None
 
 
+def _ascii_int(text: str) -> int | None:
+    """The value of a run of ASCII digits, or None for anything else.
+
+    ``int`` alone would also take ``_``, ``+``, whitespace and non-ASCII
+    digits, and it raises on more digits than its limit (4,300 by default).
+    Leading zeros are allowed: "0000032" is 32.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _parse_origin_spec(spec: str) -> frozenset[int]:
     """Origin field forms: "100", multi-origin set "100_200", alternatives "100,200"."""
     origins: set[int] = set()
     for alt in spec.split(","):
         for part in alt.split("_"):
-            part = part.strip()
-            if not (part.isascii() and part.isdigit()):
-                raise ValueError(f"invalid origin: {spec!r}")
-            origins.add(validate_asn(int(part), "origin asn"))
+            origins.add(validate_asn(_ascii_int(part.strip()), "origin asn"))
     if not origins:
         raise ValueError(f"invalid origin: {spec!r}")
     return frozenset(origins)
@@ -161,12 +173,8 @@ def parse_pfx2as(text: str) -> tuple[PrefixTable, ParseReport]:
             report.skip("malformed line")
             continue
         prefix_raw, len_raw, origin_raw = fields
-        len_raw = len_raw.strip()
-        if not (len_raw.isascii() and len_raw.isdigit()):
-            report.skip("invalid prefix length")
-            continue
-        prefix_len = int(len_raw)
-        if prefix_len > 32:
+        prefix_len = _ascii_int(len_raw.strip())
+        if prefix_len is None or prefix_len > 32:
             report.skip("invalid prefix length")
             continue
         addr = parse_ipv4(prefix_raw.strip())
@@ -227,13 +235,9 @@ def parse_as_metadata(text: str) -> tuple[dict[int, str], ParseReport]:
         if len(row) != 3:
             report.skip("malformed row")
             continue
-        asn_raw, country = row[0].strip(), row[1].strip()
-        if not (asn_raw.isascii() and asn_raw.isdigit()):
-            report.skip("invalid asn")
-            continue
-        asn = int(asn_raw)
+        country = row[1].strip()
         try:
-            validate_asn(asn)
+            asn = validate_asn(_ascii_int(row[0].strip()))
         except ValueError:
             report.skip("invalid asn")
             continue

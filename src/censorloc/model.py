@@ -10,10 +10,6 @@ made, and no type re-checks it on construction:
 - ``Hop``, ``Traceroute`` and ``MeasurementRecord`` are built only by
   ``ingest.parse_measurements``, which validates measurement JSON, vantage
   ASNs included; their ``to_json_obj`` writes the form it reads.
-- ``AsPath`` is built only by path inference: every ASN on it came from a
-  validated record or prefix-table origin, and ``aspath.collapse_traceroute``
-  starts it at the vantage AS, ends it at the destination AS and never
-  repeats an AS twice in a row.
 - ``Clause``, ``CnfInstance`` and ``LeakageEdge`` come from
   ``tomography.build_clause`` / ``build_cnf`` and ``analysis.detect_leakage``.
 - ``SolutionSummary`` comes from ``solver.classify``, whose status, capped
@@ -170,23 +166,9 @@ class MeasurementRecord:
         }
 
 
-@dataclass(frozen=True)
-class AsPath:
-    """AS-level forward path from a vantage AS to a destination AS.
-
-    The first element is the vantage AS and the last the destination AS; no
-    AS appears twice in a row. Path inference, its only builder, ensures it.
-    """
-
-    asns: tuple[int, ...]
-
-    @property
-    def vantage_asn(self) -> int:
-        return self.asns[0]
-
-    @property
-    def dst_asn(self) -> int:
-        return self.asns[-1]
+# An AS-level forward path, as aspath.collapse_traceroute makes it: the vantage
+# AS first, the destination AS last, and no AS twice in a row.
+AsPath = tuple[int, ...]
 
 
 @dataclass(frozen=True)

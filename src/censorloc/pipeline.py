@@ -52,8 +52,6 @@ class RunConfig:
     anomalies: tuple[AnomalyType, ...] | None = None
     model_cap: int = solver.DEFAULT_MODEL_CAP
     url_split: bool = True
-    # kept so callers stay valid; buckets are always solved in-process
-    workers: int = 1
     force: bool = False
     debug_trace: bool = False
 
@@ -199,7 +197,10 @@ def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
 
 def prepare_out_dir(out_dir: Path, filenames: Sequence[str], force: bool) -> Path:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out_dir}: {exc}") from None
     if not force:
         existing = [name for name in filenames if (out_dir / name).exists()]
         if existing:
@@ -427,7 +428,7 @@ def cmd_churn(cfg: RunConfig) -> list[str]:
     loaded = load_inputs(cfg)
     pairs, _failures = infer_paths(loaded.records, loaded.table)
     observations = [
-        (record.vantage_asn, path.dst_asn, record.timestamp, path)
+        (record.vantage_asn, path[-1], record.timestamp, path)
         for record, path in pairs
     ]
     reports = [analysis.churn_stats(observations, g) for g in cfg.granularities]

@@ -32,7 +32,7 @@ Observation = tuple[AsPath, bool, str, int]
 
 def build_clause(path: AsPath, detected: bool) -> Clause:
     """One observation on one path becomes one clause over the path's ASes."""
-    return Clause(literal_asns=frozenset(path.asns), truth=detected)
+    return Clause(literal_asns=frozenset(path), truth=detected)
 
 
 def bucket(
@@ -47,33 +47,33 @@ def bucket(
     of first appearance. A window is a run of whole days, so merging its days
     in date order gives the order, first records and counts of its records.
     """
-    # [path, detected, first record_id, count] by (asns, detected): AsPath hashes in Python
-    days: dict[tuple, dict[tuple[tuple[int, ...], bool], list]] = {}
+    # [first record_id, count] by (path, detected)
+    days: dict[tuple, dict[tuple[AsPath, bool], list]] = {}
     for record, path in sorted(pairs, key=lambda pair: pair[0].timestamp):
         key = (record.anomaly, record.url if url_split else MERGED_URL, record.timestamp.date())
         day = days.get(key)
         if day is None:
             day = days[key] = {}
-        seen = day.get((path.asns, record.detected))
+        seen = day.get((path, record.detected))
         if seen is None:
-            day[path.asns, record.detected] = [path, record.detected, record.record_id, 1]
+            day[path, record.detected] = [record.record_id, 1]
         else:
-            seen[3] += 1
-    windows: dict[tuple, dict[tuple[tuple[int, ...], bool], list]] = {}
+            seen[1] += 1
+    windows: dict[tuple, dict[tuple[AsPath, bool], list]] = {}
     # within each (anomaly, url) the days arrive in date order
     for (anomaly, url, utc_date), day in days.items():
         for granularity in granularities:
             window = windows.setdefault(
                 (anomaly, url, granularity, window_id(utc_date, granularity)), {}
             )
-            for observation, entry in day.items():
+            for observation, (first, count) in day.items():
                 seen = window.get(observation)
                 if seen is None:
-                    window[observation] = entry.copy()
+                    window[observation] = [first, count]
                 else:
-                    seen[3] += entry[3]
+                    seen[1] += count
     return {
-        BucketKey(*key): [tuple(observation) for observation in window.values()]
+        BucketKey(*key): [(*observation, *entry) for observation, entry in window.items()]
         for key, window in windows.items()
     }
 

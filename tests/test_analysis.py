@@ -22,7 +22,6 @@ from censorloc.analysis import (
 from censorloc.ingest import parse_as_metadata, window_id
 from censorloc.model import (
     AnomalyType,
-    AsPath,
     BackboneStatus,
     BucketKey,
     CensorClass,
@@ -183,7 +182,7 @@ def _leak_world(window="2016-05-02", repeats=()):
                 detected=detected,
                 timestamp=f"{window}T12:00:00Z",
             ),
-            AsPath(asns),
+            asns,
         )
         for rid, asns, detected in rows
     ]
@@ -243,7 +242,7 @@ def test_detect_leakage_dedups_across_buckets():
 
 def test_detect_leakage_ignores_ambiguous_and_unsat_buckets():
     registry, _ = parse_as_metadata(_REGISTRY_CSV)
-    inst = build_cnf(_key(), [(AsPath((100, 300, 900)), True, "t1", 1)])
+    inst = build_cnf(_key(), [((100, 300, 900), True, "t1", 1)])
     summary = solver.classify(inst)
     assert summary.status is SolutionStatus.MULTIPLE
     report = detect_leakage([(inst, summary)], registry)
@@ -274,16 +273,16 @@ def _leaky_pairs(rng: random.Random):
             nxt = rng.randint(1, 7)
             if nxt != asns[-1]:
                 asns.append(nxt)
-        paths.append(AsPath(tuple(asns)))
+        paths.append(tuple(asns))
     pairs = []
     for i in range(rng.randint(5, 40)):
         path = rng.choice(paths)
         record = make_record(
             record_id=f"r{i}",
             anomaly=rng.choice((AnomalyType.DNS, AnomalyType.RESET)),
-            detected=bool(censors & set(path.asns)),
+            detected=bool(censors & set(path)),
             timestamp=f"2016-05-{rng.randint(1, 10):02d}T{rng.randint(0, 23):02d}:00:00Z",
-            vantage_asn=path.asns[0],
+            vantage_asn=path[0],
         )
         pairs.append((record, path))
     return pairs
@@ -306,8 +305,8 @@ def _verbatim_leakage(pairs, solved, countries):
                 continue
             if not record.detected:
                 continue
-            for censor in [asn for asn in path.asns if backbone.get(asn) is FT]:
-                for victim in path.asns[: path.asns.index(censor)]:
+            for censor in [asn for asn in path if backbone.get(asn) is FT]:
+                for victim in path[: path.index(censor)]:
                     if backbone.get(victim) is not FF:
                         continue
                     if censor not in countries or victim not in countries:
@@ -353,8 +352,8 @@ def test_detect_leakage_over_distinct_observations_matches_a_verbatim_walk(seed)
 # churn
 
 def test_churn_stats_fraction_over_multi_measurement_cells():
-    p1 = AsPath((100, 200, 900))
-    p2 = AsPath((100, 300, 900))
+    p1 = (100, 200, 900)
+    p2 = (100, 300, 900)
     observations = [
         # churning pair: two paths inside one week
         (100, 900, ts("2016-05-02T12:00:00Z"), p1),
@@ -378,8 +377,8 @@ def test_churn_stats_fraction_over_multi_measurement_cells():
 
 
 def test_churn_stats_windows_split_cells():
-    p1 = AsPath((100, 200, 900))
-    p2 = AsPath((100, 300, 900))
+    p1 = (100, 200, 900)
+    p2 = (100, 300, 900)
     observations = [
         (100, 900, ts("2016-05-02T12:00:00Z"), p1),
         (100, 900, ts("2016-06-02T12:00:00Z"), p2),
@@ -393,7 +392,7 @@ def test_churn_stats_windows_split_cells():
 
 
 def test_churn_histogram_five_plus_bucket():
-    paths = [AsPath((100, 200 + i, 900)) for i in range(6)]
+    paths = [(100, 200 + i, 900) for i in range(6)]
     observations = [
         (100, 900, ts(f"2016-05-0{i + 1}T12:00:00Z"), p) for i, p in enumerate(paths)
     ]
@@ -406,8 +405,8 @@ def test_churn_histogram_five_plus_bucket():
 # ablation
 
 def test_ablate_churn_keeps_first_path_per_pair():
-    p1 = AsPath((100, 200, 900))
-    p2 = AsPath((100, 300, 900))
+    p1 = (100, 200, 900)
+    p2 = (100, 300, 900)
     rows = [
         (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), p1),
         (make_record(record_id="b", timestamp="2016-05-03T12:00:00Z"), p2),
@@ -419,8 +418,8 @@ def test_ablate_churn_keeps_first_path_per_pair():
 
 
 def test_ablate_churn_anchor_is_chronological_not_input_order():
-    p1 = AsPath((100, 200, 900))
-    p2 = AsPath((100, 300, 900))
+    p1 = (100, 200, 900)
+    p2 = (100, 300, 900)
     rows = [
         (make_record(record_id="later", timestamp="2016-05-03T12:00:00Z"), p2),
         (make_record(record_id="first", timestamp="2016-05-02T12:00:00Z"), p1),
@@ -430,8 +429,8 @@ def test_ablate_churn_anchor_is_chronological_not_input_order():
 
 
 def test_ablate_churn_pairs_are_independent():
-    p1 = AsPath((100, 200, 900))
-    p2 = AsPath((100, 300, 901))
+    p1 = (100, 200, 900)
+    p2 = (100, 300, 901)
     rows = [
         (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), p1),
         (make_record(record_id="b", timestamp="2016-05-02T13:00:00Z"), p2),
@@ -443,8 +442,8 @@ def test_ablate_churn_pairs_are_independent():
 
 
 def test_ablate_churn_timestamp_tie_keeps_input_order_anchor():
-    p1 = AsPath((100, 200, 900))
-    p2 = AsPath((100, 300, 900))
+    p1 = (100, 200, 900)
+    p2 = (100, 300, 900)
     rows = [
         (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), p2),
         (make_record(record_id="b", timestamp="2016-05-02T12:00:00Z"), p1),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from _helpers import make_record, make_table, make_traceroute
 from censorloc import aspath, pipeline
 from censorloc.aspath import InferenceFailure, InferenceRule, map_ip
-from censorloc.model import AsPath
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,8 +50,8 @@ def test_golden_inference_cases(case):
     outcome = aspath.infer_as_path(record, table)
     expect = case["expect"]
     if "path" in expect:
-        assert isinstance(outcome, AsPath), outcome
-        assert list(outcome.asns) == expect["path"]
+        assert isinstance(outcome, tuple), outcome
+        assert list(outcome) == expect["path"]
     else:
         assert isinstance(outcome, InferenceFailure), outcome
         assert outcome.rule is InferenceRule(expect["rule"])
@@ -149,8 +148,8 @@ def test_collapse_never_emits_consecutive_duplicates():
     table = _fixture_table()
     tr = make_traceroute("2.2.0.1", "2.2.0.2", "2.2.0.3", "9.9.0.1", "9.9.0.2")
     out = aspath.collapse_traceroute(tr, table, vantage_asn=100, dst_asn=900)
-    assert isinstance(out, AsPath)
-    assert list(out.asns) == [100, 200, 900]
+    assert isinstance(out, tuple)
+    assert list(out) == [100, 200, 900]
 
 
 def test_collapse_anchors_both_endpoints():
@@ -158,9 +157,9 @@ def test_collapse_anchors_both_endpoints():
     table = _fixture_table()
     tr = make_traceroute("2.2.0.1")
     out = aspath.collapse_traceroute(tr, table, vantage_asn=100, dst_asn=900)
-    assert isinstance(out, AsPath)
-    assert out.vantage_asn == 100
-    assert out.dst_asn == 900
+    assert isinstance(out, tuple)
+    assert out[0] == 100
+    assert out[-1] == 900
 
 
 def _two_pass_collapse(traceroute, table, vantage_asn, dst_asn):
@@ -194,7 +193,7 @@ def _two_pass_collapse(traceroute, table, vantage_asn, dst_asn):
             )
         i = j
     collapsed = [asn for k, asn in enumerate(resolved) if k == 0 or resolved[k - 1] != asn]
-    return AsPath(asns=tuple(collapsed))
+    return tuple(collapsed)
 
 
 # mapped (several per AS), ambiguous, unrouted, reserved and non-responsive
@@ -217,11 +216,12 @@ def test_collapse_matches_two_pass_reference(hops, completed, vantage_asn, dst_a
     tr = make_traceroute(*hops, completed=completed)
     got = aspath.collapse_traceroute(tr, table, vantage_asn, dst_asn)
     assert got == _two_pass_collapse(tr, table, vantage_asn, dst_asn)
-    if isinstance(got, AsPath):
-        # what AsPath takes on trust: anchored at both ends, no AS twice in a row
-        assert got.asns[0] == vantage_asn
-        assert got.asns[-1] == dst_asn
-        assert all(a != b for a, b in zip(got.asns, got.asns[1:]))
+    if isinstance(got, tuple):
+        # what every consumer of a path relies on: anchored at both ends, no AS
+        # twice in a row
+        assert got[0] == vantage_asn
+        assert got[-1] == dst_asn
+        assert all(a != b for a, b in zip(got, got[1:]))
 
 
 def test_trace_inference_reports_every_hop():

@@ -142,6 +142,15 @@ def test_simulate_honors_force(tmp_path, capsys):
     assert main([*SIM_ARGS, "--out", str(sim_dir), "--force"]) == 0
 
 
+def test_simulate_out_under_a_file_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*SIM_ARGS, "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory")
+    assert "internal error" not in err
+
+
 def test_localize_end_to_end(tmp_path):
     sim_dir = _simulate(tmp_path)
     # a non-ASCII digit in one table line skips that line, not the run
@@ -185,6 +194,16 @@ def test_localize_missing_input_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_localize_out_that_is_a_file_exits_two(tmp_path, capsys):
+    sim_dir = _simulate(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(_localize_args(sim_dir, blocker)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory")
+    assert "internal error" not in err
 
 
 @pytest.mark.parametrize(

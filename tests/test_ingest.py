@@ -134,17 +134,22 @@ def test_parse_pfx2as_counts_and_lookup():
         "1.0.0.0\t١٦\t100\n"
         "1.0.0.0\t16\t١٠٠\n"
         "1.0.0.0\t16\t100_²\n"
+        # more digits than int() converts; leading zeros alone are fine
+        f"1.0.0.0\t{'1' * 5_000}\t100\n"
+        f"1.0.0.0\t16\t{'1' * 5_000}\n"
+        "4.4.0.0\t0000016\t0000400\n"
     )
     table, report = parse_pfx2as(text)
-    assert report.kept == 3
-    assert report.skipped == 9
+    assert report.kept == 4
+    assert report.skipped == 11
     assert report.skip_reasons == {
         "blank line": 1,
         "malformed line": 1,
-        "invalid prefix length": 3,
+        "invalid prefix length": 4,
         "invalid prefix address": 1,
-        "invalid origin": 3,
+        "invalid origin": 4,
     }
+    assert map_ip(table, "4.4.4.4") == frozenset({400})
     assert map_ip(table, "9.9.4.4") == frozenset({900})
     assert map_ip(table, "5.5.5.5") == frozenset({500, 501})
     assert map_ip(table, "6.6.6.6") == frozenset({600, 601})
@@ -197,12 +202,15 @@ def test_parse_as_metadata_skips_bad_rows():
         # a field over the csv module's size limit; the next row still parses
         f"400,US,{'x' * 131_073}\n"
         "500,FR,AfterTheLongRow\n"
+        # more digits than int() converts; leading zeros alone are fine
+        f"{'1' * 5_000},US,HugeAsn\n"
+        "0000600,JP,LeadingZeros\n"
     )
     countries, report = parse_as_metadata(text)
-    assert report.kept == 2
-    assert report.skipped == 8
+    assert report.kept == 3
+    assert report.skipped == 9
     assert report.skip_reasons == {
-        "invalid asn": 4,
+        "invalid asn": 5,
         "country code not alpha-2": 1,
         "malformed row": 2,
         "blank line": 1,
@@ -212,6 +220,7 @@ def test_parse_as_metadata_skips_bad_rows():
     assert countries.get(200) is None
     assert countries.get(400) is None
     assert countries.get(500) == "FR"
+    assert countries.get(600) == "JP"
 
 
 def test_parse_as_metadata_header_is_mandatory():

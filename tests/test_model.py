@@ -14,7 +14,6 @@ from censorloc.analysis import detect_leakage
 from censorloc.ingest import parse_as_metadata, parse_measurements
 from censorloc.model import (
     AnomalyType,
-    AsPath,
     BucketKey,
     CensorClass,
     CensorVerdict,
@@ -151,9 +150,9 @@ def test_measurement_record_round_trip():
 
 
 def test_clause_invariants_and_canonical_order():
-    # a clause is built from an AsPath, which is non-empty and holds valid ASNs
-    true_clause = build_clause(AsPath(asns=(2, 1, 2)), True)
-    false_clause = build_clause(AsPath(asns=(1,)), False)
+    # a clause is built from an inferred path, which is non-empty and holds valid ASNs
+    true_clause = build_clause((2, 1, 2), True)
+    false_clause = build_clause((1,), False)
     assert true_clause.literal_asns == frozenset({1, 2})
     assert true_clause.canonical_key() == (0, (1, 2))
     assert true_clause.canonical_key() < false_clause.canonical_key()
@@ -171,9 +170,9 @@ def _bucket_key() -> BucketKey:
 def test_cnf_instance_checks_variables_and_order():
     # build_cnf establishes what CnfInstance takes on trust
     entries = [
-        (AsPath(asns=(30, 20)), False, "c1", 2),
-        (AsPath(asns=(20, 10)), True, "t1", 1),
-        (AsPath(asns=(10, 20)), True, "t2", 1),
+        ((30, 20), False, "c1", 2),
+        ((20, 10), True, "t1", 1),
+        ((10, 20), True, "t2", 1),
     ]
     inst = build_cnf(_bucket_key(), entries)
     assert_canonical_cnf(inst)
@@ -220,8 +219,8 @@ def test_leakage_edge_invariants():
     # the censor's first visit, so a path that revisits the censor yields no
     # self-leak
     inst = build_cnf(_bucket_key(), [
-        (AsPath(asns=(100, 300, 200, 300, 900)), True, "t1", 1),
-        (AsPath(asns=(100, 200, 900)), False, "c1", 1),
+        ((100, 300, 200, 300, 900), True, "t1", 1),
+        ((100, 200, 900), False, "c1", 1),
     ])
     registry, _ = parse_as_metadata("asn,country,name\n100,US,V\n300,CN,F\n")
     report = detect_leakage([(inst, classify(inst))], registry)

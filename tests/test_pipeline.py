@@ -199,14 +199,6 @@ def test_week_only_run_rules_out_everything_but_the_censor(world):
     }
 
 
-def test_solve_instances_parallel_matches_serial(world):
-    # --workers stays accepted but no longer changes how buckets are solved
-    serial = pipeline.run_localize_stages(_config(world, workers=1))
-    parallel = pipeline.run_localize_stages(_config(world, workers=2))
-    assert parallel.summaries == serial.summaries
-    assert parallel.verdicts == serial.verdicts
-
-
 def _noisy_corpus(seed: int) -> tuple[list, str]:
     """Simulated records (parsed as ingest does) with non-responsive hops and
     flipped verdicts, plus the prefix table text."""

@@ -19,7 +19,6 @@ from _helpers import (
 from censorloc import solver
 from censorloc.model import (
     AnomalyType,
-    AsPath,
     BackboneStatus,
     BucketKey,
     Clause,
@@ -137,6 +136,20 @@ def test_count_handles_many_free_variables():
     assert solver.count_models(variables, clauses, cap=40) == 40
     sat, witness = solver.check_sat(variables, clauses)
     assert sat and satisfies(witness, clauses)
+
+
+def test_count_models_runs_no_backbone_probe(monkeypatch):
+    def refuse(self, candidates):
+        raise AssertionError("count_models ran a backbone probe")
+
+    monkeypatch.setattr(solver._Engine, "backbone", refuse)
+    variables = (1, 2, 3, 4, 5, 6)
+    clauses = [(1, -2), (2, -3), (-1, 3, 4), (-5, 6)]
+    assert not solver.is_restricted_shape(clauses)
+    models = solver.brute_force_models(variables, clauses)
+    for cap in (1, 2, 5, 100):
+        assert solver.count_models(variables, clauses, cap) == min(len(models), cap)
+    assert solver.count_models((1, 2), [(1,), (-1,)], cap=5) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from _helpers import assert_canonical_cnf, make_record
 from censorloc.ingest import window_id
 from censorloc.model import (
     AnomalyType,
-    AsPath,
     BucketKey,
     Clause,
     CnfInstance,
@@ -47,7 +46,7 @@ def _key(**overrides) -> BucketKey:
 
 
 def test_build_clause_maps_verdict_to_truth():
-    path = AsPath(asns=(100, 200, 900))
+    path = (100, 200, 900)
     detected = build_clause(path, True)
     assert detected == Clause(literal_asns=frozenset({100, 200, 900}), truth=True)
     clean = build_clause(path, False)
@@ -56,15 +55,15 @@ def test_build_clause_maps_verdict_to_truth():
 
 def test_bucket_groups_by_anomaly_url_and_window():
     pairs = [
-        (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), AsPath((100, 900))),
-        (make_record(record_id="b", timestamp="2016-05-03T12:00:00Z"), AsPath((100, 200, 900))),
+        (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), (100, 900)),
+        (make_record(record_id="b", timestamp="2016-05-03T12:00:00Z"), (100, 200, 900)),
         (
             make_record(record_id="c", timestamp="2016-05-02T13:00:00Z", url="http://other.net/"),
-            AsPath((100, 900)),
+            (100, 900),
         ),
         (
             make_record(record_id="d", timestamp="2016-05-02T14:00:00Z", anomaly=AnomalyType.RESET),
-            AsPath((100, 900)),
+            (100, 900),
         ),
     ]
     grouped = bucket(pairs, [G.DAY])
@@ -83,7 +82,7 @@ def test_bucket_orders_entries_by_timestamp_then_input_order():
     early = make_record(record_id="early", timestamp="2016-05-02T01:00:00Z")
     late = make_record(record_id="late", timestamp="2016-05-02T23:00:00Z")
     tied = make_record(record_id="tied", timestamp="2016-05-02T01:00:00Z")
-    pairs = [(late, AsPath((100, 900))), (early, AsPath((200, 900))), (tied, AsPath((300, 900)))]
+    pairs = [(late, (100, 900)), (early, (200, 900)), (tied, (300, 900))]
     grouped = bucket(pairs, [G.DAY])
     (entries,) = grouped.values()
     assert [record_id for _, _, record_id, _ in entries] == ["early", "tied", "late"]
@@ -93,7 +92,7 @@ def test_bucket_folds_repeats_into_first_record_and_count():
     def record(rid, stamp, detected=True):
         return make_record(record_id=rid, timestamp=stamp, detected=detected)
 
-    hit, other = AsPath((100, 300, 900)), AsPath((100, 200, 900))
+    hit, other = (100, 300, 900), (100, 200, 900)
     pairs = [
         (record("d2-late", "2016-05-03T20:00:00Z"), hit),
         (record("d2-early", "2016-05-03T08:00:00Z"), other),
@@ -118,8 +117,8 @@ def test_bucket_folds_repeats_into_first_record_and_count():
 
 def test_bucket_url_split_off_merges_urls():
     pairs = [
-        (make_record(record_id="a", url="http://one.com/"), AsPath((100, 900))),
-        (make_record(record_id="b", url="http://two.com/"), AsPath((100, 900))),
+        (make_record(record_id="a", url="http://one.com/"), (100, 900)),
+        (make_record(record_id="b", url="http://two.com/"), (100, 900)),
     ]
     grouped = bucket(pairs, [G.DAY], url_split=False)
     assert len(grouped) == 1
@@ -129,10 +128,10 @@ def test_bucket_url_split_off_merges_urls():
 
 def test_build_cnf_dedups_but_keeps_contradictions():
     entries = [
-        (AsPath((100, 200, 900)), True, "r1", 2),
-        (AsPath((200, 100, 900)), True, "r2", 1),
-        (AsPath((100, 200, 900)), False, "r3", 1),
-        (AsPath((100, 900)), False, "r4", 1),
+        ((100, 200, 900), True, "r1", 2),
+        ((200, 100, 900), True, "r2", 1),
+        ((100, 200, 900), False, "r3", 1),
+        ((100, 900), False, "r4", 1),
     ]
     inst = build_cnf(_key(), entries)
     assert inst.variables == (100, 200, 900)
@@ -153,8 +152,8 @@ def test_build_cnf_refuses_empty_bucket():
 
 def test_to_cnf_clauses_expands_by_de_morgan():
     entries = [
-        (AsPath((100, 200, 900)), True, "r1", 1),
-        (AsPath((100, 300, 900)), False, "r2", 1),
+        ((100, 200, 900), True, "r1", 1),
+        ((100, 300, 900), False, "r2", 1),
     ]
     inst = build_cnf(_key(), entries)
     clauses = to_cnf_clauses(inst)
@@ -164,8 +163,8 @@ def test_to_cnf_clauses_expands_by_de_morgan():
 
 def test_to_cnf_clauses_dedups_negative_units_across_paths():
     entries = [
-        (AsPath((100, 200, 900)), False, "r1", 1),
-        (AsPath((100, 300, 900)), False, "r2", 1),
+        ((100, 200, 900), False, "r1", 1),
+        ((100, 300, 900), False, "r2", 1),
     ]
     inst = build_cnf(_key(), entries)
     assert to_cnf_clauses(inst) == [(-100,), (-200,), (-300,), (-900,)]
@@ -173,8 +172,8 @@ def test_to_cnf_clauses_dedups_negative_units_across_paths():
 
 def test_build_instances_covers_each_granularity_and_sorts():
     pairs = [
-        (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), AsPath((100, 900))),
-        (make_record(record_id="b", timestamp="2016-05-09T12:00:00Z"), AsPath((100, 900))),
+        (make_record(record_id="a", timestamp="2016-05-02T12:00:00Z"), (100, 900)),
+        (make_record(record_id="b", timestamp="2016-05-09T12:00:00Z"), (100, 900)),
     ]
     instances = build_instances(pairs, [G.DAY, G.WEEK, G.MONTH, G.YEAR])
     # two days, two ISO weeks, one month, one year
@@ -194,8 +193,8 @@ def test_build_instances_covers_each_granularity_and_sorts():
 
 def test_to_dimacs_frozen_text():
     entries = [
-        (AsPath((100, 200, 900)), True, "r1", 1),
-        (AsPath((100, 300, 900)), False, "r2", 1),
+        ((100, 200, 900), True, "r1", 1),
+        ((100, 300, 900), False, "r2", 1),
     ]
     inst = build_cnf(_key(), entries)
     assert to_dimacs(inst) == (
@@ -212,7 +211,7 @@ def test_to_dimacs_frozen_text():
 
 
 def test_dimacs_numbering_follows_ascending_asn():
-    entries = [(AsPath((900, 100)), True, "r1", 1)]
+    entries = [((900, 100), True, "r1", 1)]
     inst = build_cnf(_key(), entries)
     text = to_dimacs(inst)
     assert "c var 1 = AS100 dns" in text
@@ -245,7 +244,7 @@ def _random_pairs(rng: random.Random):
             nxt = rng.randint(1, 50)
             if nxt != asns[-1]:
                 asns.append(nxt)
-        paths.append(AsPath(tuple(asns)))
+        paths.append(tuple(asns))
     pairs = []
     for i in range(rng.randint(1, 40)):
         path = rng.choice(paths)
@@ -258,7 +257,7 @@ def _random_pairs(rng: random.Random):
             url=rng.choice(["http://a.com/", "http://b.com/"]),
             detected=rng.random() < 0.5,
             timestamp=format_timestamp(stamp),
-            vantage_asn=path.asns[0],
+            vantage_asn=path[0],
         )
         pairs.append((record, path))
     return pairs
@@ -296,7 +295,7 @@ def test_every_emitted_clause_is_positive_or_negative_unit(seed, granularity):
             assert is_negative_unit or all(lit > 0 for lit in clause)
         # every source path row is over the instance's variables
         for path, _, _, _ in inst.source_paths:
-            assert set(path.asns) <= set(inst.variables)
+            assert set(path) <= set(inst.variables)
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,7 +318,7 @@ def test_build_instances_matches_a_per_bucket_reference(seed, url_split):
             for _, _, path, detected, rid in rows:
                 folded.setdefault((path, detected), [rid, 0])[1] += 1
             clauses = sorted(
-                {Clause(frozenset(path.asns), detected) for path, detected in folded},
+                {Clause(frozenset(path), detected) for path, detected in folded},
                 key=Clause.canonical_key,
             )
             expected.append(CnfInstance(
