@@ -281,9 +281,6 @@ def count_models(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     _check_inputs(variables, clauses)
-    if is_restricted_shape(clauses):
-        return _solve(variables, clauses, cap)[1]
-    # a general CNF is counted without the backbone probes _solve adds
     return _enumerate(_Engine(variables, clauses), cap)[0]
 
 

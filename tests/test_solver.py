@@ -150,6 +150,11 @@ def test_count_models_runs_no_backbone_probe(monkeypatch):
     for cap in (1, 2, 5, 100):
         assert solver.count_models(variables, clauses, cap) == min(len(models), cap)
     assert solver.count_models((1, 2), [(1,), (-1,)], cap=5) == 0
+    restricted = [(1, 2, 3), (-4,), (5, 6)]
+    assert solver.is_restricted_shape(restricted)
+    models = solver.brute_force_models(variables, restricted)
+    for cap in (1, 2, 5, 100):
+        assert solver.count_models(variables, restricted, cap) == min(len(models), cap)
 
 
 # ---------------------------------------------------------------------------
