@@ -107,7 +107,7 @@ def collapse_traceroute(
     path = [vantage_asn]
     gap = mapped_any = False
     for hop in traceroute.hops:
-        origins = map_ip(table, hop.addr) if hop.responsive else frozenset()
+        origins = map_ip(table, hop.addr) if hop.addr is not None else frozenset()
         if len(origins) != 1:
             gap = True
             continue
@@ -186,7 +186,7 @@ def _result_obj(outcome: Union[AsPath, InferenceFailure]) -> dict[str, Any]:
 
 
 def _hop_obj(hop: Hop, table: PrefixTable) -> dict[str, Any]:
-    if not hop.responsive:
+    if hop.addr is None:
         return {"ttl": hop.ttl_index, "addr": "*", "mapping": "non_responsive"}
     origins = map_ip(table, hop.addr)
     return {

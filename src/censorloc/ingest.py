@@ -4,8 +4,9 @@ Malformed entries are skipped and counted per reason; a parse is fatal only
 when nothing usable remains. The accounting identity ``lines = kept + skipped``
 holds for every parser here. ``parse_measurements`` is the only reader of
 measurement JSON: it makes every check on a record, hop by hop, and builds
-the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` values, which check
-nothing themselves.
+the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` named tuples, which
+check nothing themselves. Equal hops, traceroutes and traceroute triples are
+built once per parse and shared between records.
 """
 from __future__ import annotations
 
@@ -273,12 +274,19 @@ _HOP_KEYS = {"ttl", "addr"}
 @dataclass
 class _Seen:
     """What one measurement parse has already validated: address strings,
-    every distinct (addr, ttl) hop as one shared ``Hop``, and every distinct
-    timestamp string as one shared ``datetime``."""
+    every distinct (addr, ttl) hop as one shared ``Hop``, every distinct
+    timestamp string as one shared ``datetime``, and every distinct
+    ``Traceroute`` and traceroute triple as one shared tuple.
+
+    Only validated values are interned: every ttl is then an ``int`` that is
+    not a ``bool`` and every completed flag a ``bool``, so no two unequal
+    inputs meet as equal keys the way ``True == 1 == 1.0`` would.
+    """
 
     addrs: set[str] = field(default_factory=set)
     hops: dict[tuple[str, int], Hop] = field(default_factory=dict)
     stamps: dict[str, datetime] = field(default_factory=dict)
+    probes: dict[tuple, tuple] = field(default_factory=dict)
 
     def valid_addr(self, addr: str) -> bool:
         if addr in self.addrs:
@@ -335,7 +343,8 @@ def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
         last = hop.ttl_index
     if obj["completed"] and not hops:
         raise ValueError("completed traceroute without hops")
-    return Traceroute(hops=hops, completed=obj["completed"])
+    traceroute = Traceroute(hops=hops, completed=obj["completed"])
+    return seen.probes.setdefault(traceroute, traceroute)
 
 
 def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
@@ -369,6 +378,7 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     if len(obj["traceroutes"]) != TRACEROUTES_PER_RECORD:
         raise ValueError("traceroute count != 3")
     traceroutes = tuple(_validate_traceroute(t, seen) for t in obj["traceroutes"])
+    traceroutes = seen.probes.setdefault(traceroutes, traceroutes)
     return MeasurementRecord(
         record_id=obj["record_id"],
         vantage_asn=obj["vantage_asn"],

@@ -7,9 +7,10 @@ made, and no type re-checks it on construction:
 - ``BucketKey`` and ``CensorVerdict`` round-trip through ``to_json_obj`` /
   ``from_json_obj``, which is how ``evaluate`` reads a ``censors.json`` back;
   the readers check what arrives, ``CensorVerdict.from_json_obj`` the ASN.
-- ``Hop``, ``Traceroute`` and ``MeasurementRecord`` are built only by
-  ``ingest.parse_measurements``, which validates measurement JSON, vantage
-  ASNs included; their ``to_json_obj`` writes the form it reads.
+- ``Hop``, ``Traceroute`` and ``MeasurementRecord`` are named tuples built
+  only by ``ingest.parse_measurements``, which validates measurement JSON,
+  vantage ASNs included, and interns equal hops and traceroutes so records
+  share them. Being tuples, they hash and compare in C.
 - ``Clause``, ``CnfInstance`` and ``LeakageEdge`` come from
   ``tomography.build_clause`` / ``build_cnf`` and ``analysis.detect_leakage``.
 - ``SolutionSummary`` comes from ``solver.classify``, whose status, capped
@@ -20,14 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 MIN_ASN = 1
 MAX_ASN = 2**32 - 1
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
-NON_RESPONSIVE = "*"
 
 
 class AnomalyType(str, Enum):
@@ -111,37 +110,24 @@ def parse_timestamp(raw: str) -> datetime:
     return naive.replace(tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     """One traceroute hop: an IPv4 address, or None when the probe timed out."""
 
     addr: str | None
     ttl_index: int
 
-    @property
-    def responsive(self) -> bool:
-        return self.addr is not None
 
-    def to_json_obj(self) -> dict[str, Any]:
-        return {"ttl": self.ttl_index, "addr": self.addr if self.responsive else NON_RESPONSIVE}
-
-
-@dataclass(frozen=True)
-class Traceroute:
+class Traceroute(NamedTuple):
     """An IP-level forward path probe toward a measurement destination."""
 
     hops: tuple[Hop, ...]
     completed: bool
 
-    def to_json_obj(self) -> dict[str, Any]:
-        return {"completed": self.completed, "hops": [h.to_json_obj() for h in self.hops]}
-
 
 TRACEROUTES_PER_RECORD = 3
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """A single end-to-end censorship test plus its three traceroutes."""
 
     record_id: str
@@ -152,18 +138,6 @@ class MeasurementRecord:
     detected: bool
     timestamp: datetime
     traceroutes: tuple[Traceroute, ...]
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "record_id": self.record_id,
-            "vantage_asn": self.vantage_asn,
-            "url": self.url,
-            "dst_ip": self.dst_ip,
-            "anomaly": self.anomaly.value,
-            "detected": self.detected,
-            "timestamp": format_timestamp(self.timestamp),
-            "traceroutes": [t.to_json_obj() for t in self.traceroutes],
-        }
 
 
 # An AS-level forward path, as aspath.collapse_traceroute makes it: the vantage
@@ -262,11 +236,6 @@ class SolutionSummary:
     status: SolutionStatus
     model_count_capped: int
     backbone: dict[int, BackboneStatus] = field(default_factory=dict)
-
-    def forced_true_asns(self) -> tuple[int, ...]:
-        return tuple(
-            sorted(a for a, s in self.backbone.items() if s is BackboneStatus.FORCED_TRUE)
-        )
 
 
 class CensorClass(str, Enum):

@@ -33,6 +33,10 @@ ClauseTuple = tuple[int, ...]
 
 DEFAULT_MODEL_CAP = 5
 BRUTE_FORCE_MAX_VARS = 20
+# The most variables a DIMACS header may declare. Solving lists every declared
+# variable, so a larger count is refused as a malformed header instead of
+# exhausting memory (or overflowing range) before the first clause is read.
+MAX_DIMACS_VARS = 1_000_000
 
 
 def _check_inputs(variables: Sequence[int], clauses: Sequence[ClauseTuple]) -> None:
@@ -377,7 +381,8 @@ def _plain(text: str) -> bool:
 
 def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
     """Parse DIMACS CNF; returns (declared variable count, clauses). Reading
-    stops at a ``%`` line (SATLIB's end marker); the header's clause count must hold."""
+    stops at a ``%`` line (SATLIB's end marker); the header's clause count must
+    hold, and its variable count must not exceed ``MAX_DIMACS_VARS``."""
     n_vars: int | None = None
     clauses: list[ClauseTuple] = []
     pending: list[int] = []
@@ -398,7 +403,7 @@ def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
                 declared_clauses = int(parts[3])
             except ValueError:
                 raise ValueError(f"malformed DIMACS header: {stripped!r}") from None
-            if n_vars < 0 or declared_clauses < 0:
+            if not 0 <= n_vars <= MAX_DIMACS_VARS or declared_clauses < 0:
                 raise ValueError(f"malformed DIMACS header: {stripped!r}")
             continue
         if n_vars is None:

@@ -11,7 +11,9 @@ from censorloc.model import (
     BackboneStatus,
     Hop,
     MeasurementRecord,
+    SolutionSummary,
     Traceroute,
+    format_timestamp,
 )
 
 Assignment = dict[int, bool]
@@ -55,6 +57,36 @@ def make_record(
         detected=detected,
         timestamp=ts(timestamp),
         traceroutes=traceroutes,
+    )
+
+
+def record_obj(record: MeasurementRecord) -> dict:
+    """The measurement JSON object ingest reads back as ``record``; a
+    non-responsive hop is written as "*"."""
+    return {
+        "record_id": record.record_id,
+        "vantage_asn": record.vantage_asn,
+        "url": record.url,
+        "dst_ip": record.dst_ip,
+        "anomaly": record.anomaly.value,
+        "detected": record.detected,
+        "timestamp": format_timestamp(record.timestamp),
+        "traceroutes": [
+            {
+                "completed": t.completed,
+                "hops": [
+                    {"ttl": h.ttl_index, "addr": "*" if h.addr is None else h.addr}
+                    for h in t.hops
+                ],
+            }
+            for t in record.traceroutes
+        ],
+    }
+
+
+def forced_true_asns(summary: SolutionSummary) -> tuple[int, ...]:
+    return tuple(
+        sorted(a for a, s in summary.backbone.items() if s is BackboneStatus.FORCED_TRUE)
     )
 
 

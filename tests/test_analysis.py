@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_record, ts
+from _helpers import forced_true_asns, make_record, ts
 from censorloc import solver
 from censorloc.analysis import (
     HISTOGRAM_BUCKETS,
@@ -191,7 +191,7 @@ def _leak_world(window="2016-05-02", repeats=()):
     inst = build_cnf(key, observations)
     summary = solver.classify(inst)
     assert summary.status is SolutionStatus.UNIQUE
-    assert summary.forced_true_asns() == (300,)
+    assert forced_true_asns(summary) == (300,)
     return inst, summary
 
 

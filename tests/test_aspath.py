@@ -172,7 +172,7 @@ def _two_pass_collapse(traceroute, table, vantage_asn, dst_asn):
         return InferenceFailure(InferenceRule.TRACEROUTE_ERROR, "traceroute incomplete or empty")
     tokens = []
     for hop in traceroute.hops:
-        origins = map_ip(table, hop.addr) if hop.responsive else frozenset()
+        origins = map_ip(table, hop.addr) if hop.addr is not None else frozenset()
         tokens.append(next(iter(origins)) if len(origins) == 1 else None)
     if all(token is None for token in tokens):
         return InferenceFailure(InferenceRule.MAPPING_IMPOSSIBLE, "no traceroute hop maps to an AS")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from _helpers import structured_dimacs
-from censorloc import __version__
+from censorloc import __version__, solver
 from censorloc.cli import main
 from censorloc.pipeline import LOCALIZE_FILES, SIMULATION_FILES
 
@@ -317,9 +317,17 @@ def test_export_dimacs_then_solve(tmp_path, capsys):
 
 def test_solve_dimacs_reports_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
-    bad.write_text("clauses without a header\n")
-    assert main(["solve-dimacs", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for text in (
+        "clauses without a header\n",
+        # more declared variables than a ssize_t holds, then one past the bound
+        "p cnf 399999999999999999999 1\n1 0\n",
+        f"p cnf {solver.MAX_DIMACS_VARS + 1} 1\n1 0\n",
+    ):
+        bad.write_text(text)
+        assert main(["solve-dimacs", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "internal error" not in err
 
 
 def test_solve_dimacs_inline_example(tmp_path, capsys):

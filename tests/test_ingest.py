@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _helpers import make_record, make_traceroute, ts
+from _helpers import make_record, make_traceroute, record_obj, ts
 from censorloc.aspath import map_ip
 from censorloc.ingest import (
     IngestError,
@@ -236,7 +236,7 @@ def test_parse_as_metadata_header_is_mandatory():
 # measurements
 
 def _record_line(**overrides) -> str:
-    obj = make_record().to_json_obj()
+    obj = record_obj(make_record())
     obj.update(overrides)
     return json.dumps(obj)
 
@@ -304,7 +304,7 @@ def test_parse_measurements_skip_accounting():
 def test_parse_measurements_splits_only_at_newlines():
     # json.dumps leaves these unescaped with ensure_ascii=False; str.splitlines
     # would break the record apart at each of them
-    obj = make_record(record_id="odd\u2028id", url="http://example.com/\x85\u2029").to_json_obj()
+    obj = record_obj(make_record(record_id="odd\u2028id", url="http://example.com/\x85\u2029"))
     odd = json.dumps(obj, ensure_ascii=False)
     cases = [
         (odd + "\n" + _record_line() + "\n", 0),
@@ -321,11 +321,16 @@ def test_parse_measurements_splits_only_at_newlines():
 
 def test_parse_measurements_shares_equal_hops():
     tr = make_traceroute("9.9.0.1", "*", "9.9.0.2")
-    line = _record_line(traceroutes=[tr.to_json_obj()] * 3)
+    line = json.dumps(record_obj(make_record(traceroutes=(tr,) * 3)))
     records, _ = parse_measurements(io.StringIO(line + "\n" + line + "\n"))
     hops = [hop for r in records for t in r.traceroutes for hop in t.hops]
     assert [h.addr for h in hops] == ["9.9.0.1", None, "9.9.0.2"] * 6
     assert len({id(h) for h in hops}) == 3
+    # equal traceroutes, and equal triples of them, are shared too
+    first, second = records
+    assert first.traceroutes == (tr,) * 3
+    assert first.traceroutes is second.traceroutes
+    assert all(t is first.traceroutes[0] for r in records for t in r.traceroutes)
 
 
 def test_parse_measurements_parses_each_distinct_timestamp_once():
@@ -367,7 +372,7 @@ def test_parse_measurements_parses_each_distinct_timestamp_once():
 
 
 def test_parse_measurements_rejects_non_increasing_ttls():
-    record = make_record().to_json_obj()
+    record = record_obj(make_record())
     for tr in record["traceroutes"]:
         tr["hops"] = [{"ttl": 2, "addr": "1.2.3.4"}, {"ttl": 2, "addr": "1.2.3.5"}]
     _, report = parse_measurements(io.StringIO(_record_line() + "\n" + json.dumps(record)))

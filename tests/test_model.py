@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _helpers import assert_canonical_cnf, make_record, make_traceroute, ts
+from _helpers import assert_canonical_cnf, make_record, make_traceroute, record_obj, ts
 from censorloc.analysis import detect_leakage
 from censorloc.ingest import parse_as_metadata, parse_measurements
 from censorloc.model import (
@@ -17,7 +17,6 @@ from censorloc.model import (
     BucketKey,
     CensorClass,
     CensorVerdict,
-    Hop,
     LeakageEdge,
     TimeGranularity,
     Traceroute,
@@ -84,7 +83,7 @@ def test_timestamps_before_year_1000_round_trip():
 def _skip_reason(obj) -> str:
     """The one skip reason ingest gives a record object; ingest alone checks
     Hop, Traceroute and MeasurementRecord."""
-    good = json.dumps(make_record().to_json_obj())
+    good = json.dumps(record_obj(make_record()))
     _, report = parse_measurements(io.StringIO(good + "\n" + json.dumps(obj) + "\n"))
     ((reason, count),) = report.skip_reasons.items()
     assert count == 1
@@ -92,7 +91,7 @@ def _skip_reason(obj) -> str:
 
 
 def _record_obj(**overrides) -> dict:
-    obj = make_record().to_json_obj()
+    obj = record_obj(make_record())
     obj.update(overrides)
     return obj
 
@@ -102,15 +101,17 @@ def _traceroutes_obj(completed: bool, hops: list) -> list:
 
 
 def test_hop_invariants():
-    assert Hop(addr="1.2.3.4", ttl_index=1).responsive
-    assert not Hop(addr=None, ttl_index=2).responsive
     for ttl in (0, True):
         hops = [{"ttl": ttl, "addr": "*"}]
         assert _skip_reason(_record_obj(traceroutes=_traceroutes_obj(True, hops))) == (
             "invalid hop ttl"
         )
     # non-responsive hops serialize as "*"
-    assert Hop(addr=None, ttl_index=3).to_json_obj() == {"ttl": 3, "addr": "*"}
+    obj = record_obj(make_record(traceroutes=(make_traceroute("1.2.3.4", "*"),) * 3))
+    assert obj["traceroutes"][0]["hops"] == [
+        {"ttl": 1, "addr": "1.2.3.4"},
+        {"ttl": 2, "addr": "*"},
+    ]
 
 
 def test_traceroute_invariants():
@@ -144,7 +145,7 @@ def test_measurement_record_round_trip():
         detected=True,
         traceroutes=(make_traceroute("2.2.0.1", "*", "9.9.0.1"),) * 3,
     )
-    (parsed,), report = parse_measurements(io.StringIO(json.dumps(record.to_json_obj()) + "\n"))
+    (parsed,), report = parse_measurements(io.StringIO(json.dumps(record_obj(record)) + "\n"))
     assert report.skipped == 0
     assert parsed == record
 

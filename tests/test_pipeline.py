@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_record, make_traceroute
+from _helpers import forced_true_asns, make_record, make_traceroute, record_obj
 from censorloc import pipeline, simulate, solver, tomography
 from censorloc.aspath import InferenceFailure, InferenceRule, infer_as_path
 from censorloc.ingest import parse_measurements, parse_pfx2as
@@ -59,7 +59,7 @@ def _records_jsonl() -> str:
             traceroutes=(broken, broken, broken),
         ),
     ]
-    return "".join(json.dumps(r.to_json_obj()) + "\n" for r in rows)
+    return "".join(json.dumps(record_obj(r)) + "\n" for r in rows)
 
 
 @pytest.fixture()
@@ -98,7 +98,7 @@ def test_load_inputs_missing_file(world):
 def test_load_inputs_streams_what_parse_measurements_reads(world):
     # CRLF endings, U+2028 inside a string, blank lines and no final LF; a
     # lone CR ends no line, so its two records make one invalid line
-    odd = make_record(record_id="odd\u2028id").to_json_obj()
+    odd = record_obj(make_record(record_id="odd\u2028id"))
     lines = _records_jsonl().splitlines()
     text = (
         json.dumps(odd, ensure_ascii=False) + "\r\n\n"
@@ -168,17 +168,17 @@ def test_run_localize_stages_handcrafted_world(world):
     day = {inst.key.window_id: s for inst, s in by_granularity[G.DAY]}
     assert day["2016-05-02"].status is SolutionStatus.MULTIPLE
     assert day["2016-05-03"].status is SolutionStatus.UNIQUE
-    assert day["2016-05-03"].forced_true_asns() == ()
+    assert forced_true_asns(day["2016-05-03"]) == ()
 
     # the week merges both observations and pins the filter
     ((_, week_summary),) = by_granularity[G.WEEK]
     assert week_summary.status is SolutionStatus.UNIQUE
-    assert week_summary.forced_true_asns() == (300,)
+    assert forced_true_asns(week_summary) == (300,)
     assert week_summary.backbone[100] is BackboneStatus.FORCED_FALSE
 
     for granularity in (G.MONTH, G.YEAR):
         ((_, summary),) = by_granularity[granularity]
-        assert summary.forced_true_asns() == (300,)
+        assert forced_true_asns(summary) == (300,)
 
     verdicts = {(v.asn, v.anomaly): v for v in result.verdicts}
     censor = verdicts[(300, AnomalyType.DNS)]
@@ -516,7 +516,7 @@ def test_debug_trace_has_one_line_per_loaded_record(world):
         traceroutes=(make_traceroute("2.2.0.1", "8.8.0.1"),) * 3,
     )
     with (world / "measurements.jsonl").open("a") as fh:
-        fh.write(json.dumps(lost.to_json_obj()) + "\n")
+        fh.write(json.dumps(record_obj(lost)) + "\n")
     for command in (pipeline.cmd_localize, pipeline.cmd_leak, pipeline.cmd_ablate):
         out = world / command.__name__
         command(_config(world, out_dir=out, debug_trace=True))
@@ -571,10 +571,12 @@ def test_zero_surviving_records_warn_but_succeed(world):
     (world / "pfx2as.tsv").write_text("9.9.0.0\t16\t900\n")
     (world / "measurements.jsonl").write_text(
         json.dumps(
-            make_record(
-                record_id="r1",
-                traceroutes=(make_traceroute("8.8.0.1", "9.9.0.1"),) * 3,
-            ).to_json_obj()
+            record_obj(
+                make_record(
+                    record_id="r1",
+                    traceroutes=(make_traceroute("8.8.0.1", "9.9.0.1"),) * 3,
+                )
+            )
         )
         + "\n"
     )

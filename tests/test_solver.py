@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _helpers import (
     backbone_from_models,
     engine_solve,
+    forced_true_asns,
     random_general_cnf,
     random_pipeline_cnf,
     satisfies,
@@ -403,7 +404,7 @@ def test_classify_unique():
     assert summary.status is SolutionStatus.UNIQUE
     assert summary.model_count_capped == 1
     assert summary.backbone == {10: FT, 20: FF}
-    assert summary.forced_true_asns() == (10,)
+    assert forced_true_asns(summary) == (10,)
 
 
 def test_classify_multiple_reaches_cap():
