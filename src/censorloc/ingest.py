@@ -6,13 +6,16 @@ holds for every parser here. ``parse_measurements`` is the only reader of
 measurement JSON: it makes every check on a record, hop by hop, and builds
 the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` named tuples, which
 check nothing themselves. Equal hops, traceroutes and traceroute triples are
-built once per parse and shared between records.
+built once per parse and shared between records. A record whose raw
+traceroutes marshal to the same bytes as the last valid record's reuses its
+triple unchecked: the records of one probe repeat its traceroutes.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import marshal
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -275,18 +278,23 @@ _HOP_KEYS = {"ttl", "addr"}
 class _Seen:
     """What one measurement parse has already validated: address strings,
     every distinct (addr, ttl) hop as one shared ``Hop``, every distinct
-    timestamp string as one shared ``datetime``, and every distinct
-    ``Traceroute`` and traceroute triple as one shared tuple.
+    timestamp string as one shared ``datetime``, every distinct
+    ``Traceroute`` and traceroute triple as one shared tuple, and the last
+    valid record's raw traceroutes as ``marshal`` bytes with their triple.
 
     Only validated values are interned: every ttl is then an ``int`` that is
     not a ``bool`` and every completed flag a ``bool``, so no two unequal
-    inputs meet as equal keys the way ``True == 1 == 1.0`` would.
+    inputs meet as equal keys the way ``True == 1 == 1.0`` would. Nor do
+    they as ``marshal`` keys: ``marshal.loads`` rebuilds exact types, so
+    equal bytes are equal values of equal types in equal key order.
     """
 
     addrs: set[str] = field(default_factory=set)
     hops: dict[tuple[str, int], Hop] = field(default_factory=dict)
     stamps: dict[str, datetime] = field(default_factory=dict)
     probes: dict[tuple, tuple] = field(default_factory=dict)
+    last_key: bytes | None = None
+    last_triple: tuple[Traceroute, ...] = ()
 
     def valid_addr(self, addr: str) -> bool:
         if addr in self.addrs:
@@ -307,55 +315,54 @@ class _Seen:
         return stamp
 
 
-def _validate_hop(obj: Any, seen: _Seen) -> Hop:
-    if not isinstance(obj, dict) or obj.keys() != _HOP_KEYS:
-        raise ValueError("invalid hop")
-    ttl = obj["ttl"]
-    if isinstance(ttl, bool) or not isinstance(ttl, int) or ttl < 1:
-        raise ValueError("invalid hop ttl")
-    addr = obj["addr"]
-    if not isinstance(addr, str):
-        raise ValueError("invalid hop addr")
-    hop = seen.hops.get((addr, ttl))
-    if hop is None:
-        if addr == "*":
-            hop = Hop(addr=None, ttl_index=ttl)
-        elif seen.valid_addr(addr):
-            hop = Hop(addr=addr, ttl_index=ttl)
-        else:
-            raise ValueError("invalid hop addr")
-        seen.hops[addr, ttl] = hop
-    return hop
-
-
 def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
-    if not isinstance(obj, dict) or obj.keys() != _TRACEROUTE_KEYS:
+    # exact type tests match isinstance on JSON values, and a bool is no int
+    if type(obj) is not dict or obj.keys() != _TRACEROUTE_KEYS:
         raise ValueError("invalid traceroute")
-    if not isinstance(obj["completed"], bool):
+    completed, raw_hops = obj["completed"], obj["hops"]
+    if type(completed) is not bool:
         raise ValueError("invalid traceroute completed flag")
-    if not isinstance(obj["hops"], list):
+    if type(raw_hops) is not list:
         raise ValueError("invalid traceroute hops")
-    hops = tuple(_validate_hop(h, seen) for h in obj["hops"])
-    last = 0
-    for hop in hops:
-        if hop.ttl_index <= last:
-            raise ValueError("hop ttls not strictly increasing")
-        last = hop.ttl_index
-    if obj["completed"] and not hops:
+    hops = []
+    last, increasing = 0, True
+    for raw in raw_hops:
+        if type(raw) is not dict or raw.keys() != _HOP_KEYS:
+            raise ValueError("invalid hop")
+        ttl, addr = raw["ttl"], raw["addr"]
+        if type(ttl) is not int or ttl < 1:
+            raise ValueError("invalid hop ttl")
+        if type(addr) is not str:
+            raise ValueError("invalid hop addr")
+        hop = seen.hops.get((addr, ttl))
+        if hop is None:
+            if addr == "*":
+                hop = Hop(None, ttl)
+            elif seen.valid_addr(addr):
+                hop = Hop(addr, ttl)
+            else:
+                raise ValueError("invalid hop addr")
+            seen.hops[addr, ttl] = hop
+        hops.append(hop)
+        # every hop's own checks come before the ordering check
+        increasing = increasing and ttl > last
+        last = ttl
+    if not increasing:
+        raise ValueError("hop ttls not strictly increasing")
+    if completed and not hops:
         raise ValueError("completed traceroute without hops")
-    traceroute = Traceroute(hops=hops, completed=obj["completed"])
+    traceroute = Traceroute(tuple(hops), completed)
     return seen.probes.setdefault(traceroute, traceroute)
 
 
 def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     if not isinstance(obj, dict):
         raise ValueError("not a json object")
-    missing = _RECORD_KEYS - set(obj)
-    if missing:
-        raise ValueError(f"missing key: {sorted(missing)[0]}")
-    extra = set(obj) - _RECORD_KEYS
-    if extra:
-        raise ValueError(f"unexpected key: {sorted(extra)[0]}")
+    if obj.keys() != _RECORD_KEYS:
+        missing = _RECORD_KEYS - obj.keys()
+        if missing:
+            raise ValueError(f"missing key: {sorted(missing)[0]}")
+        raise ValueError(f"unexpected key: {sorted(obj.keys() - _RECORD_KEYS)[0]}")
     if not isinstance(obj["record_id"], str) or not obj["record_id"]:
         raise ValueError("invalid record_id")
     validate_asn(obj["vantage_asn"], "vantage_asn")
@@ -363,9 +370,7 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     if not isinstance(url, str) or "://" not in url or url.startswith("://"):
         raise ValueError("invalid url")
     dst_ip = obj["dst_ip"]
-    if not isinstance(dst_ip, str):
-        raise ValueError("invalid dst_ip")
-    if not seen.valid_addr(dst_ip):
+    if not isinstance(dst_ip, str) or not seen.valid_addr(dst_ip):
         raise ValueError("invalid dst_ip")
     if not isinstance(obj["anomaly"], str):
         raise ValueError("unknown anomaly type")
@@ -373,12 +378,22 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     if not isinstance(obj["detected"], bool):
         raise ValueError("invalid detected")
     timestamp = seen.timestamp(obj["timestamp"])
-    if not isinstance(obj["traceroutes"], list):
+    raw = obj["traceroutes"]
+    if not isinstance(raw, list):
         raise ValueError("invalid traceroutes")
-    if len(obj["traceroutes"]) != TRACEROUTES_PER_RECORD:
+    if len(raw) != TRACEROUTES_PER_RECORD:
         raise ValueError("traceroute count != 3")
-    traceroutes = tuple(_validate_traceroute(t, seen) for t in obj["traceroutes"])
-    traceroutes = seen.probes.setdefault(traceroutes, traceroutes)
+    try:
+        key = marshal.dumps(raw)
+    except ValueError:
+        # nested too deeply to marshal: no key, so the checks name the fault
+        key = None
+    if key is not None and key == seen.last_key:
+        traceroutes = seen.last_triple
+    else:
+        traceroutes = tuple(_validate_traceroute(t, seen) for t in raw)
+        traceroutes = seen.probes.setdefault(traceroutes, traceroutes)
+        seen.last_key, seen.last_triple = key, traceroutes
     return MeasurementRecord(
         record_id=obj["record_id"],
         vantage_asn=obj["vantage_asn"],

@@ -1,17 +1,21 @@
 """Input parsing: window naming, prefix table, AS metadata, measurement JSONL."""
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import sys
+import tempfile
 from datetime import datetime, timezone
 from ipaddress import AddressValueError, IPv4Address
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_record, make_traceroute, record_obj, ts
 from censorloc.aspath import map_ip
+from censorloc.cli import main
 from censorloc.ingest import (
     IngestError,
     ParseReport,
@@ -377,6 +381,158 @@ def test_parse_measurements_rejects_non_increasing_ttls():
         tr["hops"] = [{"ttl": 2, "addr": "1.2.3.4"}, {"ttl": 2, "addr": "1.2.3.5"}]
     _, report = parse_measurements(io.StringIO(_record_line() + "\n" + json.dumps(record)))
     assert report.skip_reasons == {"hop ttls not strictly increasing": 1}
+
+
+# a valid record whose traceroutes differ from every other line's, so that a
+# parse ending with it is never fatal
+_LAST_LINE = _record_line(
+    record_id="last", traceroutes=_traceroutes(hops=[{"ttl": 1, "addr": "9.9.0.9"}])
+)
+
+
+def _outcome(line: str, after: tuple[str, ...] = ()):
+    """The record ``line`` gives when parsed after the valid lines ``after``,
+    or its skip reason."""
+    text = "".join(f"{each}\n" for each in (*after, line, _LAST_LINE))
+    records, report = parse_measurements(io.StringIO(text))
+    assert [r.record_id for r in records[: len(after)]] == [
+        json.loads(each)["record_id"] for each in after
+    ]
+    if report.skipped:
+        (reason,) = report.skip_reasons
+        return reason
+    return records[len(after)]
+
+
+def _mutated_line(change) -> str:
+    obj = json.loads(_record_line())
+    change(obj)
+    return json.dumps(obj)
+
+
+def test_parse_measurements_memo_keeps_types_apart():
+    valid = _record_line()
+    cases = [
+        (lambda obj: obj["traceroutes"][1]["hops"][0].update(ttl=True), "invalid hop ttl"),
+        (lambda obj: obj["traceroutes"][1]["hops"][0].update(ttl=1.0), "invalid hop ttl"),
+        (lambda obj: obj["traceroutes"][2].update(completed=1),
+         "invalid traceroute completed flag"),
+    ]
+    for change, reason in cases:
+        line = _mutated_line(change)
+        # equal to the valid line's traceroutes under ==, but not of equal types
+        assert json.loads(line) == json.loads(valid)
+        assert _outcome(line) == reason
+        assert _outcome(line, after=(valid,)) == reason
+
+    def reorder_hop_keys(obj):
+        for tr in obj["traceroutes"]:
+            tr["hops"] = [{"addr": h["addr"], "ttl": h["ttl"]} for h in tr["hops"]]
+
+    line = _mutated_line(reorder_hop_keys)
+    assert line != valid
+    records, report = parse_measurements(io.StringIO(f"{valid}\n{line}\n"))
+    assert report.kept == 2
+    assert records[0] == records[1] == make_record()
+    assert records[1].traceroutes is records[0].traceroutes
+
+
+def test_parse_measurements_hop_checks_precede_ttl_order():
+    def hops(third_addr):
+        return [
+            {"ttl": 2, "addr": "9.9.0.1"},
+            {"ttl": 1, "addr": "9.9.0.2"},
+            {"ttl": 3, "addr": third_addr},
+        ]
+
+    valid = _record_line()
+    cases = [(7, "invalid hop addr"), ("9.9.0.3", "hop ttls not strictly increasing")]
+    for third_addr, reason in cases:
+        line = _record_line(traceroutes=_traceroutes(hops=hops(third_addr)))
+        assert _outcome(line) == reason
+        assert _outcome(line, after=(valid,)) == reason
+
+
+def test_parse_measurements_record_too_deep_to_marshal():
+    # marshal refuses nesting deeper than 2,000; the checks must still name
+    # the fault, and marshal's message never becomes a skip reason
+    deep = "[" * 2500 + "]" * 2500
+    line = _record_line(traceroutes=_traceroutes(hops=["DEEP"])).replace('"DEEP"', deep)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        assert _outcome(line) == "invalid hop"
+        assert _outcome(line, after=(_record_line(),)) == "invalid hop"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# a record that survives path inference: its traceroutes, one with a
+# non-responsive hop inside AS 200, all give the AS path 100 200 900
+_FUZZ_BASE = record_obj(make_record(traceroutes=(
+    make_traceroute("1.1.0.1", "2.2.0.1", "*", "2.2.0.2", "9.9.0.1"),
+    make_traceroute("1.1.0.1", "2.2.0.1", "2.2.0.2", "9.9.0.1"),
+    make_traceroute("1.1.0.1", "2.2.0.1", "*", "2.2.0.2", "9.9.0.1"),
+)))
+_FUZZ_PFX2AS = "1.1.0.0\t16\t100\n2.2.0.0\t16\t200\n9.9.0.0\t16\t900\n"
+
+
+def _value_paths(value, path=()):
+    """The key path of every value below the top of a JSON value."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        yield (*path, key)
+        if isinstance(child, (dict, list)):
+            yield from _value_paths(child, (*path, key))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# values that pass, or nearly pass, some check of a record
+_NEAR_VALUES = st.sampled_from([
+    0, 1, 2, 1.0, True, False, None, "", "*", "9.9.0.1", "9.9.0.1 ", "http://x/", [], {},
+    {"addr": "9.9.0.1", "ttl": 1}, {"ttl": 1, "addr": 7}, {"hops": [], "completed": False},
+])
+
+
+def _equal_twins(value) -> list:
+    """Values equal to a JSON number or bool under ``==`` but of another type."""
+    if type(value) not in (bool, int, float):
+        return []
+    twins = (bool(value), int(value), float(value))
+    return [v for v in twins if v == value and type(v) is not type(value)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(_value_paths(_FUZZ_BASE))), data=st.data())
+def test_parse_measurements_memo_is_invisible(path, data):
+    obj = json.loads(json.dumps(_FUZZ_BASE))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    values = _NEAR_VALUES | _JSON_VALUES
+    twins = _equal_twins(parent[path[-1]])
+    parent[path[-1]] = data.draw(st.sampled_from(twins) | values if twins else values)
+    valid, line = json.dumps(_FUZZ_BASE), json.dumps(obj)
+    assert _outcome(line, after=(valid,)) == _outcome(line)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        measurements = f"{tmp}/measurements.jsonl"
+        with open(measurements, "w", encoding="utf-8") as f:
+            f.write(f"{valid}\n{line}\n")
+        with open(f"{tmp}/pfx2as.tsv", "w", encoding="utf-8") as f:
+            f.write(_FUZZ_PFX2AS)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["localize", "--measurements", measurements,
+                         "--pfx2as", f"{tmp}/pfx2as.tsv", "--out", f"{tmp}/out"])
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
 
 
 def test_parse_measurements_nothing_kept_is_fatal():
