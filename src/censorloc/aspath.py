@@ -12,39 +12,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Union
 
-from .ingest import PrefixTable, parse_ipv4, prefix_mask
+from .ingest import PrefixTable
 from .model import AsPath, Hop, MeasurementRecord, Traceroute
-
-# Ranges that can never identify a transit AS: RFC1918, loopback, link-local,
-# as (network, mask) integer pairs.
-_EXCLUDED_RANGES = tuple(
-    (parse_ipv4(network), prefix_mask(length))
-    for network, length in (
-        ("10.0.0.0", 8),
-        ("172.16.0.0", 12),
-        ("192.168.0.0", 16),
-        ("127.0.0.0", 8),
-        ("169.254.0.0", 16),
-    )
-)
-
 
 def map_ip(table: PrefixTable, ip: str) -> frozenset[int]:
     """Origin set of one IP by longest-prefix match: one ASN when mapped,
     several when ambiguous, none when malformed, reserved/private or unrouted.
 
-    Each distinct string is mapped once per table and then read from
-    ``table.mappings``.
+    Each distinct string is mapped once per table, by ``table.origins``.
     """
-    origins = table.mappings.get(ip)
-    if origins is None:
-        addr = parse_ipv4(ip)
-        if addr is None or any(addr & mask == network for network, mask in _EXCLUDED_RANGES):
-            origins = frozenset()
-        else:
-            origins = table.lookup_int(addr) or frozenset()
-        table.mappings[ip] = origins
-    return origins
+    return table.origins(ip) or frozenset()
 
 
 def mapping_kind(origins: frozenset[int]) -> str:
@@ -144,10 +121,15 @@ def _outcomes(
         )
         return dst_origins, [failure] * len(record.traceroutes)
     (dst_asn,) = dst_origins
-    return dst_origins, [
-        collapse_traceroute(traceroute, table, record.vantage_asn, dst_asn)
-        for traceroute in record.traceroutes
-    ]
+    # each distinct traceroute collapses once: index finds an interned repeat
+    outcomes = []
+    for traceroute in record.traceroutes:
+        first = record.traceroutes.index(traceroute)
+        if first < len(outcomes):
+            outcomes.append(outcomes[first])
+        else:
+            outcomes.append(collapse_traceroute(traceroute, table, record.vantage_asn, dst_asn))
+    return dst_origins, outcomes
 
 
 def _combine(

@@ -6,16 +6,15 @@ holds for every parser here. ``parse_measurements`` is the only reader of
 measurement JSON: it makes every check on a record, hop by hop, and builds
 the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` named tuples, which
 check nothing themselves. Equal hops, traceroutes and traceroute triples are
-built once per parse and shared between records. A record whose raw
-traceroutes marshal to the same bytes as the last valid record's reuses its
-triple unchecked: the records of one probe repeat its traceroutes.
+built once per parse and shared between records; ``_decode`` decodes and
+checks each distinct traceroute text of a line and the line before once.
+Addresses are checked in the prefix table's memo, which inference reuses.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import marshal
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -107,31 +106,45 @@ def prefix_mask(length: int) -> int:
 # prefix table
 
 
+# RFC1918, loopback and link-local space never identify a transit AS
+_EXCLUDED_PROBES = [
+    (prefix_mask(length), {parse_ipv4(network): frozenset() for network in networks})
+    for length, networks in ((8, ("10.0.0.0", "127.0.0.0")), (12, ("172.16.0.0",)),
+                             (16, ("192.168.0.0", "169.254.0.0")))
+]
+
+
 class PrefixTable:
     """Longest-prefix-match table from IPv4 prefixes to origin AS sets.
 
-    One probe per distinct prefix length present in the table, longest first.
-    ``mappings`` memoises the origin set ``aspath.map_ip`` finds per address
-    string for the table's lifetime; the table never changes after
-    construction.
+    One probe per distinct prefix length present in the table, longest first,
+    after the probes of reserved space. ``mappings`` memoises ``origins`` per
+    address string for the table's lifetime, so ingest's address check and
+    ``aspath.map_ip`` parse each distinct string once between them.
     """
 
     def __init__(self, entries: Iterable[tuple[int, int, frozenset[int]]]):
         by_len: dict[int, dict[int, frozenset[int]]] = {}
         for network, prefix_len, origins in entries:
             by_len.setdefault(prefix_len, {})[network] = origins
-        self._probes = [
+        self._probes = _EXCLUDED_PROBES + [
             (prefix_mask(length), by_len[length]) for length in sorted(by_len, reverse=True)
         ]
-        self.mappings: dict[str, frozenset[int]] = {}
+        self.mappings: dict[str, frozenset[int] | None] = {}
 
-    def lookup_int(self, addr: int) -> frozenset[int] | None:
-        """Origin set of the most specific prefix covering a parsed address, or None."""
-        for mask, networks in self._probes:
-            origins = networks.get(addr & mask)
-            if origins is not None:
-                return origins
-        return None
+    def origins(self, ip: str) -> frozenset[int] | None:
+        """Origin set of an address string's most specific prefix: empty for
+        reserved, private or unrouted space, None for a non-IPv4 string."""
+        if ip in self.mappings:
+            return self.mappings[ip]
+        addr = parse_ipv4(ip)
+        origins = None if addr is None else frozenset()
+        for mask, networks in () if addr is None else self._probes:
+            if addr & mask in networks:
+                origins = networks[addr & mask]
+                break
+        self.mappings[ip] = origins
+        return origins
 
 
 def _ascii_int(text: str) -> int | None:
@@ -276,33 +289,24 @@ _HOP_KEYS = {"ttl", "addr"}
 
 @dataclass
 class _Seen:
-    """What one measurement parse has already validated: address strings,
-    every distinct (addr, ttl) hop as one shared ``Hop``, every distinct
-    timestamp string as one shared ``datetime``, every distinct
-    ``Traceroute`` and traceroute triple as one shared tuple, and the last
-    valid record's raw traceroutes as ``marshal`` bytes with their triple.
+    """What one measurement parse has already validated: addresses in the
+    prefix table's memo, every distinct (addr, ttl) hop as one shared ``Hop``,
+    every distinct timestamp string as one shared ``datetime``, every distinct
+    ``Traceroute`` and triple as one shared tuple, and the last decoded line's
+    distinct traceroute elements as ``[text, value, Traceroute or None]``.
 
     Only validated values are interned: every ttl is then an ``int`` that is
     not a ``bool`` and every completed flag a ``bool``, so no two unequal
-    inputs meet as equal keys the way ``True == 1 == 1.0`` would. Nor do
-    they as ``marshal`` keys: ``marshal.loads`` rebuilds exact types, so
-    equal bytes are equal values of equal types in equal key order.
+    inputs meet as equal keys the way ``True == 1 == 1.0`` would. Elements
+    match an entry by identity with its ``value``, which the entry keeps alive.
     """
 
-    addrs: set[str] = field(default_factory=set)
+    table: PrefixTable
     hops: dict[tuple[str, int], Hop] = field(default_factory=dict)
     stamps: dict[str, datetime] = field(default_factory=dict)
     probes: dict[tuple, tuple] = field(default_factory=dict)
-    last_key: bytes | None = None
+    elements: list[list] = field(default_factory=list)
     last_triple: tuple[Traceroute, ...] = ()
-
-    def valid_addr(self, addr: str) -> bool:
-        if addr in self.addrs:
-            return True
-        if parse_ipv4(addr) is None:
-            return False
-        self.addrs.add(addr)
-        return True
 
     def timestamp(self, raw: Any) -> datetime:
         # a non-string raw is unhashable or not a stamp; parse_timestamp
@@ -313,6 +317,14 @@ class _Seen:
         if stamp is None:
             stamp = self.stamps[raw] = parse_timestamp(raw)
         return stamp
+
+    def traceroute(self, raw: Any) -> Traceroute:
+        for entry in self.elements:
+            if entry[1] is raw:
+                if entry[2] is None:
+                    entry[2] = _validate_traceroute(raw, self)
+                return entry[2]
+        return _validate_traceroute(raw, self)
 
 
 def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
@@ -338,7 +350,7 @@ def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
         if hop is None:
             if addr == "*":
                 hop = Hop(None, ttl)
-            elif seen.valid_addr(addr):
+            elif seen.table.origins(addr) is not None:
                 hop = Hop(addr, ttl)
             else:
                 raise ValueError("invalid hop addr")
@@ -370,7 +382,7 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     if not isinstance(url, str) or "://" not in url or url.startswith("://"):
         raise ValueError("invalid url")
     dst_ip = obj["dst_ip"]
-    if not isinstance(dst_ip, str) or not seen.valid_addr(dst_ip):
+    if not isinstance(dst_ip, str) or seen.table.origins(dst_ip) is None:
         raise ValueError("invalid dst_ip")
     if not isinstance(obj["anomaly"], str):
         raise ValueError("unknown anomaly type")
@@ -383,17 +395,11 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
         raise ValueError("invalid traceroutes")
     if len(raw) != TRACEROUTES_PER_RECORD:
         raise ValueError("traceroute count != 3")
-    try:
-        key = marshal.dumps(raw)
-    except ValueError:
-        # nested too deeply to marshal: no key, so the checks name the fault
-        key = None
-    if key is not None and key == seen.last_key:
-        traceroutes = seen.last_triple
-    else:
-        traceroutes = tuple(_validate_traceroute(t, seen) for t in raw)
-        traceroutes = seen.probes.setdefault(traceroutes, traceroutes)
-        seen.last_key, seen.last_triple = key, traceroutes
+    traceroutes = tuple(map(seen.traceroute, raw))
+    # the records of one probe repeat its triple: identity makes == cheap
+    if traceroutes != seen.last_triple:
+        seen.last_triple = seen.probes.setdefault(traceroutes, traceroutes)
+    traceroutes = seen.last_triple
     return MeasurementRecord(
         record_id=obj["record_id"],
         vantage_asn=obj["vantage_asn"],
@@ -406,34 +412,103 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     )
 
 
-def parse_measurements(lines: Iterable[str]) -> tuple[list[MeasurementRecord], ParseReport]:
+_scan = json.JSONDecoder().scan_once
+# JSON whitespace; and after an array element, the array's end or a comma
+_skip_ws = re.compile(r"[ \t\n\r]*").match
+_separator = re.compile(r"[ \t\n\r]*(?:(\])|,[ \t\n\r]*)").match
+
+
+def _decode(line: str, seen: _Seen) -> dict | None:
+    """``json.loads(line)``, decoding each distinct traceroute text once, or
+    None where this shortcut does not apply.
+
+    The ``"traceroutes"`` array at ``start`` is walked with the C decoder's
+    array grammar; an element text that begins with ``{`` and equals one
+    decoded in this line or the last decoded line reuses that value. The
+    rest is decoded as ``short``, the line with the array replaced by
+    ``NaN``, and kept only if ``NaN`` occurs there once, at ``start``, and is
+    the top-level ``"traceroutes"`` value. That is sound: (i) only the
+    ``NaN`` literal decodes to a float NaN, so the value that survives
+    duplicate keys is the token at ``start``; (ii) ``line`` and ``short``
+    share the text before ``start``, so the decoder reaches it in the same
+    state in both, and in ``line`` decodes there the array the walk parsed;
+    (iii) text that begins with ``{`` is self-delimiting, so equal text
+    decodes to an equal value of equal types in equal key order.
+    """
+    start = line.find("[", line.find('"traceroutes"'))
+    if start < 0:
+        return None
+    entries, values = [], []
+    idx = _skip_ws(line, start + 1).end()
+    try:
+        while True:
+            if len(values) == TRACEROUTES_PER_RECORD or not line.startswith("{", idx):
+                return None
+            for entry in entries + seen.elements:
+                if line.startswith(entry[0], idx):
+                    break
+            else:
+                value, end = _scan(line, idx)
+                entry = [line[idx:end], value, None]
+            if entry not in entries:
+                entries.append(entry)
+            values.append(entry[1])
+            separator = _separator(line, idx + len(entry[0]))
+            if separator is None:
+                return None
+            idx = separator.end()
+            if separator.group(1):
+                break
+        short = line[:start] + "NaN" + line[idx:]
+        if short.find("NaN") != start or short.find("NaN", start + 1) >= 0:
+            return None
+        obj = json.loads(short)
+    except (ValueError, RecursionError, StopIteration):
+        return None
+    nan = obj.get("traceroutes") if type(obj) is dict else None
+    if type(nan) is not float or nan == nan:
+        return None
+    seen.elements = entries
+    obj["traceroutes"] = values
+    return obj
+
+
+def parse_measurements(
+    lines: Iterable[str], table: PrefixTable | None = None
+) -> tuple[list[MeasurementRecord], ParseReport]:
     """Parse measurement JSONL; one object per line, schema-checked strictly.
 
     ``lines`` yields one line at a time, as a file opened with
     ``newline="\n"`` or an ``io.StringIO`` does: lines end at LF only, and
     a CR before it is JSON whitespace. So a record may hold U+2028 and the
-    other characters ``str.splitlines`` would break at. Zero surviving
-    records is fatal.
+    other characters ``str.splitlines`` would break at. Addresses are checked
+    through ``table``'s memo, so path inference parses none again. Zero
+    surviving records is fatal.
     """
     report = ParseReport()
     records: list[MeasurementRecord] = []
-    seen = _Seen()
+    seen = _Seen(PrefixTable(()) if table is None else table)
     for line in lines:
         if not line.strip():
             report.skip("blank line")
             continue
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):
-            # a JSONDecodeError, an integer over sys.get_int_max_str_digits(),
-            # or nesting deeper than the decoder recurses
-            report.skip("invalid json")
-            continue
-        try:
-            record = _validate_record(obj, seen)
-        except ValueError as exc:
-            report.skip(str(exc))
-            continue
+            record = _validate_record(_decode(line, seen), seen)
+        except ValueError:
+            # not kept by the shortcut (None is not a json object): parsed
+            # again whole, so every skip reason is the plain decoder's
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError):
+                # a JSONDecodeError, an integer over sys.get_int_max_str_digits(),
+                # or nesting deeper than the decoder recurses
+                report.skip("invalid json")
+                continue
+            try:
+                record = _validate_record(obj, seen)
+            except ValueError as exc:
+                report.skip(str(exc))
+                continue
         records.append(record)
         report.kept += 1
     if not records:

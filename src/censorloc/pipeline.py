@@ -67,12 +67,14 @@ def _read_text(path: Path, what: str) -> str:
         raise _read_error(path, what, exc) from None
 
 
-def _read_measurements(path: Path) -> tuple[list[MeasurementRecord], ParseReport]:
+def _read_measurements(
+    path: Path, table: PrefixTable
+) -> tuple[list[MeasurementRecord], ParseReport]:
     # parsed line by line as the file is read, so its text is never held
     # whole; a read or decode error can come from any line
     try:
         with open(path, encoding="utf-8", newline="\n") as lines:
-            return parse_measurements(lines)
+            return parse_measurements(lines, table)
     except (OSError, UnicodeDecodeError) as exc:
         raise _read_error(path, "measurements", exc) from None
 
@@ -94,7 +96,7 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
             registry, registry_report = parse_as_metadata(
                 _read_text(cfg.as_meta, "AS metadata")
             )
-        records, measurement_report = _read_measurements(cfg.measurements)
+        records, measurement_report = _read_measurements(cfg.measurements, table)
     except IngestError as exc:
         raise InputError(str(exc)) from None
     warnings = []
@@ -124,7 +126,8 @@ def infer_paths(
     """Per-record path inference plus elimination accounting.
 
     Records that share (vantage ASN, destination IP, traceroutes) pose the
-    same problem, so each distinct problem is inferred once per call.
+    same problem, so each distinct problem is inferred once per call, and
+    each distinct traceroute of a record is collapsed once.
     len(records) == len(pairs) + sum(failure counts), always.
     """
     pairs: list[tuple[MeasurementRecord, AsPath]] = []

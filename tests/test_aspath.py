@@ -237,3 +237,24 @@ def test_trace_inference_reports_every_hop():
     hops = dump["traceroutes"][0]["hops"]
     assert [h["mapping"] for h in hops] == ["mapped", "non_responsive", "ambiguous", "mapped"]
     assert dump["traceroutes"][1]["outcome"]["path"] == [100, 200, 900]
+
+
+def test_each_distinct_traceroute_of_a_record_collapses_once(monkeypatch):
+    calls = []
+    collapse = aspath.collapse_traceroute
+    monkeypatch.setattr(
+        aspath, "collapse_traceroute", lambda *a: calls.append(a[0]) or collapse(*a)
+    )
+    table = _fixture_table()
+    tr = make_traceroute("2.2.0.1", "9.9.0.1")
+    assert aspath.infer_as_path(make_record(traceroutes=(tr, tr, tr)), table) == (100, 200, 900)
+    assert calls == [tr]
+    calls.clear()
+    three = (
+        make_traceroute("2.2.0.1", "9.9.0.1"),
+        make_traceroute("2.2.0.1", "*", "2.2.0.3", "9.9.0.1"),
+        make_traceroute("2.2.0.2", "9.9.0.1"),
+    )
+    dump = aspath.trace_inference(make_record(traceroutes=three), table)
+    assert calls == list(three)
+    assert [t["outcome"] for t in dump["traceroutes"]] == [{"path": [100, 200, 900]}] * 3

@@ -1,6 +1,7 @@
 """Command line surface: argument handling, exit codes, end-to-end runs."""
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -105,6 +106,33 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_imports_only_the_standard_library():
+    """The package declares no dependencies, so it may import only the
+    standard library and itself; numpy serves brute_force_models alone."""
+    allowed = set(sys.stdlib_module_names) | {"censorloc"}
+    for path in sorted((REPO_ROOT / "src" / "censorloc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        oracle = {
+            node
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "brute_force_models"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                # an import by name at run time would slip past this check
+                assert not (isinstance(node, ast.Name) and node.id == "__import__"), path
+                assert not (isinstance(node, ast.Attribute) and node.attr == "import_module"), path
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in allowed or (top == "numpy" and node in oracle), (path.name, name)
 
 
 def test_no_command_shows_usage():

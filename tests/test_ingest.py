@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_record, make_traceroute, record_obj, ts
+from censorloc import ingest
 from censorloc.aspath import map_ip
 from censorloc.cli import main
 from censorloc.ingest import (
     IngestError,
     ParseReport,
+    PrefixTable,
     ingest_summary_obj,
     parse_as_metadata,
     parse_ipv4,
@@ -454,8 +456,9 @@ def test_parse_measurements_hop_checks_precede_ttl_order():
 
 
 def test_parse_measurements_record_too_deep_to_marshal():
-    # marshal refuses nesting deeper than 2,000; the checks must still name
-    # the fault, and marshal's message never becomes a skip reason
+    # nesting deeper than marshal (2,000) or the default recursion limit
+    # takes; the checks must still name the fault, and no decoder's or
+    # serializer's message ever becomes a skip reason
     deep = "[" * 2500 + "]" * 2500
     line = _record_line(traceroutes=_traceroutes(hops=["DEEP"])).replace('"DEEP"', deep)
     limit = sys.getrecursionlimit()
@@ -465,6 +468,123 @@ def test_parse_measurements_record_too_deep_to_marshal():
         assert _outcome(line, after=(_record_line(),)) == "invalid hop"
     finally:
         sys.setrecursionlimit(limit)
+
+
+# The traceroutes array is decoded element by element and the rest of the
+# line with the array replaced by NaN; each line below must give what
+# json.loads and the record checks alone give, after a valid line whose
+# traceroute text it may reuse.
+_VALID = _record_line()
+_FIELDS = [(json.dumps(k), json.dumps(v)) for k, v in json.loads(_VALID).items()
+           if k != "traceroutes"]
+_TRIPLE = json.dumps(json.loads(_VALID)["traceroutes"])
+_OTHER = json.dumps(_traceroutes(hops=[{"ttl": 1, "addr": "9.9.0.7"}]))
+
+
+def _raw_line(before=(), after=(), traceroutes=_TRIPLE) -> str:
+    """A record line from (key text, value text) pairs around the usual ones."""
+    pairs = [*before, *_FIELDS, ('"traceroutes"', traceroutes), *after]
+    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+
+
+def _plain_outcome(line: str):
+    """What json.loads and the record checks alone make of ``line``."""
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return "invalid json"
+    try:
+        return ingest._validate_record(obj, ingest._Seen(PrefixTable(())))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_plain(*lines: str) -> None:
+    for line in lines:
+        # given as a list, a line may hold a LF, which is JSON whitespace
+        records, report = parse_measurements([f"{_VALID}\n", f"{line}\n", f"{_LAST_LINE}\n"])
+        assert records[0] == make_record()
+        if report.skipped:
+            (reason,) = report.skip_reasons
+            assert reason == _plain_outcome(line), line
+        else:
+            assert records[1] == _plain_outcome(line), line
+
+
+def test_decoder_duplicate_traceroutes_keys():
+    _assert_plain(
+        _raw_line(before=[('"traceroutes"', "[]")]),
+        _raw_line(before=[('"traceroutes"', _OTHER)]),
+        _raw_line(after=[('"traceroutes"', "0")]),
+    )
+    assert _plain_outcome(_raw_line(before=[('"traceroutes"', _OTHER)])) == make_record()
+
+
+def test_decoder_nan_elsewhere():
+    _assert_plain(
+        _raw_line(before=[('"detected"', "NaN")], after=[('"detected"', "NaN")]),
+        _raw_line(after=[('"traceroutes"', "NaN")]),
+        _raw_line(before=[('"url"', "NaN")]),
+    )
+    assert _plain_outcome(_raw_line(after=[('"traceroutes"', "NaN")])) == "invalid traceroutes"
+
+
+def test_decoder_previous_text_elsewhere():
+    _assert_plain(
+        # as a string value, and under another key that a later one overrides
+        _raw_line(before=[('"record_id"', json.dumps('x"traceroutes')),
+                          ('"url"', json.dumps(f"http://x/{_TRIPLE}"))]),
+        _raw_line(before=[('"traceroutes"', "0"), ('"url"', _TRIPLE)], traceroutes=_OTHER),
+    )
+
+
+def test_decoder_quoted_traceroutes_in_a_key():
+    _assert_plain(
+        _raw_line(before=[(json.dumps('x"traceroutes'), _OTHER)]),
+        _raw_line(before=[('"url"', "{" + json.dumps('x"traceroutes') + f": {_OTHER}}}")]),
+    )
+
+
+def test_decoder_json_whitespace_only():
+    element = _TRIPLE[1:-1].split(", {")[0]
+    for ws in ("\t", "\r", "\n", " \t\r\n"):
+        line = _raw_line(traceroutes=f"[{ws}{element}{ws},{ws}{element}{ws},{element}{ws}]")
+        _assert_plain(line, line.replace(f"{ws}]", f"{ws}]{ws}, {ws}\"traceroutes\": 0"))
+        assert _plain_outcome(line) == make_record()
+    # a separator JSON does not allow is invalid however the array is read
+    for ws in ("\x0c", "\x0b", "\xa0", "\u2028", "\x00"):
+        _assert_plain(_raw_line(traceroutes=f"[{ws}{element}, {element}, {element}]"),
+                      _raw_line(traceroutes=f"[{element}, {element}{ws}, {element}]"))
+
+
+def test_decoder_trailing_comma():
+    element = _TRIPLE[1:-1].split(", {")[0]
+    _assert_plain(
+        _raw_line(traceroutes=f"[{element}, {element}, {element},]"),
+        _raw_line(traceroutes=f"[{element}, {element},]"),
+        _raw_line(traceroutes=f"[{element}, {element}, {element}, ]"),
+    )
+    assert _plain_outcome(_raw_line(traceroutes=f"[{element}, {element},]")) == "invalid json"
+
+
+def test_decoder_array_after_the_traceroutes():
+    _assert_plain(
+        _raw_line(after=[('"url"', "[1]")]),
+        _raw_line(after=[('"url"', "[1]"), ('"url"', '"http://example.com/"')]),
+    )
+
+
+def test_parse_measurements_checks_each_distinct_traceroute_once(monkeypatch):
+    calls = []
+    check = ingest._validate_traceroute
+    monkeypatch.setattr(ingest, "_validate_traceroute", lambda *a: calls.append(1) or check(*a))
+    # one check for three identical elements, none for the same text again
+    records, _ = parse_measurements(io.StringIO(f"{_VALID}\n{_VALID}\n"))
+    assert len(calls) == 1 and records[0] == records[1] == make_record()
+    calls.clear()
+    three = [json.loads(_OTHER)[0], json.loads(_TRIPLE)[0], _traceroutes(completed=False)[0]]
+    parse_measurements(io.StringIO(_record_line(traceroutes=three)))
+    assert len(calls) == 3
 
 
 # a record that survives path inference: its traceroutes, one with a
