@@ -125,10 +125,8 @@ def _outcomes(
     outcomes = []
     for traceroute in record.traceroutes:
         first = record.traceroutes.index(traceroute)
-        if first < len(outcomes):
-            outcomes.append(outcomes[first])
-        else:
-            outcomes.append(collapse_traceroute(traceroute, table, record.vantage_asn, dst_asn))
+        outcomes.append(outcomes[first] if first < len(outcomes) else
+                        collapse_traceroute(traceroute, table, record.vantage_asn, dst_asn))
     return dst_origins, outcomes
 
 

@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from json.decoder import WHITESPACE
 from typing import Any, Iterable
 
 from .model import (
@@ -130,20 +131,18 @@ class PrefixTable:
         self._probes = _EXCLUDED_PROBES + [
             (prefix_mask(length), by_len[length]) for length in sorted(by_len, reverse=True)
         ]
-        self.mappings: dict[str, frozenset[int] | None] = {}
+        self.mappings: dict[str, frozenset[int]] = {}
 
     def origins(self, ip: str) -> frozenset[int] | None:
         """Origin set of an address string's most specific prefix: empty for
         reserved, private or unrouted space, None for a non-IPv4 string."""
-        if ip in self.mappings:
-            return self.mappings[ip]
-        addr = parse_ipv4(ip)
-        origins = None if addr is None else frozenset()
-        for mask, networks in () if addr is None else self._probes:
-            if addr & mask in networks:
-                origins = networks[addr & mask]
-                break
-        self.mappings[ip] = origins
+        origins = self.mappings.get(ip)
+        if origins is None:
+            addr = parse_ipv4(ip)
+            if addr is None:
+                return None
+            origins = self.mappings[ip] = next((nets[addr & mask] for mask, nets in self._probes
+                                                if addr & mask in nets), frozenset())
         return origins
 
 
@@ -292,8 +291,9 @@ class _Seen:
     """What one measurement parse has already validated: addresses in the
     prefix table's memo, every distinct (addr, ttl) hop as one shared ``Hop``,
     every distinct timestamp string as one shared ``datetime``, every distinct
-    ``Traceroute`` and triple as one shared tuple, and the last decoded line's
-    distinct traceroute elements as ``[text, value, Traceroute or None]``.
+    ``Traceroute`` and triple as one shared tuple, the last decoded line's
+    traceroute elements as ``[text, value, Traceroute or None]``,
+    and how many lines in a row have reused no element.
 
     Only validated values are interned: every ttl is then an ``int`` that is
     not a ``bool`` and every completed flag a ``bool``, so no two unequal
@@ -306,6 +306,7 @@ class _Seen:
     stamps: dict[str, datetime] = field(default_factory=dict)
     probes: dict[tuple, tuple] = field(default_factory=dict)
     elements: list[list] = field(default_factory=list)
+    idle: int = 0
     last_triple: tuple[Traceroute, ...] = ()
 
     def timestamp(self, raw: Any) -> datetime:
@@ -321,8 +322,7 @@ class _Seen:
     def traceroute(self, raw: Any) -> Traceroute:
         for entry in self.elements:
             if entry[1] is raw:
-                if entry[2] is None:
-                    entry[2] = _validate_traceroute(raw, self)
+                entry[2] = entry[2] or _validate_traceroute(raw, self)
                 return entry[2]
         return _validate_traceroute(raw, self)
 
@@ -413,8 +413,7 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
 
 
 _scan = json.JSONDecoder().scan_once
-# JSON whitespace; and after an array element, the array's end or a comma
-_skip_ws = re.compile(r"[ \t\n\r]*").match
+# after an array element: JSON whitespace, then the array's end or a comma
 _separator = re.compile(r"[ \t\n\r]*(?:(\])|,[ \t\n\r]*)").match
 
 
@@ -438,21 +437,20 @@ def _decode(line: str, seen: _Seen) -> dict | None:
     start = line.find("[", line.find('"traceroutes"'))
     if start < 0:
         return None
-    entries, values = [], []
-    idx = _skip_ws(line, start + 1).end()
+    walked: list[list] = []
+    idx = WHITESPACE.match(line, start + 1).end()
     try:
         while True:
-            if len(values) == TRACEROUTES_PER_RECORD or not line.startswith("{", idx):
+            if len(walked) == TRACEROUTES_PER_RECORD or not line.startswith("{", idx):
                 return None
-            for entry in entries + seen.elements:
+            for entry in walked + seen.elements:
                 if line.startswith(entry[0], idx):
+                    seen.idle = 0
                     break
             else:
                 value, end = _scan(line, idx)
                 entry = [line[idx:end], value, None]
-            if entry not in entries:
-                entries.append(entry)
-            values.append(entry[1])
+            walked.append(entry)
             separator = _separator(line, idx + len(entry[0]))
             if separator is None:
                 return None
@@ -468,9 +466,30 @@ def _decode(line: str, seen: _Seen) -> dict | None:
     nan = obj.get("traceroutes") if type(obj) is dict else None
     if type(nan) is not float or nan == nan:
         return None
-    seen.elements = entries
-    obj["traceroutes"] = values
+    seen.elements = walked
+    obj["traceroutes"] = [entry[1] for entry in walked]
     return obj
+
+
+def _parse_line(line: str, seen: _Seen) -> MeasurementRecord:
+    """The record on one line; a ValueError names the skip reason."""
+    if not line.strip():
+        raise ValueError("blank line")
+    # where nothing repeats the walk only costs: after two lines in a row that
+    # reused nothing, every 16th line is walked until one reuses again
+    seen.idle += 1
+    obj = _decode(line, seen) if seen.idle < 3 or seen.idle % 16 == 0 else None
+    if obj is not None:
+        try:
+            return _validate_record(obj, seen)
+        except ValueError:
+            pass  # near the recursion limit the walk can decode what json.loads cannot
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        # bad JSON, an int over sys.get_int_max_str_digits(), or nesting too deep
+        raise ValueError("invalid json") from None
+    return _validate_record(obj, seen)
 
 
 def parse_measurements(
@@ -489,28 +508,11 @@ def parse_measurements(
     records: list[MeasurementRecord] = []
     seen = _Seen(PrefixTable(()) if table is None else table)
     for line in lines:
-        if not line.strip():
-            report.skip("blank line")
-            continue
         try:
-            record = _validate_record(_decode(line, seen), seen)
-        except ValueError:
-            # not kept by the shortcut (None is not a json object): parsed
-            # again whole, so every skip reason is the plain decoder's
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError):
-                # a JSONDecodeError, an integer over sys.get_int_max_str_digits(),
-                # or nesting deeper than the decoder recurses
-                report.skip("invalid json")
-                continue
-            try:
-                record = _validate_record(obj, seen)
-            except ValueError as exc:
-                report.skip(str(exc))
-                continue
-        records.append(record)
-        report.kept += 1
+            records.append(_parse_line(line, seen))
+        except ValueError as exc:
+            report.skip(str(exc))
+    report.kept = len(records)
     if not records:
         raise IngestError("no measurement records parsed")
     return records, report

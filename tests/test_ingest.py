@@ -574,6 +574,45 @@ def test_decoder_array_after_the_traceroutes():
     )
 
 
+def test_decoder_element_near_the_recursion_limit(monkeypatch):
+    # the walk decodes an element from fewer frames than json.loads(line)
+    # does; where only the walk gets through, the line is still invalid json
+    def deep(depth):
+        line = _record_line(traceroutes=_traceroutes(hops=["DEEP"]))
+        return line.replace('"DEEP"', "[" * depth + "]" * depth)
+
+    def outcomes(depths):
+        # every call from the same stack depth, so the limit falls alike
+        return {d: (_outcome(deep(d)), _outcome(deep(d), after=(_VALID,))) for d in depths}
+
+    monkeypatch.setattr(ingest, "_decode", lambda line, seen: None)
+    low, high = 1, 2 * sys.getrecursionlimit()
+    while low < high:  # the least depth json.loads(line) cannot decode
+        mid = (low + high) // 2
+        low, high = (low, mid) if outcomes([mid])[mid][0] == "invalid json" else (mid + 1, high)
+    plain = outcomes(range(low - 12, low + 4))
+    monkeypatch.undo()
+    assert plain[low - 1] == ("invalid hop",) * 2 and plain[low] == ("invalid json",) * 2
+    assert outcomes(plain) == plain
+
+
+def test_decoder_walks_only_lines_after_a_repeat(monkeypatch):
+    scans = []
+    scan = ingest._scan
+    monkeypatch.setattr(ingest, "_scan", lambda *a: scans.append(1) or scan(*a))
+    distinct = [
+        _record_line(traceroutes=[_traceroutes(hops=[{"ttl": 1, "addr": f"9.9.{i}.{k}"}])[0]
+                                  for k in (1, 2, 3)])
+        for i in range(40)
+    ]
+    lines = distinct + [_VALID] * 20
+    records, _ = parse_measurements(io.StringIO("".join(f"{line}\n" for line in lines)))
+    assert records == [_plain_outcome(line) for line in lines]
+    # lines 1, 2, 16 and 32 are walked, three scans each; the repeated lines
+    # are walked again from line 48, which scans one element and reuses it
+    assert len(scans) == 13
+
+
 def test_parse_measurements_checks_each_distinct_traceroute_once(monkeypatch):
     calls = []
     check = ingest._validate_traceroute
