@@ -8,10 +8,9 @@ path instability and can be ablated away for comparison runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ingest import window_id
 from .model import (
@@ -75,8 +74,7 @@ def identify_censors(summaries: Sequence[SolutionSummary]) -> list[CensorVerdict
 # reduction of the suspect set in ambiguous buckets
 
 
-@dataclass(frozen=True)
-class ReductionStat:
+class ReductionStat(NamedTuple):
     """How far one ambiguous bucket narrowed its variables."""
 
     key: BucketKey
@@ -88,8 +86,7 @@ class ReductionStat:
         return self.n_forced_false / self.n_vars
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     stats: tuple[ReductionStat, ...]
     cdf: tuple[tuple[float, float], ...]
     """(fraction threshold, cumulative share of buckets) at 1% resolution."""
@@ -124,8 +121,7 @@ def reduction_stats(summaries: Sequence[SolutionSummary]) -> ReductionReport:
 # leakage
 
 
-@dataclass(frozen=True)
-class CensorLeakSummary:
+class CensorLeakSummary(NamedTuple):
     censor_asn: int
     censor_country: str
     leaks_as: int
@@ -134,8 +130,7 @@ class CensorLeakSummary:
     """Distinct victim countries other than the censor's own."""
 
 
-@dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(NamedTuple):
     edges: tuple[LeakageEdge, ...]
     per_censor: tuple[CensorLeakSummary, ...]
     skipped_missing_country: int
@@ -218,8 +213,7 @@ def detect_leakage(
 # churn
 
 
-@dataclass(frozen=True)
-class ChurnCell:
+class ChurnCell(NamedTuple):
     vantage_asn: int
     dst_asn: int
     window_id: str
@@ -230,8 +224,7 @@ class ChurnCell:
 HISTOGRAM_BUCKETS = ("1", "2", "3", "4", "5+")
 
 
-@dataclass(frozen=True)
-class ChurnReport:
+class ChurnReport(NamedTuple):
     granularity: TimeGranularity
     cells: tuple[ChurnCell, ...]
     fraction_churning: float | None

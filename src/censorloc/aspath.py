@@ -8,7 +8,6 @@ specific rule, so downstream accounting can show exactly what was dropped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Union
 
@@ -45,19 +44,28 @@ class InferenceRule(str, Enum):
     """The record's traceroutes resolved to disagreeing AS paths."""
 
 
-@dataclass(frozen=True)
 class InferenceFailure:
-    rule: InferenceRule
-    detail: str
+    """Why no AS path came out; not a tuple, so never taken for an ``AsPath``."""
+
+    __slots__ = ("rule", "detail")
+
+    def __init__(self, rule: InferenceRule, detail: str) -> None:
+        self.rule, self.detail = rule, detail
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InferenceFailure):
+            return NotImplemented
+        return (self.rule, self.detail) == (other.rule, other.detail)
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.detail))
 
     def to_json_obj(self) -> dict[str, str]:
         return {"rule": self.rule.value, "detail": self.detail}
 
 
 def _gap_failure(left: int, right: int) -> InferenceFailure:
-    return InferenceFailure(
-        rule=InferenceRule.UNRESOLVABLE_GAP, detail=f"gap between AS{left} and AS{right}"
-    )
+    return InferenceFailure(InferenceRule.UNRESOLVABLE_GAP, f"gap between AS{left} and AS{right}")
 
 
 def collapse_traceroute(
@@ -77,10 +85,7 @@ def collapse_traceroute(
     once at least one hop has mapped.
     """
     if not traceroute.completed or not traceroute.hops:
-        return InferenceFailure(
-            rule=InferenceRule.TRACEROUTE_ERROR,
-            detail="traceroute incomplete or empty",
-        )
+        return InferenceFailure(InferenceRule.TRACEROUTE_ERROR, "traceroute incomplete or empty")
     path = [vantage_asn]
     gap = mapped_any = False
     for hop in traceroute.hops:
@@ -96,10 +101,7 @@ def collapse_traceroute(
         gap = False
         mapped_any = True
     if not mapped_any:
-        return InferenceFailure(
-            rule=InferenceRule.MAPPING_IMPOSSIBLE,
-            detail="no traceroute hop maps to an AS",
-        )
+        return InferenceFailure(InferenceRule.MAPPING_IMPOSSIBLE, "no traceroute hop maps to an AS")
     if dst_asn != path[-1]:
         if gap:
             return _gap_failure(path[-1], dst_asn)
@@ -115,10 +117,8 @@ def _outcomes(
     # collapsing it
     dst_origins = map_ip(table, record.dst_ip)
     if len(dst_origins) != 1:
-        failure = InferenceFailure(
-            rule=InferenceRule.MAPPING_IMPOSSIBLE,
-            detail=f"destination {record.dst_ip} does not map to a single AS",
-        )
+        failure = InferenceFailure(InferenceRule.MAPPING_IMPOSSIBLE,
+                                   f"destination {record.dst_ip} does not map to a single AS")
         return dst_origins, [failure] * len(record.traceroutes)
     (dst_asn,) = dst_origins
     # each distinct traceroute collapses once: index finds an interned repeat
@@ -139,10 +139,8 @@ def _combine(
         return outcomes[0]
     if len(paths) > 1:
         rendered = "; ".join("-".join(str(a) for a in p) for p in sorted(paths))
-        return InferenceFailure(
-            rule=InferenceRule.MULTIPLE_AS_PATHS,
-            detail=f"traceroutes disagree: {rendered}",
-        )
+        return InferenceFailure(InferenceRule.MULTIPLE_AS_PATHS,
+                                f"traceroutes disagree: {rendered}")
     return paths.pop()
 
 

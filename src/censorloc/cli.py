@@ -10,9 +10,13 @@ import json
 import sys
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, pipeline, simulate, solver
+from . import __version__, pipeline, solver
 from .model import AnomalyType, TimeGranularity
+
+if TYPE_CHECKING:
+    from . import simulate
 
 
 def _granularity_list(values: list[str] | None) -> tuple[TimeGranularity, ...]:
@@ -147,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sim_params_from_args(args: argparse.Namespace) -> simulate.SimParams:
+    from . import simulate
     kwargs: dict = dict(
         seed=args.seed,
         n_ases=args.n_ases,

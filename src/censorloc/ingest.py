@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from json.decoder import WHITESPACE
 from typing import Any, Iterable
@@ -53,14 +52,17 @@ def window_id(day: date, granularity: TimeGranularity) -> str:
     return f"{day.year:04d}"
 
 
-@dataclass
 class ParseReport:
     """Per-parser accounting: kept rows, skipped rows, and why."""
 
-    kept: int = 0
-    skipped: int = 0
-    skip_reasons: dict[str, int] = field(default_factory=dict)
-    warnings: dict[str, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.kept = 0
+        self.skipped = 0
+        self.skip_reasons: dict[str, int] = {}
+        self.warnings: dict[str, int] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ParseReport) and vars(self) == vars(other)
 
     def skip(self, reason: str) -> None:
         self.skipped += 1
@@ -286,7 +288,6 @@ _TRACEROUTE_KEYS = {"completed", "hops"}
 _HOP_KEYS = {"ttl", "addr"}
 
 
-@dataclass
 class _Seen:
     """What one measurement parse has already validated: addresses in the
     prefix table's memo, every distinct (addr, ttl) hop as one shared ``Hop``,
@@ -301,13 +302,14 @@ class _Seen:
     match an entry by identity with its ``value``, which the entry keeps alive.
     """
 
-    table: PrefixTable
-    hops: dict[tuple[str, int], Hop] = field(default_factory=dict)
-    stamps: dict[str, datetime] = field(default_factory=dict)
-    probes: dict[tuple, tuple] = field(default_factory=dict)
-    elements: list[list] = field(default_factory=list)
-    idle: int = 0
-    last_triple: tuple[Traceroute, ...] = ()
+    def __init__(self, table: PrefixTable) -> None:
+        self.table = table
+        self.hops: dict[tuple[str, int], Hop] = {}
+        self.stamps: dict[str, datetime] = {}
+        self.probes: dict[tuple, tuple] = {}
+        self.elements: list[list] = []
+        self.idle = 0
+        self.last_triple: tuple[Traceroute, ...] = ()
 
     def timestamp(self, raw: Any) -> datetime:
         # a non-string raw is unhashable or not a stamp; parse_timestamp

@@ -1,16 +1,18 @@
 """Domain types shared by every stage of the censorship-localization pipeline.
 
-All types here are immutable values: two instances with equal fields compare
-equal. Each fact is checked once, where it enters the program or where it is
-made, and no type re-checks it on construction:
+The record types here are ``typing.NamedTuple``s: immutable, hashed and
+compared in C, and cheap to define at import. Being tuples, they also equal
+any tuple with equal fields, iterate over their fields and order with ``<``,
+so a dict or set must not mix them with plain tuples. Each fact is checked
+once, where it enters the program or where it is made, and no type
+re-checks it on construction:
 
 - ``BucketKey`` and ``CensorVerdict`` round-trip through ``to_json_obj`` /
   ``from_json_obj``, which is how ``evaluate`` reads a ``censors.json`` back;
   the readers check what arrives, ``CensorVerdict.from_json_obj`` the ASN.
-- ``Hop``, ``Traceroute`` and ``MeasurementRecord`` are named tuples built
-  only by ``ingest.parse_measurements``, which validates measurement JSON,
-  vantage ASNs included, and interns equal hops and traceroutes so records
-  share them. Being tuples, they hash and compare in C.
+- ``Hop``, ``Traceroute`` and ``MeasurementRecord`` are built only by
+  ``ingest.parse_measurements``, which validates measurement JSON, vantage
+  ASNs included, and interns equal hops and traceroutes so records share them.
 - ``Clause``, ``CnfInstance`` and ``LeakageEdge`` come from
   ``tomography.build_clause`` / ``build_cnf`` and ``analysis.detect_leakage``.
 - ``SolutionSummary`` comes from ``solver.classify``, whose status, capped
@@ -18,7 +20,6 @@ made, and no type re-checks it on construction:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Any, NamedTuple
@@ -145,8 +146,7 @@ class MeasurementRecord(NamedTuple):
 AsPath = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BucketKey:
+class BucketKey(NamedTuple):
     """Identity of one tomography bucket: what was measured, when, how split."""
 
     anomaly: AnomalyType
@@ -175,8 +175,7 @@ class BucketKey:
         )
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """An AS-set observation: the ASes of one path and the verdict seen on it.
 
     Literals are a set; the path order lives in CnfInstance.source_paths,
@@ -191,8 +190,7 @@ class Clause:
         return (0 if self.truth else 1, tuple(sorted(self.literal_asns)))
 
 
-@dataclass(frozen=True)
-class CnfInstance:
+class CnfInstance(NamedTuple):
     """All clauses of one bucket, plus the source paths they came from.
 
     Variables are the union of clause literals, stored ascending; clauses are
@@ -228,14 +226,13 @@ class BackboneStatus(str, Enum):
     FREE = "free"
 
 
-@dataclass(frozen=True)
-class SolutionSummary:
+class SolutionSummary(NamedTuple):
     """Solver verdict for one bucket: status, capped count, and backbone."""
 
     key: BucketKey
     status: SolutionStatus
     model_count_capped: int
-    backbone: dict[int, BackboneStatus] = field(default_factory=dict)
+    backbone: dict[int, BackboneStatus]
 
 
 class CensorClass(str, Enum):
@@ -251,8 +248,7 @@ class CensorClass(str, Enum):
     """Ruled out everywhere it was observed."""
 
 
-@dataclass(frozen=True)
-class CensorVerdict:
+class CensorVerdict(NamedTuple):
     """Classification of one AS for one anomaly, with its witness buckets."""
 
     asn: int
@@ -278,8 +274,7 @@ class CensorVerdict:
         )
 
 
-@dataclass(frozen=True)
-class LeakageEdge:
+class LeakageEdge(NamedTuple):
     """One (censor, victim) pair where filtering spilled beyond the censor.
 
     The victim sits strictly closer to the vantage point on a censored path,

@@ -7,13 +7,13 @@ output directory. Reruns refuse to overwrite existing outputs unless forced.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from . import analysis, simulate, solver, tomography
+from . import analysis, solver, tomography
 from .aspath import InferenceFailure, InferenceRule, infer_as_path, trace_inference
 from .ingest import (
     IngestError,
@@ -35,6 +35,9 @@ from .model import (
     TimeGranularity,
 )
 
+if TYPE_CHECKING:
+    from . import simulate
+
 ALL_GRANULARITIES = tuple(TimeGranularity)
 
 
@@ -42,8 +45,7 @@ class InputError(Exception):
     """A problem with the run's inputs or output destination (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     measurements: Path
     pfx2as: Path
     out_dir: Path
@@ -79,13 +81,12 @@ def _read_measurements(
         raise _read_error(path, "measurements", exc) from None
 
 
-@dataclass
-class LoadedInputs:
+class LoadedInputs(NamedTuple):
     records: list[MeasurementRecord]
     measurement_report: ParseReport
     table: PrefixTable
     registry: dict[int, str] | None
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def load_inputs(cfg: RunConfig) -> LoadedInputs:
@@ -111,13 +112,7 @@ def load_inputs(cfg: RunConfig) -> LoadedInputs:
     for label, report in reports:
         for reason, count in sorted(report.warnings.items()):
             warnings.append(f"{label}: {reason} x{count}")
-    return LoadedInputs(
-        records=records,
-        measurement_report=measurement_report,
-        table=table,
-        registry=registry,
-        warnings=warnings,
-    )
+    return LoadedInputs(records, measurement_report, table, registry, warnings)
 
 
 def infer_paths(
@@ -127,17 +122,20 @@ def infer_paths(
 
     Records that share (vantage ASN, destination IP, traceroutes) pose the
     same problem, so each distinct problem is inferred once per call, and
-    each distinct traceroute of a record is collapsed once.
+    each distinct traceroute of a record is collapsed once. Ingest shares
+    equal triples, so the memo keys on the triple's identity; an entry keeps
+    its triple, so that no id is reused while the memo lives.
     len(records) == len(pairs) + sum(failure counts), always.
     """
     pairs: list[tuple[MeasurementRecord, AsPath]] = []
     failures: dict[InferenceRule, int] = {rule: 0 for rule in InferenceRule}
-    outcomes: dict[tuple, AsPath | InferenceFailure] = {}
+    outcomes: dict[tuple, tuple[tuple, AsPath | InferenceFailure]] = {}
     for record in records:
-        key = (record.vantage_asn, record.dst_ip, record.traceroutes)
-        outcome = outcomes.get(key)
-        if outcome is None:
-            outcome = outcomes[key] = infer_as_path(record, table)
+        key = (record.vantage_asn, record.dst_ip, id(record.traceroutes))
+        entry = outcomes.get(key)
+        if entry is None:
+            entry = outcomes[key] = (record.traceroutes, infer_as_path(record, table))
+        outcome = entry[1]
         if isinstance(outcome, InferenceFailure):
             failures[outcome.rule] += 1
         else:
@@ -161,8 +159,7 @@ def solve_instances(instances: Sequence[CnfInstance], cap: int) -> list[Solution
     return [solver.classify(instance, cap) for instance in instances]
 
 
-@dataclass
-class LocalizeResult:
+class LocalizeResult(NamedTuple):
     loaded: LoadedInputs
     pairs: list[tuple[MeasurementRecord, AsPath]]
     failures: dict[InferenceRule, int]
@@ -177,6 +174,9 @@ class LocalizeResult:
 def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
     loaded = load_inputs(cfg)
     pairs, failures = infer_paths(loaded.records, loaded.table)
+    # what ingest and inference made lives to the end of the run: frozen, it
+    # is left out of the collections that the CNF build sets off
+    gc.freeze()
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
     summaries = solve_instances(instances, cfg.model_cap)
     verdicts = analysis.identify_censors(summaries)
@@ -458,6 +458,7 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
 def cmd_export_dimacs(cfg: RunConfig) -> list[str]:
     loaded = load_inputs(cfg)
     pairs, _failures = infer_paths(loaded.records, loaded.table)
+    gc.freeze()  # as in run_localize_stages
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
     filenames = [tomography.dimacs_filename(inst.key) for inst in instances]
     out_dir = prepare_out_dir(cfg.out_dir, filenames, cfg.force)
@@ -478,6 +479,7 @@ def cmd_solve_dimacs(path: Path, cap: int) -> dict:
 
 
 def cmd_evaluate(censors_path: Path, truth_path: Path) -> dict:
+    from . import simulate
     try:
         verdict_objs = json.loads(_read_text(censors_path, "censors"))
         truth_obj = json.loads(_read_text(truth_path, "ground truth"))
@@ -502,6 +504,7 @@ SIMULATION_FILES = (
 
 
 def cmd_simulate(params: simulate.SimParams, out_dir: Path, force: bool) -> None:
+    from . import simulate
     try:
         world = simulate.generate_world(params)
         records, truth = simulate.generate_measurements(world, params)

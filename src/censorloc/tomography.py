@@ -10,7 +10,6 @@ and the number of records that made it, as CnfInstance.source_paths.
 """
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Sequence
 
 from .ingest import window_id
@@ -156,6 +155,8 @@ def to_dimacs(instance: CnfInstance) -> str:
 
 
 def url_hash(url: str) -> str:
+    import hashlib  # only export-dimacs names files, so only it loads OpenSSL
+
     return hashlib.sha256(url.encode("utf-8")).hexdigest()[:12]
 
 

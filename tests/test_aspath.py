@@ -258,3 +258,18 @@ def test_each_distinct_traceroute_of_a_record_collapses_once(monkeypatch):
     dump = aspath.trace_inference(make_record(traceroutes=three), table)
     assert calls == list(three)
     assert [t["outcome"] for t in dump["traceroutes"]] == [{"path": [100, 200, 900]}] * 3
+
+
+def test_inference_failure_is_not_a_tuple():
+    """Consumers tell a path (a tuple) from a failure with isinstance."""
+    failure = InferenceFailure(InferenceRule.TRACEROUTE_ERROR, "traceroute incomplete or empty")
+    assert not isinstance(failure, tuple)
+    assert failure == InferenceFailure(
+        rule=InferenceRule.TRACEROUTE_ERROR, detail="traceroute incomplete or empty"
+    )
+    assert failure != InferenceFailure(InferenceRule.MAPPING_IMPOSSIBLE, failure.detail)
+    assert failure != (InferenceRule.TRACEROUTE_ERROR, "traceroute incomplete or empty")
+    assert len({failure, InferenceFailure(failure.rule, failure.detail)}) == 1
+    tr = make_traceroute("2.2.0.1", completed=False)
+    got = aspath.collapse_traceroute(tr, _fixture_table(), 100, 900)
+    assert got == failure and not isinstance(got, tuple)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,50 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with the package sources first on its path."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=False, env=env
+    )
+
+
+def test_cli_import_loads_no_dataclasses_hashlib_or_simulator():
+    """Every process imports censorloc.cli, so what it loads is paid by every
+    command; the simulator, dataclasses and OpenSSL serve only a few."""
+    unwanted = ("dataclasses", "inspect", "hashlib", "censorloc.simulate")
+    proc = _fresh_python(
+        "-S", "-c",
+        f"import censorloc.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_that_load_lazily_run_in_a_fresh_interpreter(tmp_path):
+    """simulate, evaluate and export-dimacs import what only they need inside
+    the command; in-process tests may already have loaded it, so each runs in
+    a new interpreter here."""
+
+    def cli(*args: str) -> subprocess.CompletedProcess:
+        proc = _fresh_python("-m", "censorloc.cli", *args)
+        assert proc.returncode == 0, (args[0], proc.stderr)
+        assert "internal error" not in proc.stderr
+        return proc
+
+    sim_dir = tmp_path / "sim"
+    cli(*SIM_ARGS, "--out", str(sim_dir))
+    assert sorted(p.name for p in sim_dir.iterdir()) == sorted(SIMULATION_FILES)
+    cli(*_localize_args(sim_dir, tmp_path / "loc"))
+    scorecard = cli("evaluate", "--censors", str(tmp_path / "loc" / "censors.json"),
+                    "--truth", str(sim_dir / "ground_truth.json"))
+    assert "overall" in json.loads(scorecard.stdout)
+    inputs = _localize_args(sim_dir, tmp_path / "cnfs")[1:]
+    cli("export-dimacs", *inputs)
+    files = sorted((tmp_path / "cnfs").iterdir())
+    assert files and all(f.suffix == ".cnf" for f in files)
 
 
 def test_package_imports_only_the_standard_library():

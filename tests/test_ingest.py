@@ -713,3 +713,20 @@ def test_ingest_summary_shape():
     }
     # keys are emitted sorted for stable output
     assert list(summary["skip_reasons"]) == ["a reason", "b reason"]
+
+
+def test_parse_reports_compare_by_value():
+    def report(*reasons, kept=0, warn=None):
+        r = ParseReport()
+        r.kept = kept
+        for reason in reasons:
+            r.skip(reason)
+        if warn:
+            r.warn(warn)
+        return r
+
+    assert report("a", "b", kept=2) == report("a", "b", kept=2)
+    assert report("a", kept=2) != report("a", kept=3)
+    assert report("a") != report("b")
+    assert report("a", warn="w") != report("a")
+    assert ParseReport() != (0, 0, {}, {})

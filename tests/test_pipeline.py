@@ -250,6 +250,41 @@ def test_infer_paths_solves_each_distinct_problem_once(monkeypatch):
     assert failures[InferenceRule.UNRESOLVABLE_GAP] > 0
 
 
+def test_infer_paths_equal_triples_built_apart_infer_alike(monkeypatch):
+    """The memo keys on the triple object that ingest shares between records;
+    records whose equal triples were built separately get the same outcome."""
+
+    def triple(*addrs):
+        tr = make_traceroute(*addrs)
+        return (tr, tr, tr)
+
+    shared = triple("2.2.0.1", "3.3.0.1", "9.9.0.1")
+    records = [
+        make_record(record_id="a", traceroutes=shared),
+        make_record(record_id="b", traceroutes=triple("2.2.0.1", "3.3.0.1", "9.9.0.1")),
+        make_record(record_id="c", traceroutes=shared),
+        make_record(record_id="d", traceroutes=triple("2.2.0.1", "*", "8.8.0.1")),
+        make_record(record_id="e", traceroutes=triple("2.2.0.1", "*", "8.8.0.1")),
+    ]
+    assert records[0].traceroutes == records[1].traceroutes
+    assert records[0].traceroutes is not records[1].traceroutes
+    calls = []
+
+    def counting(record, table):
+        calls.append(record.record_id)
+        return infer_as_path(record, table)
+
+    monkeypatch.setattr(pipeline, "infer_as_path", counting)
+    pairs, failures = pipeline.infer_paths(records, parse_pfx2as(PFX2AS)[0])
+    assert [(r.record_id, path) for r, path in pairs] == [
+        (name, (100, 200, 300, 900)) for name in "abc"
+    ]
+    assert failures[InferenceRule.UNRESOLVABLE_GAP] == 2
+    assert sum(failures.values()) == 2
+    # the record that shares a's triple object is answered from the memo
+    assert "c" not in calls
+
+
 def test_pipeline_classification_makes_no_sat_probes(monkeypatch):
     records, pfx2as = _noisy_corpus(3)
     pairs, _ = pipeline.infer_paths(records, parse_pfx2as(pfx2as)[0])
