@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 unexpected internal failure, 2 bad inputs or bad
-output destination. All subcommands are offline batch jobs over local files.
+output destination: one ``InputError`` (``model.py``), which the readers'
+``IngestError`` and the simulator's ``SimulationError`` extend. All
+subcommands are offline batch jobs over local files.
 """
 from __future__ import annotations
 
@@ -22,23 +24,13 @@ if TYPE_CHECKING:
 def _granularity_list(values: list[str] | None) -> tuple[TimeGranularity, ...]:
     if not values:
         return pipeline.ALL_GRANULARITIES
-    out: list[TimeGranularity] = []
-    for v in values:
-        g = TimeGranularity(v)
-        if g not in out:
-            out.append(g)
-    return tuple(sorted(out, key=lambda g: g.sort_index))
+    return tuple(g for g in TimeGranularity if g.value in values)
 
 
 def _anomaly_list(values: list[str] | None) -> tuple[AnomalyType, ...] | None:
     if not values:
         return None
-    out: list[AnomalyType] = []
-    for v in values:
-        a = AnomalyType.parse(v)
-        if a not in out:
-            out.append(a)
-    return tuple(out)
+    return tuple(dict.fromkeys(AnomalyType.parse(v) for v in values))
 
 
 def _add_input_args(p: argparse.ArgumentParser, need_meta: bool = False) -> None:
@@ -51,12 +43,12 @@ def _add_input_args(p: argparse.ArgumentParser, need_meta: bool = False) -> None
     p.add_argument("--out", required=True, type=Path, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing output files")
-
-
-def _add_analysis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--granularity", action="append", metavar="G",
                    choices=[g.value for g in TimeGranularity],
                    help="time granularity to bucket by (repeatable; default all)")
+
+
+def _add_analysis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--anomaly", action="append", metavar="A",
                    choices=[a.value for a in AnomalyType],
                    help="keep only these anomaly categories (repeatable)")
@@ -99,24 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate a synthetic measurement corpus")
+    # a simulation flag that is not given is left out of the namespace, so
+    # simulate.SimParams alone holds the defaults
+    p = sub.add_parser("simulate", help="generate a synthetic measurement corpus",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, type=Path, help="output directory")
-    p.add_argument("--force", action="store_true", help="overwrite existing output files")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--n-ases", type=int, default=20)
-    p.add_argument("--n-vantage", type=int, default=3)
-    p.add_argument("--n-urls", type=int, default=5)
-    p.add_argument("--n-censors", type=int, default=1)
-    p.add_argument("--path-pool-size", type=int, default=3)
-    p.add_argument("--churn-prob", type=float, default=0.2)
-    p.add_argument("--noise-prob", type=float, default=0.0)
-    p.add_argument("--nonresponsive-prob", type=float, default=0.0)
-    p.add_argument("--days", type=int, default=30)
-    p.add_argument("--start-date", type=str, default=None, metavar="YYYY-MM-DD")
-    p.add_argument("--active-days", type=int, nargs=2, default=None,
+    p.add_argument("--force", action="store_true", default=False,
+                   help="overwrite existing output files")
+    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.add_argument("--n-ases", type=int)
+    p.add_argument("--n-vantage", type=int)
+    p.add_argument("--n-urls", type=int)
+    p.add_argument("--n-censors", type=int)
+    p.add_argument("--path-pool-size", type=int)
+    p.add_argument("--churn-prob", type=float)
+    p.add_argument("--noise-prob", type=float)
+    p.add_argument("--nonresponsive-prob", type=float)
+    p.add_argument("--days", type=int)
+    p.add_argument("--start-date", metavar="YYYY-MM-DD")
+    p.add_argument("--active-days", type=int, nargs=2, dest="active_day_range",
                    metavar=("FIRST", "LAST"),
                    help="day range (1-based, inclusive) when censors act")
-    p.add_argument("--anomaly", action="append", metavar="A",
+    p.add_argument("--anomaly", action="append", dest="anomalies", metavar="A",
                    choices=[a.value for a in AnomalyType],
                    help="anomaly categories to simulate (repeatable; default all)")
 
@@ -132,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("churn", help="quantify AS-path churn per vantage/destination")
     _add_input_args(p)
-    p.add_argument("--granularity", action="append", metavar="G",
-                   choices=[g.value for g in TimeGranularity],
-                   help="time granularity to bucket by (repeatable; default all)")
 
     p = sub.add_parser("solve-dimacs", help="solve a single DIMACS CNF file")
     p.add_argument("cnf", type=Path, help="DIMACS CNF file")
@@ -152,33 +145,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sim_params_from_args(args: argparse.Namespace) -> simulate.SimParams:
     from . import simulate
-    kwargs: dict = dict(
-        seed=args.seed,
-        n_ases=args.n_ases,
-        n_vantage=args.n_vantage,
-        n_urls=args.n_urls,
-        n_censors=args.n_censors,
-        path_pool_size=args.path_pool_size,
-        churn_prob=args.churn_prob,
-        noise_prob=args.noise_prob,
-        nonresponsive_prob=args.nonresponsive_prob,
-        days=args.days,
-    )
-    if args.anomaly:
-        kwargs["anomalies"] = _anomaly_list(args.anomaly)
-    if args.active_days is not None:
-        kwargs["active_day_range"] = (args.active_days[0], args.active_days[1])
-    if args.start_date is not None:
+    kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "out", "force")}
+    if "anomalies" in kwargs:
+        kwargs["anomalies"] = _anomaly_list(kwargs["anomalies"])
+    if "active_day_range" in kwargs:
+        kwargs["active_day_range"] = tuple(kwargs["active_day_range"])
+    if "start_date" in kwargs:
         try:
             kwargs["start_date"] = date.fromisoformat(args.start_date)
         except ValueError:
             raise pipeline.InputError(
                 f"--start-date must be YYYY-MM-DD, got {args.start_date!r}"
             ) from None
-    try:
-        return simulate.SimParams(**kwargs)
-    except simulate.SimulationError as exc:
-        raise pipeline.InputError(str(exc)) from None
+    return simulate.SimParams(**kwargs)
+
+
+_ANALYSIS_COMMANDS = {
+    "localize": pipeline.cmd_localize,
+    "leak": pipeline.cmd_leak,
+    "ablate": pipeline.cmd_ablate,
+    "export-dimacs": pipeline.cmd_export_dimacs,
+}
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -210,16 +197,8 @@ def _run(args: argparse.Namespace) -> int:
             force=args.force,
         )
         warnings = pipeline.cmd_churn(cfg)
-    elif args.command == "localize":
-        warnings = pipeline.cmd_localize(_config_from_args(args))
-    elif args.command == "leak":
-        warnings = pipeline.cmd_leak(_config_from_args(args))
-    elif args.command == "ablate":
-        warnings = pipeline.cmd_ablate(_config_from_args(args))
-    elif args.command == "export-dimacs":
-        warnings = pipeline.cmd_export_dimacs(_config_from_args(args))
-    else:  # pragma: no cover - argparse enforces the choices
-        raise AssertionError(f"unknown command {args.command}")
+    else:
+        warnings = _ANALYSIS_COMMANDS[args.command](_config_from_args(args))
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0

@@ -24,6 +24,7 @@ from .model import (
     TRACEROUTES_PER_RECORD,
     AnomalyType,
     Hop,
+    InputError,
     MeasurementRecord,
     TimeGranularity,
     Traceroute,
@@ -32,7 +33,7 @@ from .model import (
 )
 
 
-class IngestError(Exception):
+class IngestError(InputError):
     """Raised when an input is unusable as a whole (not a per-line problem)."""
 
 

@@ -17,6 +17,10 @@ re-checks it on construction:
   ``tomography.build_clause`` / ``build_cnf`` and ``analysis.detect_leakage``.
 - ``SolutionSummary`` comes from ``solver.classify``, whose status, capped
   count and backbone ``solver._solve`` fixes together.
+
+Bad input of any kind raises ``InputError``, which the CLI turns into exit
+code 2; ``ingest.IngestError`` and ``simulate.SimulationError`` extend it, so
+no stage re-wraps a reader's or the simulator's error.
 """
 from __future__ import annotations
 
@@ -28,6 +32,10 @@ MIN_ASN = 1
 MAX_ASN = 2**32 - 1
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+
+class InputError(Exception):
+    """A problem with the run's inputs or output destination (exit code 2)."""
 
 
 class AnomalyType(str, Enum):

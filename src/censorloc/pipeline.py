@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 from . import analysis, solver, tomography
 from .aspath import InferenceFailure, InferenceRule, infer_as_path, trace_inference
 from .ingest import (
-    IngestError,
     ParseReport,
     PrefixTable,
     ingest_summary_obj,
@@ -30,6 +29,7 @@ from .model import (
     BucketKey,
     CensorVerdict,
     CnfInstance,
+    InputError,
     MeasurementRecord,
     SolutionSummary,
     TimeGranularity,
@@ -39,10 +39,6 @@ if TYPE_CHECKING:
     from . import simulate
 
 ALL_GRANULARITIES = tuple(TimeGranularity)
-
-
-class InputError(Exception):
-    """A problem with the run's inputs or output destination (exit code 2)."""
 
 
 class RunConfig(NamedTuple):
@@ -91,15 +87,10 @@ class LoadedInputs(NamedTuple):
 
 def load_inputs(cfg: RunConfig) -> LoadedInputs:
     registry = registry_report = None
-    try:
-        table, table_report = parse_pfx2as(_read_text(cfg.pfx2as, "prefix table"))
-        if cfg.as_meta is not None:
-            registry, registry_report = parse_as_metadata(
-                _read_text(cfg.as_meta, "AS metadata")
-            )
-        records, measurement_report = _read_measurements(cfg.measurements, table)
-    except IngestError as exc:
-        raise InputError(str(exc)) from None
+    table, table_report = parse_pfx2as(_read_text(cfg.pfx2as, "prefix table"))
+    if cfg.as_meta is not None:
+        registry, registry_report = parse_as_metadata(_read_text(cfg.as_meta, "AS metadata"))
+    records, measurement_report = _read_measurements(cfg.measurements, table)
     warnings = []
     if cfg.anomalies is not None:
         wanted = set(cfg.anomalies)
@@ -171,12 +162,19 @@ class LocalizeResult(NamedTuple):
     rows_anomaly: list[dict]
 
 
-def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
+def _inferred(
+    cfg: RunConfig,
+) -> tuple[LoadedInputs, list[tuple[MeasurementRecord, AsPath]], dict[InferenceRule, int]]:
     loaded = load_inputs(cfg)
     pairs, failures = infer_paths(loaded.records, loaded.table)
     # what ingest and inference made lives to the end of the run: frozen, it
-    # is left out of the collections that the CNF build sets off
+    # is left out of the collections that the later stages set off
     gc.freeze()
+    return loaded, pairs, failures
+
+
+def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
+    loaded, pairs, failures = _inferred(cfg)
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
     summaries = solve_instances(instances, cfg.model_cap)
     verdicts = analysis.identify_censors(summaries)
@@ -391,11 +389,13 @@ def write_churn_outputs(
 # command bodies (CLI argument handling lives in cli.py)
 
 
-def _out_files(cfg: RunConfig, *extra: str) -> tuple[str, ...]:
-    # what a localize-based command writes: the localize set, its own files,
-    # then the trace when asked for
+def _write_localize(cfg: RunConfig, result: LocalizeResult, *extra: str) -> Path:
+    # claims the localize set, the command's own files, then the trace when
+    # asked for; the command writes its own files into the returned directory
     trace = ("inference_trace.jsonl",) if cfg.debug_trace else ()
-    return LOCALIZE_FILES + extra + trace
+    out_dir = prepare_out_dir(cfg.out_dir, LOCALIZE_FILES + extra + trace, cfg.force)
+    write_localize_outputs(cfg, result, out_dir)
+    return out_dir
 
 
 def _warnings(
@@ -409,8 +409,7 @@ def _warnings(
 
 def cmd_localize(cfg: RunConfig) -> list[str]:
     result = run_localize_stages(cfg)
-    out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg), cfg.force)
-    write_localize_outputs(cfg, result, out_dir)
+    _write_localize(cfg, result)
     return _warnings(result.loaded, result.pairs)
 
 
@@ -421,15 +420,12 @@ def cmd_leak(cfg: RunConfig) -> list[str]:
     report = analysis.detect_leakage(
         list(zip(result.instances, result.summaries)), result.loaded.registry
     )
-    out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg, "leakage.json"), cfg.force)
-    write_localize_outputs(cfg, result, out_dir)
-    write_leakage_output(out_dir, report)
+    write_leakage_output(_write_localize(cfg, result, "leakage.json"), report)
     return _warnings(result.loaded, result.pairs)
 
 
 def cmd_churn(cfg: RunConfig) -> list[str]:
-    loaded = load_inputs(cfg)
-    pairs, _failures = infer_paths(loaded.records, loaded.table)
+    loaded, pairs, _failures = _inferred(cfg)
     observations = [
         (record.vantage_asn, path[-1], record.timestamp, path)
         for record, path in pairs
@@ -449,16 +445,13 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
     ablated_summaries = solve_instances(ablated_instances, cfg.model_cap)
     ablated_rows = analysis.solution_rows_by_granularity(ablated_summaries, cfg.model_cap)
     ablated_name = "ablated_solutions_by_granularity.csv"
-    out_dir = prepare_out_dir(cfg.out_dir, _out_files(cfg, ablated_name), cfg.force)
-    write_localize_outputs(cfg, result, out_dir)
+    out_dir = _write_localize(cfg, result, ablated_name)
     _write_solutions(out_dir / ablated_name, ablated_rows, "granularity")
     return _warnings(result.loaded, result.pairs)
 
 
 def cmd_export_dimacs(cfg: RunConfig) -> list[str]:
-    loaded = load_inputs(cfg)
-    pairs, _failures = infer_paths(loaded.records, loaded.table)
-    gc.freeze()  # as in run_localize_stages
+    loaded, pairs, _failures = _inferred(cfg)
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
     filenames = [tomography.dimacs_filename(inst.key) for inst in instances]
     out_dir = prepare_out_dir(cfg.out_dir, filenames, cfg.force)
@@ -505,11 +498,8 @@ SIMULATION_FILES = (
 
 def cmd_simulate(params: simulate.SimParams, out_dir: Path, force: bool) -> None:
     from . import simulate
-    try:
-        world = simulate.generate_world(params)
-        records, truth = simulate.generate_measurements(world, params)
-    except simulate.SimulationError as exc:
-        raise InputError(str(exc)) from None
+    world = simulate.generate_world(params)
+    records, truth = simulate.generate_measurements(world, params)
     out = prepare_out_dir(out_dir, SIMULATION_FILES, force)
     (out / "measurements.jsonl").write_text(
         simulate.measurements_jsonl(records), encoding="utf-8"

@@ -26,6 +26,7 @@ from .model import (
     AnomalyType,
     CensorClass,
     CensorVerdict,
+    InputError,
     format_timestamp,
     validate_asn,
 )
@@ -38,7 +39,7 @@ _BASE_ASN = 1001
 _MEASUREMENT_STREAM_SALT = 0x5DEECE66D
 
 
-class SimulationError(Exception):
+class SimulationError(InputError):
     """Raised when a world cannot be built from the given parameters."""
 
 

@@ -6,13 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 from _helpers import structured_dimacs
-from censorloc import __version__, solver
+from censorloc import __version__, pipeline, simulate, solver
 from censorloc.cli import main
+from censorloc.ingest import parse_as_metadata, parse_pfx2as
+from censorloc.model import InputError
 from censorloc.pipeline import LOCALIZE_FILES, SIMULATION_FILES
 
 SIM_ARGS = [
@@ -222,6 +225,76 @@ def test_simulate_out_under_a_file_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create output directory")
     assert "internal error" not in err
+
+
+def _simulated_files(sim_dir: Path) -> dict[str, bytes]:
+    return {name: (sim_dir / name).read_bytes() for name in SIMULATION_FILES}
+
+
+def test_simulate_defaults_are_sim_params_defaults(tmp_path):
+    assert main(["simulate", "--out", str(tmp_path / "cli")]) == 0
+    pipeline.cmd_simulate(simulate.SimParams(), tmp_path / "direct", False)
+    assert _simulated_files(tmp_path / "cli") == _simulated_files(tmp_path / "direct")
+
+
+def test_simulate_repeated_anomaly_counts_once(tmp_path):
+    assert main(["simulate", "--anomaly", "dns", "--out", str(tmp_path / "once")]) == 0
+    assert main(["simulate", "--anomaly", "dns", "--anomaly", "dns",
+                 "--out", str(tmp_path / "twice")]) == 0
+    assert _simulated_files(tmp_path / "twice") == _simulated_files(tmp_path / "once")
+
+
+def _raised_message(call, *args, **kwargs) -> str:
+    with pytest.raises(InputError) as exc:
+        call(*args, **kwargs)
+    return str(exc.value)
+
+
+def _empty_prefix_table(tmp_path):
+    sim_dir = _simulate(tmp_path)
+    (sim_dir / "pfx2as.tsv").write_text("")
+    return _localize_args(sim_dir, tmp_path / "out"), _raised_message(parse_pfx2as, "")
+
+
+def _bad_as_metadata_header(tmp_path):
+    sim_dir = _simulate(tmp_path)
+    text = f"asn,country,{'x' * 131_073}\n100,US,X\n"
+    (sim_dir / "as_metadata.csv").write_text(text)
+    argv = ["leak", *_localize_args(sim_dir, tmp_path / "out")[1:],
+            "--as-meta", str(sim_dir / "as_metadata.csv")]
+    return argv, _raised_message(parse_as_metadata, text)
+
+
+def _impossible_topology(tmp_path):
+    flags = dict(n_ases=5, n_vantage=2, n_urls=2, n_censors=1)
+    argv = ["simulate", "--out", str(tmp_path / "s"), "--n-ases", "5", "--n-vantage", "2",
+            "--n-urls", "2", "--n-censors", "1"]
+    return argv, _raised_message(simulate.generate_world, simulate.SimParams(**flags))
+
+
+def _start_date_past_year_9999(tmp_path):
+    argv = ["simulate", "--out", str(tmp_path / "s"), "--start-date", "9999-12-31",
+            "--days", "2"]
+    return argv, _raised_message(simulate.SimParams, start_date=date(9999, 12, 31), days=2)
+
+
+def _start_date_not_a_date(tmp_path):
+    argv = ["simulate", "--out", str(tmp_path / "s"), "--start-date", "2016-02-30"]
+    return argv, "--start-date must be YYYY-MM-DD, got '2016-02-30'"
+
+
+@pytest.mark.parametrize("case", [
+    _empty_prefix_table,
+    _bad_as_metadata_header,
+    _impossible_topology,
+    _start_date_past_year_9999,
+    _start_date_not_a_date,
+], ids=lambda case: case.__name__.strip("_"))
+def test_bad_input_exits_two_with_its_own_message(tmp_path, capsys, case):
+    argv, message = case(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_localize_end_to_end(tmp_path):

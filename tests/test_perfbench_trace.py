@@ -2,10 +2,13 @@
 
 ``perfbench/child.py trace`` wraps public functions of the pipeline and the
 solver by name and reads their arguments and results; a renamed function or
-a changed signature breaks it without failing any other test.
+a changed signature breaks it without failing any other test. The harness,
+``perfbench/run.py``, also calls a few censorloc names while it sets up.
 """
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -72,3 +75,36 @@ def test_trace_of_a_dimacs_batch_counts_both_solver_paths(tmp_path):
     assert metrics["solver.general_instances"] == 1
     # every instance solved rather than recording an error
     assert all(isinstance(verdict, dict) for _, _, verdict in json.loads(result_file.read_text()))
+
+
+def test_tracer_installs_over_every_name_it_wraps():
+    # install() reads each wrapped name with getattr; run it in a child, so
+    # that the wrappers stay out of this process's modules
+    code = "import child; child.install(child.Tracer())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_censorloc_name_the_harness_reads_exists():
+    # run.py imports censorloc modules inside its functions and reads names
+    # on them; a name gone from src/ would stop a workload at set-up
+    tree = ast.parse((REPO_ROOT / "perfbench" / "run.py").read_text())
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "censorloc"
+        for alias in node.names
+    }
+    reads = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert reads, "found no censorloc name read by perfbench/run.py"
+    for module, name in sorted(reads):
+        assert hasattr(importlib.import_module(f"censorloc.{module}"), name), \
+            f"perfbench/run.py reads censorloc.{module}.{name}, which does not exist"
