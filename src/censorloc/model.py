@@ -84,12 +84,8 @@ class TimeGranularity(str, Enum):
         return _GRANULARITY_ORDER[self]
 
 
-_GRANULARITY_ORDER = {
-    TimeGranularity.DAY: 0,
-    TimeGranularity.WEEK: 1,
-    TimeGranularity.MONTH: 2,
-    TimeGranularity.YEAR: 3,
-}
+# fine to coarse, as declared
+_GRANULARITY_ORDER = {g: i for i, g in enumerate(TimeGranularity)}
 
 
 def validate_asn(asn: Any, what: str = "asn") -> int:

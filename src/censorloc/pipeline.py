@@ -213,7 +213,11 @@ def prepare_out_dir(out_dir: Path, filenames: Sequence[str], force: bool) -> Pat
 
 
 def write_json(path: Path, obj: Any) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # indent selects json's pure-Python encoder, so dump writes the bytes
+    # that dumps would return, a piece at a time
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(obj, out, indent=2, sort_keys=True)
+        out.write("\n")
 
 
 def write_censors(path: Path, verdicts: Sequence[CensorVerdict]) -> None:
@@ -499,11 +503,14 @@ SIMULATION_FILES = (
 def cmd_simulate(params: simulate.SimParams, out_dir: Path, force: bool) -> None:
     from . import simulate
     world = simulate.generate_world(params)
-    records, truth = simulate.generate_measurements(world, params)
     out = prepare_out_dir(out_dir, SIMULATION_FILES, force)
-    (out / "measurements.jsonl").write_text(
-        simulate.measurements_jsonl(records), encoding="utf-8"
-    )
+    # each record is written as it is drawn; only its id and path are kept
+    path_log = {}
+    with open(out / "measurements.jsonl", "w", encoding="utf-8") as lines:
+        for record, path in simulate.generate_measurements(world, params):
+            lines.write(json.dumps(record, sort_keys=True) + "\n")
+            path_log[record["record_id"]] = path
     (out / "pfx2as.tsv").write_text(simulate.pfx2as_text(world), encoding="utf-8")
     (out / "as_metadata.csv").write_text(simulate.as_metadata_text(world), encoding="utf-8")
+    truth = simulate.ground_truth(world, path_log)
     write_json(out / "ground_truth.json", simulate.ground_truth_obj(truth))

@@ -15,12 +15,11 @@ counter-evidence.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time, timezone
-from typing import Any, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .model import (
     AnomalyType,
@@ -82,20 +81,13 @@ class SimParams:
                 raise SimulationError("active_day_range must satisfy 1 <= lo <= hi <= days")
 
 
-@dataclass(frozen=True)
-class AsSpec:
+class AsSpec(NamedTuple):
     asn: int
-    prefix: str  # "a.b.0.0" with an implied /16
+    octets: tuple[int, int]  # the AS owns a.b.0.0/16
     country: str
 
-    @property
-    def octets(self) -> tuple[int, int]:
-        parts = self.prefix.split(".")
-        return int(parts[0]), int(parts[1])
 
-
-@dataclass(frozen=True)
-class CensorPolicy:
+class CensorPolicy(NamedTuple):
     asn: int
     anomaly: AnomalyType
     urls: frozenset[str]
@@ -126,8 +118,7 @@ class CensorPolicy:
         )
 
 
-@dataclass(frozen=True)
-class SyntheticWorld:
+class SyntheticWorld(NamedTuple):
     ases: tuple[AsSpec, ...]
     vantage_asns: tuple[int, ...]
     urls: tuple[str, ...]
@@ -137,18 +128,11 @@ class SyntheticWorld:
     pools: dict[tuple[int, str], tuple[tuple[int, ...], ...]]
     censors: tuple[CensorPolicy, ...]
 
-    def as_spec(self, asn: int) -> AsSpec:
-        return self._by_asn[asn]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_asn", {a.asn: a for a in self.ases})
-
-
-@dataclass
-class GroundTruth:
+class GroundTruth(NamedTuple):
     censors: tuple[CensorPolicy, ...]
     countries: dict[int, str]
-    path_log: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    path_log: dict[str, tuple[int, ...]]  # record id -> true AS path
 
 
 def generate_world(params: SimParams) -> SyntheticWorld:
@@ -165,18 +149,13 @@ def generate_world(params: SimParams) -> SyntheticWorld:
             f"{params.n_urls} destination ASes; need at least 2"
         )
 
-    ases = []
     countries = [rng.choice(_COUNTRY_POOL) for _ in range(params.n_ases)]
     if params.n_ases >= 2 and len(set(countries)) < 2:
         countries[1] = next(c for c in _COUNTRY_POOL if c != countries[0])
-    for i in range(params.n_ases):
-        ases.append(
-            AsSpec(
-                asn=_BASE_ASN + i,
-                prefix=f"{101 + i // 256}.{i % 256}.0.0",
-                country=countries[i],
-            )
-        )
+    ases = tuple(
+        AsSpec(_BASE_ASN + i, (101 + i // 256, i % 256), country)
+        for i, country in enumerate(countries)
+    )
     by_asn = {a.asn: a for a in ases}
 
     shuffled = [a.asn for a in ases]
@@ -254,7 +233,7 @@ def generate_world(params: SimParams) -> SyntheticWorld:
     policies.sort(key=lambda p: (p.asn, p.anomaly.value))
 
     return SyntheticWorld(
-        ases=tuple(ases),
+        ases=ases,
         vantage_asns=vantage,
         urls=urls,
         url_dst=url_dst,
@@ -267,7 +246,7 @@ def generate_world(params: SimParams) -> SyntheticWorld:
 
 def _synth_traceroute(
     rng: random.Random,
-    world: SyntheticWorld,
+    octets: dict[int, tuple[int, int]],
     path: tuple[int, ...],
     dst_ip: str,
     nonresponsive_prob: float,
@@ -275,7 +254,7 @@ def _synth_traceroute(
     hops: list[dict[str, Any]] = []
     ttl = 0
     for asn in path:
-        o1, o2 = world.as_spec(asn).octets
+        o1, o2 = octets[asn]
         for _ in range(rng.randint(1, 2)):
             ttl += 1
             hops.append({"ttl": ttl, "addr": f"{o1}.{o2}.{rng.randint(0, 255)}.{rng.randint(1, 254)}"})
@@ -289,8 +268,9 @@ def _synth_traceroute(
 
 def generate_measurements(
     world: SyntheticWorld, params: SimParams
-) -> tuple[list[dict[str, Any]], GroundTruth]:
-    """Emit measurement records (ingest JSONL schema) plus the ground truth.
+) -> Iterator[tuple[dict[str, Any], tuple[int, ...]]]:
+    """Yield each measurement record (ingest JSONL schema) with its true path,
+    in record-id order, as it is drawn.
 
     Day 1 always rides the primary route. On later days each (vantage, url)
     pair deviates onto a random alternate with churn_prob, otherwise it is
@@ -305,11 +285,7 @@ def generate_measurements(
         for url in policy.urls:
             by_url_anomaly.setdefault((url, policy.anomaly), []).append(policy)
 
-    records: list[dict[str, Any]] = []
-    truth = GroundTruth(
-        censors=world.censors,
-        countries={a.asn: a.country for a in world.ases},
-    )
+    octets = {a.asn: a.octets for a in world.ases}
     counter = 0
     for day in range(1, params.days + 1):
         stamp = format_timestamp(
@@ -329,7 +305,7 @@ def generate_measurements(
                 else:
                     path = pool[0]
                 traceroute = _synth_traceroute(
-                    rng, world, path, world.url_dst_ip[url], params.nonresponsive_prob
+                    rng, octets, path, world.url_dst_ip[url], params.nonresponsive_prob
                 )
                 for anomaly in params.anomalies:
                     censored = any(
@@ -337,34 +313,29 @@ def generate_measurements(
                         for policy in by_url_anomaly.get((url, anomaly), ())
                     )
                     detected = censored ^ (rng.random() < params.noise_prob)
-                    record_id = f"r{counter:07d}"
+                    yield {
+                        "record_id": f"r{counter:07d}",
+                        "vantage_asn": v,
+                        "url": url,
+                        "dst_ip": world.url_dst_ip[url],
+                        "anomaly": anomaly.value,
+                        "detected": detected,
+                        "timestamp": stamp,
+                        "traceroutes": [traceroute, traceroute, traceroute],
+                    }, path
                     counter += 1
-                    records.append(
-                        {
-                            "record_id": record_id,
-                            "vantage_asn": v,
-                            "url": url,
-                            "dst_ip": world.url_dst_ip[url],
-                            "anomaly": anomaly.value,
-                            "detected": detected,
-                            "timestamp": stamp,
-                            "traceroutes": [traceroute, traceroute, traceroute],
-                        }
-                    )
-                    truth.path_log[record_id] = path
-    return records, truth
+
+
+def ground_truth(world: SyntheticWorld, path_log: dict[str, tuple[int, ...]]) -> GroundTruth:
+    return GroundTruth(world.censors, {a.asn: a.country for a in world.ases}, path_log)
 
 
 # ---------------------------------------------------------------------------
 # serialization of simulator outputs
 
 
-def measurements_jsonl(records: Sequence[dict[str, Any]]) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-
-
 def pfx2as_text(world: SyntheticWorld) -> str:
-    return "".join(f"{a.prefix}\t16\t{a.asn}\n" for a in world.ases)
+    return "".join(f"{a.octets[0]}.{a.octets[1]}.0.0\t16\t{a.asn}\n" for a in world.ases)
 
 
 def as_metadata_text(world: SyntheticWorld) -> str:
@@ -378,7 +349,7 @@ def ground_truth_obj(truth: GroundTruth) -> dict[str, Any]:
     return {
         "censors": [c.to_json_obj() for c in truth.censors],
         "countries": {str(asn): cc for asn, cc in sorted(truth.countries.items())},
-        "paths": {rid: list(path) for rid, path in sorted(truth.path_log.items())},
+        "paths": truth.path_log,  # json's sort_keys orders it
     }
 
 

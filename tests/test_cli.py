@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 from _helpers import structured_dimacs
 from censorloc import __version__, pipeline, simulate, solver
-from censorloc.cli import main
+from censorloc.cli import build_parser, main
 from censorloc.ingest import parse_as_metadata, parse_pfx2as
 from censorloc.model import InputError
 from censorloc.pipeline import LOCALIZE_FILES, SIMULATION_FILES
@@ -229,6 +230,69 @@ def test_simulate_out_under_a_file_exits_two(tmp_path, capsys):
 
 def _simulated_files(sim_dir: Path) -> dict[str, bytes]:
     return {name: (sim_dir / name).read_bytes() for name in SIMULATION_FILES}
+
+
+# sha256 of each file of one small corpus with noise, non-responsive hops,
+# churn, a censor window, a year boundary and two anomalies: a reordered RNG
+# draw or any other changed byte shows here
+PINNED_SIMULATION = {
+    "measurements.jsonl": "91810a928d85fd9315741eea2e0e113edc4854ff907b31bcb2e23514866da157",
+    "pfx2as.tsv": "774cb1bf7d470c7b1cbb01b3ab6a342544f40516705225ae2d610e46c43c45b1",
+    "as_metadata.csv": "d6b9ff5f6c91a658a4c6934d8986753f62695b848c836ce0518ab751221df253",
+    "ground_truth.json": "0e7dd6908b7468ee8d213ae2e37c027d8bf7009d583860e4dad20c4aabde7e8f",
+}
+
+
+def test_simulate_bytes_are_pinned(tmp_path):
+    argv = ["simulate", "--seed", "5", "--n-ases", "16", "--n-vantage", "3", "--n-urls", "4",
+            "--n-censors", "2", "--days", "6", "--churn-prob", "0.5", "--noise-prob", "0.05",
+            "--nonresponsive-prob", "0.2", "--active-days", "2", "5",
+            "--start-date", "2017-12-29", "--anomaly", "reset", "--anomaly", "dns"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in _simulated_files(tmp_path).items()}
+    assert digests == PINNED_SIMULATION
+
+
+def test_refused_simulate_rerun_draws_no_record(tmp_path, monkeypatch):
+    sim_dir = _simulate(tmp_path)
+
+    def draw(*args):
+        raise AssertionError("a refused rerun drew records")
+
+    monkeypatch.setattr(simulate, "generate_measurements", draw)
+    message = _raised_message(pipeline.cmd_simulate, simulate.SimParams(), sim_dir, False)
+    assert message == (f"output file measurements.jsonl already exists in {sim_dir}; "
+                       "pass --force to overwrite")
+
+
+ACCEPTANCE_SHAPE = ["--seed", "0", "--n-ases", "50", "--n-vantage", "10", "--n-urls", "20",
+                    "--n-censors", "3", "--path-pool-size", "4", "--churn-prob", "0.3"]
+# A child's ru_maxrss starts at the resident size of the process that forked
+# it, so simulate is started from a small interpreter, not from this one.
+_SIMULATE_PEAK = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "censorloc.cli", "simulate", *sys.argv[1:]])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_simulate_memory_does_not_grow_with_the_corpus(tmp_path):
+    peaks = []
+    for days in ("10", "40"):
+        proc = _fresh_python("-c", _SIMULATE_PEAK, "--out", str(tmp_path / days),
+                             "--days", days, *ACCEPTANCE_SHAPE)
+        code, peak_kb = proc.stdout.split()
+        assert code == "0", proc.stderr
+        peaks.append(int(peak_kb) / 1024)
+    assert peaks[1] - peaks[0] < 30, peaks
+
+
+def test_simulate_seed_help_names_the_sim_params_default():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    seed = next(a for a in commands.choices["simulate"]._actions if a.dest == "seed")
+    assert seed.help == f"RNG seed (default {simulate.SimParams().seed})"
 
 
 def test_simulate_defaults_are_sim_params_defaults(tmp_path):

@@ -45,6 +45,7 @@ def test_granularity_sort_order_is_fine_to_coarse():
         TimeGranularity.MONTH,
         TimeGranularity.YEAR,
     ]
+    assert order == list(TimeGranularity)
 
 
 def test_validate_asn_bounds():

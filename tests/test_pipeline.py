@@ -207,8 +207,9 @@ def _noisy_corpus(seed: int) -> tuple[list, str]:
         churn_prob=0.3, noise_prob=0.05, nonresponsive_prob=0.1,
     )
     world = simulate.generate_world(params)
-    rows, _ = simulate.generate_measurements(world, params)
-    records, _ = parse_measurements(io.StringIO(simulate.measurements_jsonl(rows)))
+    lines = [json.dumps(row, sort_keys=True) + "\n"
+             for row, _ in simulate.generate_measurements(world, params)]
+    records, _ = parse_measurements(lines)
     return records, simulate.pfx2as_text(world)
 
 

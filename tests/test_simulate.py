@@ -15,9 +15,9 @@ from censorloc.simulate import (
     evaluate,
     generate_measurements,
     generate_world,
+    ground_truth,
     ground_truth_from_obj,
     ground_truth_obj,
-    measurements_jsonl,
     pfx2as_text,
 )
 
@@ -27,6 +27,13 @@ SMALL = dict(seed=7, n_ases=14, n_vantage=3, n_urls=3, n_censors=1, days=5)
 def _small_params(**overrides) -> SimParams:
     merged = {**SMALL, **overrides}
     return SimParams(**merged)
+
+
+def _measure(world, params):
+    """The generated records as a list, and the ground truth they log."""
+    drawn = list(generate_measurements(world, params))
+    path_log = {record["record_id"]: path for record, path in drawn}
+    return [record for record, _ in drawn], ground_truth(world, path_log)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +159,9 @@ def test_generation_is_deterministic():
     params = _small_params()
     world_a = generate_world(params)
     world_b = generate_world(params)
-    records_a, truth_a = generate_measurements(world_a, params)
-    records_b, truth_b = generate_measurements(world_b, params)
-    assert measurements_jsonl(records_a) == measurements_jsonl(records_b)
+    records_a, truth_a = _measure(world_a, params)
+    records_b, truth_b = _measure(world_b, params)
+    assert records_a == records_b
     assert pfx2as_text(world_a) == pfx2as_text(world_b)
     assert as_metadata_text(world_a) == as_metadata_text(world_b)
     assert ground_truth_obj(truth_a) == ground_truth_obj(truth_b)
@@ -163,15 +170,15 @@ def test_generation_is_deterministic():
 def test_seed_changes_the_output():
     params_a = _small_params(seed=1)
     params_b = _small_params(seed=2)
-    records_a, _ = generate_measurements(generate_world(params_a), params_a)
-    records_b, _ = generate_measurements(generate_world(params_b), params_b)
-    assert measurements_jsonl(records_a) != measurements_jsonl(records_b)
+    records_a, _ = _measure(generate_world(params_a), params_a)
+    records_b, _ = _measure(generate_world(params_b), params_b)
+    assert records_a != records_b
 
 
 def test_record_count_and_schema():
     params = _small_params()
     world = generate_world(params)
-    records, truth = generate_measurements(world, params)
+    records, truth = _measure(world, params)
     measured = sum(len(world.url_vantages[url]) for url in world.urls)
     assert len(records) == params.days * measured * len(params.anomalies)
     assert len({r["record_id"] for r in records}) == len(records)
@@ -184,7 +191,7 @@ def test_record_count_and_schema():
 def test_zero_churn_keeps_every_pair_on_its_primary():
     params = _small_params(churn_prob=0.0, path_pool_size=3)
     world = generate_world(params)
-    _, truth = generate_measurements(world, params)
+    _, truth = _measure(world, params)
     paths_per_pair: dict[tuple[int, str], set] = {}
     for record_id, path in truth.path_log.items():
         paths_per_pair.setdefault((path[0], path[-1]), set()).add(path)
@@ -194,7 +201,7 @@ def test_zero_churn_keeps_every_pair_on_its_primary():
 def test_churn_produces_alternate_paths():
     params = _small_params(churn_prob=0.9, path_pool_size=3, days=20)
     world = generate_world(params)
-    _, truth = generate_measurements(world, params)
+    _, truth = _measure(world, params)
     distinct = {len({p for p in truth.path_log.values() if p[0] == v}) for v in world.vantage_asns}
     assert max(distinct) > 1
 
@@ -202,7 +209,7 @@ def test_churn_produces_alternate_paths():
 def test_single_path_pool_cannot_churn():
     params = _small_params(path_pool_size=1, churn_prob=1.0)
     world = generate_world(params)
-    _, truth = generate_measurements(world, params)
+    _, truth = _measure(world, params)
     per_pair: dict[tuple[int, int], set] = {}
     for path in truth.path_log.values():
         per_pair.setdefault((path[0], path[-1]), set()).add(path)
@@ -212,18 +219,18 @@ def test_single_path_pool_cannot_churn():
 def test_noise_flips_verdicts():
     params = _small_params(noise_prob=1.0, n_censors=0)
     world = generate_world(params)
-    records, _ = generate_measurements(world, params)
+    records, _ = _measure(world, params)
     assert all(r["detected"] for r in records)
     params_clean = _small_params(noise_prob=0.0, n_censors=0)
     world_clean = generate_world(params_clean)
-    clean_records, _ = generate_measurements(world_clean, params_clean)
+    clean_records, _ = _measure(world_clean, params_clean)
     assert not any(r["detected"] for r in clean_records)
 
 
 def test_detected_iff_active_censor_on_path_when_noiseless():
     params = _small_params(n_ases=20, n_censors=2, days=8, churn_prob=0.5)
     world = generate_world(params)
-    records, truth = generate_measurements(world, params)
+    records, truth = _measure(world, params)
     by_pair = {(c.asn, c.anomaly.value): c for c in truth.censors}
     for record in records:
         path = truth.path_log[record["record_id"]]
@@ -238,7 +245,7 @@ def test_detected_iff_active_censor_on_path_when_noiseless():
 def test_ground_truth_round_trip():
     params = _small_params()
     world = generate_world(params)
-    _, truth = generate_measurements(world, params)
+    _, truth = _measure(world, params)
     restored = ground_truth_from_obj(ground_truth_obj(truth))
     assert restored.censors == truth.censors
     assert restored.countries == truth.countries
@@ -248,7 +255,7 @@ def test_ground_truth_round_trip():
 def test_nonresponsive_hops_appear_but_never_last():
     params = _small_params(nonresponsive_prob=0.6, days=10)
     world = generate_world(params)
-    records, _ = generate_measurements(world, params)
+    records, _ = _measure(world, params)
     stars = 0
     for record in records:
         for tr in record["traceroutes"]:
