@@ -37,36 +37,37 @@ def identify_censors(summaries: Sequence[SolutionSummary]) -> list[CensorVerdict
     NonCensor: forced false everywhere it appears.
     The verdict lists every contributing bucket key as witness.
     """
-    censor_wit: dict[tuple[int, AnomalyType], list[BucketKey]] = {}
-    potential_wit: dict[tuple[int, AnomalyType], list[BucketKey]] = {}
-    seen: dict[tuple[int, AnomalyType], list[BucketKey]] = {}
+    # witnesses are collected as ranks, so sort_key runs once per distinct key
+    ranked = sorted({summary.key for summary in summaries}, key=BucketKey.sort_key)
+    rank = {key: i for i, key in enumerate(ranked)}
+    # equal bodies share one backbone, so each (anomaly, status, backbone) is
+    # walked once for all of its buckets
+    groups: dict[tuple, tuple[dict, list[int]]] = {}
     for summary in summaries:
-        for asn, role in summary.backbone.items():
-            pair = (asn, summary.key.anomaly)
-            seen.setdefault(pair, []).append(summary.key)
-            if summary.status is SolutionStatus.UNIQUE and role is BackboneStatus.FORCED_TRUE:
-                censor_wit.setdefault(pair, []).append(summary.key)
-            elif (
-                summary.status is SolutionStatus.MULTIPLE
-                and role is not BackboneStatus.FORCED_FALSE
-            ):
-                potential_wit.setdefault(pair, []).append(summary.key)
-
-    def ordered(keys: list[BucketKey]) -> tuple[BucketKey, ...]:
-        return tuple(sorted(set(keys), key=lambda k: k.sort_key()))
+        group = (summary.key.anomaly, summary.status, id(summary.backbone))
+        groups.setdefault(group, (summary.backbone, []))[1].append(rank[summary.key])
+    censor_wit: dict[tuple[int, AnomalyType], list[int]] = {}
+    potential_wit: dict[tuple[int, AnomalyType], list[int]] = {}
+    seen: dict[tuple[int, AnomalyType], list[int]] = {}
+    for (anomaly, status, _), (backbone, ranks) in groups.items():
+        for asn, role in backbone.items():
+            pair = (asn, anomaly)
+            seen.setdefault(pair, []).extend(ranks)
+            if status is SolutionStatus.UNIQUE and role is BackboneStatus.FORCED_TRUE:
+                censor_wit.setdefault(pair, []).extend(ranks)
+            elif status is SolutionStatus.MULTIPLE and role is not BackboneStatus.FORCED_FALSE:
+                potential_wit.setdefault(pair, []).extend(ranks)
 
     verdicts: list[CensorVerdict] = []
     for pair in sorted(seen, key=lambda p: (p[1].value, p[0])):
-        asn, anomaly = pair
         if pair in censor_wit:
-            klass, witnesses = CensorClass.CENSOR, ordered(censor_wit[pair])
+            klass, ranks = CensorClass.CENSOR, censor_wit[pair]
         elif pair in potential_wit:
-            klass, witnesses = CensorClass.POTENTIAL_CENSOR, ordered(potential_wit[pair])
+            klass, ranks = CensorClass.POTENTIAL_CENSOR, potential_wit[pair]
         else:
-            klass, witnesses = CensorClass.NON_CENSOR, ordered(seen[pair])
-        verdicts.append(
-            CensorVerdict(asn=asn, censor_class=klass, anomaly=anomaly, witnesses=witnesses)
-        )
+            klass, ranks = CensorClass.NON_CENSOR, seen[pair]
+        witnesses = tuple(map(ranked.__getitem__, sorted(set(ranks))))
+        verdicts.append(CensorVerdict(pair[0], klass, pair[1], witnesses))
     return verdicts
 
 

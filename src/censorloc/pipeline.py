@@ -146,8 +146,19 @@ def elimination_summary_obj(
 
 
 def solve_instances(instances: Sequence[CnfInstance], cap: int) -> list[SolutionSummary]:
-    """Classify every instance in this process, in instance order."""
-    return [solver.classify(instance, cap) for instance in instances]
+    """Classify every instance in this process, in instance order. Clauses
+    fix an instance's variables, so each distinct body is solved once, and
+    equal bodies share one backbone dict, which nothing writes to."""
+    solved: dict[tuple, SolutionSummary] = {}
+    summaries = []
+    for instance in instances:
+        first = solved.get(instance.clauses)
+        if first is None:
+            first = solved[instance.clauses] = solver.classify(instance, cap)
+            summaries.append(first)
+        else:
+            summaries.append(SolutionSummary(instance.key, *first[1:]))
+    return summaries
 
 
 class LocalizeResult(NamedTuple):
@@ -230,10 +241,16 @@ def write_censors(path: Path, verdicts: Sequence[CensorVerdict]) -> None:
         for verdict in verdicts:
             for key in verdict.witnesses:
                 if key not in rendered:
-                    # indented three levels deep; ASCII-escaped JSON holds no
-                    # LF but the ones between its lines
-                    text = json.dumps(key.to_json_obj(), indent=2, sort_keys=True)
-                    rendered[key] = "      " + text.replace("\n", "\n      ")
+                    # BucketKey.to_json_obj indented three levels deep, its
+                    # fields in sorted order
+                    rendered[key] = (
+                        "      {\n"
+                        f'        "anomaly": {json.dumps(key.anomaly.value)},\n'
+                        f'        "granularity": {json.dumps(key.granularity.value)},\n'
+                        f'        "url": {json.dumps(key.url)},\n'
+                        f'        "window": {json.dumps(key.window_id)}\n'
+                        "      }"
+                    )
             listing = ",\n".join(rendered[key] for key in verdict.witnesses)
             out.write(
                 f"{before}  {{\n"

@@ -5,11 +5,11 @@ input); a clause is a tuple of signed variables. ``_solve`` is the one
 dispatcher. Pipeline CNFs have a restricted shape: every clause is
 all-positive or a negative unit. For that shape satisfiability and the
 backbone follow in closed form in one pass over the clauses
-(``_closed_form``), and m free variables give at least m + 1 models, exactly
-m + 1 when m < 2. Every other count, and every other CNF, goes through
-``_Engine``, an iterative DPLL with two watched literals that counts by
-resuming its search after each model and filters the backbone with the
-models it finds.
+(``_closed_form``), and m free variables give at least m + 1 models: exactly
+m + 1 when m < 2, and 3 or 4 when m = 2. Every other count, and every other
+CNF, goes through ``_Engine``, an iterative DPLL with two watched literals
+that counts by resuming its search after each model and filters the backbone
+with the models it finds.
 
 Inputs are checked once, on entry to ``check_sat``, ``compute_backbone``,
 ``count_models`` and ``brute_force_models``; the probes they make are not.
@@ -300,9 +300,15 @@ def _solve(
         m = sum(s is BackboneStatus.FREE for s in backbone.values())
         # Every clause left unsatisfied keeps >= 2 free literals (one would
         # have been forced true), so all-true plus each single flip are
-        # models: at least m + 1, and exactly m + 1 when m < 2.
+        # models: at least m + 1, and exactly m + 1 when m < 2. With m = 2,
+        # both free variables false is a model unless some clause keeps only
+        # those two outside the forced-false set.
         if m < 2 or m + 1 >= cap:
             count = min(m + 1, cap)
+        elif m == 2:
+            free = {v for v, s in backbone.items() if s is BackboneStatus.FREE}
+            unforced = {v for v, s in backbone.items() if s is not BackboneStatus.FORCED_FALSE}
+            count = 3 if any(unforced.intersection(c) == free for c in clauses) else 4
         else:
             count = _enumerate(_Engine(variables, clauses), cap)[0]
     else:

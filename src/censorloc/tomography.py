@@ -59,18 +59,19 @@ def bucket(
         else:
             seen[1] += 1
     windows: dict[tuple, dict[tuple[AsPath, bool], list]] = {}
-    # within each (anomaly, url) the days arrive in date order
+    named = {(d, g): window_id(d, g) for d in {day for _, _, day in days} for g in granularities}
+    # within each (anomaly, url) the days arrive in date order; a window's
+    # entries are shared with its days, so a merge replaces, never mutates
     for (anomaly, url, utc_date), day in days.items():
         for granularity in granularities:
-            window = windows.setdefault(
-                (anomaly, url, granularity, window_id(utc_date, granularity)), {}
-            )
-            for observation, (first, count) in day.items():
+            key = (anomaly, url, granularity, named[utc_date, granularity])
+            window = windows.get(key)
+            if window is None:
+                windows[key] = dict(day)
+                continue
+            for observation, entry in day.items():
                 seen = window.get(observation)
-                if seen is None:
-                    window[observation] = [first, count]
-                else:
-                    seen[1] += count
+                window[observation] = entry if seen is None else [seen[0], seen[1] + entry[1]]
     return {
         BucketKey(*key): [(*observation, *entry) for observation, entry in window.items()]
         for key, window in windows.items()
@@ -78,11 +79,21 @@ def bucket(
 
 
 class _ClauseMemo(dict):
-    """One Clause, with its canonical key, per distinct (path, detected)."""
+    """One Clause, with its canonical key, per distinct (path, detected), and
+    one (variables, clauses) pair per distinct frozenset of them: a run's
+    windows and URLs bin the same paths again and again, and equal bodies
+    share one clause tuple."""
 
-    def __missing__(self, key: tuple[AsPath, bool]) -> tuple[tuple, Clause]:
-        clause = build_clause(*key)
-        self[key] = entry = (clause.canonical_key(), clause)
+    def __missing__(self, key: tuple[AsPath, bool] | frozenset) -> tuple[tuple, tuple]:
+        if type(key) is frozenset:
+            seen = dict(map(self.__getitem__, key))
+            clauses = tuple(seen[k] for k in sorted(seen))
+            variables = frozenset().union(*(clause.literal_asns for clause in clauses))
+            entry = (tuple(sorted(variables)), clauses)
+        else:
+            clause = build_clause(*key)
+            entry = (clause.canonical_key(), clause)
+        self[key] = entry
         return entry
 
 
@@ -94,16 +105,14 @@ def build_cnf(
     Clauses are deduplicated per (literal set, truth); contradictory pairs
     (same set, both truths) are retained and left for the solver to expose as
     unsatisfiable. source_paths keeps the observations as given. ``memo``
-    shares clauses between the buckets of one run.
+    shares clauses, and whole bodies, between the buckets of one run.
     """
     if not observations:
         raise ValueError("a bucket cannot be empty")
     if memo is None:
         memo = _ClauseMemo()
-    seen = dict(memo[path, detected] for path, detected, _, _ in observations)
-    clauses = tuple(seen[k] for k in sorted(seen))
-    variables = frozenset().union(*(clause.literal_asns for clause in clauses))
-    return CnfInstance(key, tuple(sorted(variables)), clauses, tuple(observations))
+    body = frozenset([(path, detected) for path, detected, _, _ in observations])
+    return CnfInstance(key, *memo[body], tuple(observations))
 
 
 def build_instances(

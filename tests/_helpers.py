@@ -9,8 +9,11 @@ from censorloc.ingest import PrefixTable, parse_pfx2as
 from censorloc.model import (
     AnomalyType,
     BackboneStatus,
+    CensorClass,
+    CensorVerdict,
     Hop,
     MeasurementRecord,
+    SolutionStatus,
     SolutionSummary,
     Traceroute,
     format_timestamp,
@@ -88,6 +91,42 @@ def forced_true_asns(summary: SolutionSummary) -> tuple[int, ...]:
     return tuple(
         sorted(a for a, s in summary.backbone.items() if s is BackboneStatus.FORCED_TRUE)
     )
+
+
+def identify_censors_reference(summaries) -> list[CensorVerdict]:
+    """``analysis.identify_censors`` as a plain loop over the summaries that
+    sorts each verdict's witnesses with ``BucketKey.sort_key``."""
+    censor_wit: dict = {}
+    potential_wit: dict = {}
+    seen: dict = {}
+    for summary in summaries:
+        for asn, role in summary.backbone.items():
+            pair = (asn, summary.key.anomaly)
+            seen.setdefault(pair, []).append(summary.key)
+            if summary.status is SolutionStatus.UNIQUE and role is BackboneStatus.FORCED_TRUE:
+                censor_wit.setdefault(pair, []).append(summary.key)
+            elif (
+                summary.status is SolutionStatus.MULTIPLE
+                and role is not BackboneStatus.FORCED_FALSE
+            ):
+                potential_wit.setdefault(pair, []).append(summary.key)
+
+    def ordered(keys):
+        return tuple(sorted(set(keys), key=lambda k: k.sort_key()))
+
+    verdicts = []
+    for pair in sorted(seen, key=lambda p: (p[1].value, p[0])):
+        asn, anomaly = pair
+        if pair in censor_wit:
+            klass, witnesses = CensorClass.CENSOR, ordered(censor_wit[pair])
+        elif pair in potential_wit:
+            klass, witnesses = CensorClass.POTENTIAL_CENSOR, ordered(potential_wit[pair])
+        else:
+            klass, witnesses = CensorClass.NON_CENSOR, ordered(seen[pair])
+        verdicts.append(
+            CensorVerdict(asn=asn, censor_class=klass, anomaly=anomaly, witnesses=witnesses)
+        )
+    return verdicts
 
 
 def make_table(spec: dict[str, int | tuple[int, ...]]) -> PrefixTable:

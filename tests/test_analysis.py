@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import forced_true_asns, make_record, ts
+from _helpers import forced_true_asns, identify_censors_reference, make_record, ts
 from censorloc import solver
 from censorloc.analysis import (
     HISTOGRAM_BUCKETS,
@@ -110,6 +110,34 @@ def test_identify_censors_ignores_unsat_buckets_and_sorts_output():
     ]
     verdicts = identify_censors(summaries)
     assert [(v.asn, v.anomaly.value) for v in verdicts] == [(2, "ttl"), (5, "ttl")]
+
+
+_ROLES = st.dictionaries(st.integers(1, 6), st.sampled_from(BackboneStatus), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    backbones=st.lists(_ROLES, min_size=1, max_size=4),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(SolutionStatus),
+            st.sampled_from([AnomalyType.DNS, AnomalyType.TTL]),
+            st.sampled_from(list(G)),
+            st.integers(0, 3),
+        ),
+        max_size=16,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_identify_censors_matches_a_per_summary_reference(backbones, picks, order):
+    # summaries share backbone objects, as equal bodies do, and may repeat keys
+    summaries = [
+        _summary(_key(f"w{window}", anomaly, granularity), status, 2, backbones[j % len(backbones)])
+        for j, status, anomaly, granularity, window in picks
+    ]
+    order.shuffle(summaries)
+    assert identify_censors(summaries) == identify_censors_reference(summaries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end pipeline stages over a small handcrafted world (no simulator)."""
 from __future__ import annotations
 
+import copy
 import io
 import json
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import forced_true_asns, make_record, make_traceroute, record_obj
-from censorloc import pipeline, simulate, solver, tomography
+from censorloc import analysis, pipeline, simulate, solver, tomography
 from censorloc.aspath import InferenceFailure, InferenceRule, infer_as_path
 from censorloc.ingest import parse_measurements, parse_pfx2as
 from censorloc.model import (
@@ -301,15 +302,17 @@ def test_pipeline_classification_makes_no_sat_probes(monkeypatch):
 
 
 def test_only_buckets_the_bound_cannot_count_build_an_engine(monkeypatch):
-    """A restricted CNF with m free variables has m + 1 models when m < 2 and
-    at least m + 1 otherwise, so only 2 <= m < cap - 1 needs the engine."""
+    """A restricted CNF with m free variables has m + 1 models when m < 2,
+    3 or 4 when m = 2, and at least m + 1 otherwise, so only 3 <= m < cap - 1
+    needs the engine, once per distinct body."""
     records, pfx2as = _noisy_corpus(3)
     pairs, _ = pipeline.infer_paths(records, parse_pfx2as(pfx2as)[0])
     instances = tomography.build_instances(pairs, tuple(G))
-    free = [
-        list(s.backbone.values()).count(BackboneStatus.FREE)
-        for s in pipeline.solve_instances(instances, 5)
-    ]
+    # cap 7: this corpus has bodies with m = 4 and 5, but none with m = 3
+    free = {
+        instance.clauses: list(s.backbone.values()).count(BackboneStatus.FREE)
+        for instance, s in zip(instances, pipeline.solve_instances(instances, 7))
+    }
     built = []
 
     class CountedEngine(solver._Engine):
@@ -318,11 +321,62 @@ def test_only_buckets_the_bound_cannot_count_build_an_engine(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(solver, "_Engine", CountedEngine)
-    pipeline.solve_instances(instances, 5)
-    assert len(built) == sum(2 <= m < 4 for m in free) > 0
+    pipeline.solve_instances(instances, 7)
+    assert len(built) == sum(3 <= m < 6 for m in free.values()) > 0
     built.clear()
     pipeline.solve_instances(instances, 2)
     assert built == []
+
+
+_BODY_PATHS = [(100, 200), (100, 300), (200, 300, 400), (100, 200, 300, 400), (500,), (200, 500)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bodies=st.lists(
+        st.lists(st.tuples(st.sampled_from(_BODY_PATHS), st.booleans()), min_size=1, max_size=4),
+        min_size=1, max_size=5,
+    ),
+    picks=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(AnomalyType)), max_size=12),
+    cap=st.integers(2, 7),
+    order=st.randoms(use_true_random=False),
+)
+def test_solve_instances_solves_each_body_once_invisibly(bodies, picks, cap, order):
+    # each instance is built apart, so equal bodies do not share a tuple
+    instances = [
+        tomography.build_cnf(
+            BucketKey(anomaly, f"http://u{i % 3}/", G.DAY, f"2016-05-{i % 28 + 1:02d}"),
+            [(p, d, f"r{i}", 1) for p, d in dict.fromkeys(bodies[j % len(bodies)])],
+        )
+        for i, (j, anomaly) in enumerate(picks)
+    ]
+    order.shuffle(instances)
+    summaries = pipeline.solve_instances(instances, cap)
+    assert summaries == [solver.classify(instance, cap) for instance in instances]
+    first: dict[tuple, dict] = {}
+    for instance, summary in zip(instances, summaries):
+        assert summary.backbone is first.setdefault(instance.clauses, summary.backbone)
+
+
+def test_no_analysis_writes_to_a_shared_backbone():
+    records, pfx2as = _noisy_corpus(3)
+    pairs, _ = pipeline.infer_paths(records, parse_pfx2as(pfx2as)[0])
+    instances = tomography.build_instances(pairs, tuple(G))
+    summaries = pipeline.solve_instances(instances, 5)
+    assert len({id(s.backbone) for s in summaries}) < len(summaries)
+    copies = [copy.deepcopy(s.backbone) for s in summaries]
+    analysis.identify_censors(summaries)
+    analysis.reduction_stats(summaries)
+    analysis.solution_rows_by_granularity(summaries, 5)
+    analysis.solution_rows_by_anomaly(summaries, 5)
+    countries = {asn: f"C{asn % 3}" for inst in instances for asn in inst.variables}
+    analysis.detect_leakage(list(zip(instances, summaries)), countries)
+    ablated = tomography.build_instances(analysis.ablate_churn(pairs), tuple(G))
+    ablated_summaries = pipeline.solve_instances(ablated, 5)
+    ablated_copies = [copy.deepcopy(s.backbone) for s in ablated_summaries]
+    analysis.solution_rows_by_granularity(ablated_summaries, 5)
+    assert [s.backbone for s in summaries] == copies
+    assert [s.backbone for s in ablated_summaries] == ablated_copies
 
 
 def test_solver_inputs_are_checked_once_per_public_call(monkeypatch):

@@ -201,6 +201,42 @@ def test_restricted_path_matches_brute_force(seed, cap):
     check_against_brute_force(variables, clauses, cap=cap)
 
 
+def _two_free_cnf(rng: random.Random) -> tuple[list[int], list[tuple[int, ...]], set[int]]:
+    """A restricted CNF whose closed form leaves exactly two variables free;
+    returns them too."""
+    variables = rng.sample(range(1, 1000), rng.randint(2, 9))
+    a, b, *rest = variables
+    forced_false = set(rng.sample(rest, rng.randint(0, len(rest))))
+    clauses = [(-v,) for v in forced_false]
+    for t in set(rest) - forced_false:
+        # forced true: alone in a clause once the forced-false set is dropped
+        clauses.append((t, *rng.sample(sorted(forced_false), rng.randint(0, len(forced_false)))))
+    for _ in range(rng.randint(0, 5)):
+        clause = tuple(rng.sample(variables, rng.randint(1, len(variables))))
+        survivors = set(clause) - forced_false
+        # satisfied by a forced-true variable, or left with both free ones
+        if survivors - {a, b} or survivors == {a, b}:
+            clauses.append(clause)
+    rng.shuffle(clauses)
+    return variables, clauses, {a, b}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cap=st.integers(2, 7))
+def test_two_free_variables_are_counted_without_the_engine(seed, cap):
+    variables, clauses, free = _two_free_cnf(random.Random(seed))
+    backbone = solver._closed_form(variables, clauses)
+    assert {v for v, s in backbone.items() if s is FREE} == free
+    models = solver.brute_force_models(variables, clauses)
+    assert len(models) in (3, 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_Engine", None)
+        status, count, solved = solver._solve(variables, clauses, cap)
+    assert count == min(len(models), cap)
+    assert status is SolutionStatus.MULTIPLE
+    assert solved == backbone_from_models(variables, models)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(1, 8))
 def test_general_path_matches_brute_force_on_pipeline_shapes(seed, cap):

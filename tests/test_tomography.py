@@ -339,3 +339,6 @@ def test_build_instances_matches_a_per_bucket_reference(seed, url_split):
     # (path, detected)
     shared = {id(clause) for inst in built for clause in inst.clauses}
     assert len(shared) <= len({(path, record.detected) for record, path in pairs})
+    # and equal bodies share one clause tuple
+    bodies = {inst.clauses: inst.clauses for inst in built}
+    assert all(inst.clauses is bodies[inst.clauses] for inst in built)
