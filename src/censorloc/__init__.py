@@ -7,36 +7,3 @@ borders.
 """
 
 __version__ = "0.1.0"
-
-from .model import (
-    AnomalyType,
-    BucketKey,
-    CensorClass,
-    CensorVerdict,
-    Clause,
-    CnfInstance,
-    Hop,
-    LeakageEdge,
-    MeasurementRecord,
-    SolutionStatus,
-    SolutionSummary,
-    TimeGranularity,
-    Traceroute,
-)
-
-__all__ = [
-    "__version__",
-    "AnomalyType",
-    "BucketKey",
-    "CensorClass",
-    "CensorVerdict",
-    "Clause",
-    "CnfInstance",
-    "Hop",
-    "LeakageEdge",
-    "MeasurementRecord",
-    "SolutionStatus",
-    "SolutionSummary",
-    "TimeGranularity",
-    "Traceroute",
-]

@@ -8,11 +8,11 @@ path instability and can be ablated away for comparison runs.
 """
 from __future__ import annotations
 
+from collections import Counter
 from datetime import datetime
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
-from .ingest import window_id
 from .model import (
     AnomalyType,
     AsPath,
@@ -27,6 +27,7 @@ from .model import (
     SolutionSummary,
     TimeGranularity,
 )
+from .tomography import fold_days
 
 
 def identify_censors(summaries: Sequence[SolutionSummary]) -> list[CensorVerdict]:
@@ -147,8 +148,9 @@ def detect_leakage(
     a forced-true censor, every AS strictly closer to the vantage point that
     the solution forces false is a victim: its traffic was answered by a
     censor it provably does not operate. A victim in another country is
-    additionally a country-level leak. ASes without a known country are
-    skipped and tallied once per record of the path.
+    additionally a country-level leak. A (censor, victim) pair without a
+    known country is skipped and tallied once per record of the path, however
+    often the path repeats either AS.
     """
     edges: dict[tuple[int, int, AnomalyType], LeakageEdge] = {}
     skipped = 0
@@ -156,30 +158,29 @@ def detect_leakage(
         if summary.status is not SolutionStatus.UNIQUE:
             continue
         backbone = summary.backbone
-        forced_true = {
-            asn for asn, role in backbone.items() if role is BackboneStatus.FORCED_TRUE
-        }
         for path, truth, record_id, count in instance.source_paths:
-            on_path = [asn for asn in path if asn in forced_true]
             if not truth:
                 # a pinned censor can never sit on a clean path
-                assert not on_path, "forced-true variable on a truth-false source path"
+                assert BackboneStatus.FORCED_TRUE not in map(backbone.__getitem__, path)
                 continue
-            for censor in on_path:
-                first_idx = path.index(censor)
-                censor_country = countries.get(censor)
-                for victim in path[:first_idx]:
-                    if backbone.get(victim) is not BackboneStatus.FORCED_FALSE:
-                        continue
+            upstream: list[int] = []  # distinct forced-false ASes so far
+            for asn in dict.fromkeys(path):  # each distinct AS, at its first occurrence
+                role = backbone[asn]  # every path AS is a bucket variable
+                if role is BackboneStatus.FORCED_FALSE:
+                    upstream.append(asn)
+                if role is not BackboneStatus.FORCED_TRUE:
+                    continue
+                censor_country = countries.get(asn)
+                for victim in upstream:
                     victim_country = countries.get(victim)
                     if censor_country is None or victim_country is None:
                         skipped += count
                         continue
-                    dedup_key = (censor, victim, instance.key.anomaly)
+                    dedup_key = (asn, victim, instance.key.anomaly)
                     if dedup_key in edges:
                         continue
                     edges[dedup_key] = LeakageEdge(
-                        censor_asn=censor,
+                        censor_asn=asn,
                         victim_asn=victim,
                         censor_country=censor_country,
                         victim_country=victim_country,
@@ -246,21 +247,11 @@ def churn_stats(
     sequences; the churn fraction is taken over cells with >= 2 measurements
     so single-shot pairs cannot dilute it.
     """
-    acc: dict[tuple[int, int, str], tuple[int, set[AsPath]]] = {}
-    for vantage, dst, ts, path in observations:
-        cell_key = (vantage, dst, window_id(ts, granularity))
-        count, paths = acc.setdefault(cell_key, (0, set()))
-        paths.add(path)
-        acc[cell_key] = (count + 1, paths)
+    items = (((vantage, dst), ts.date(), path, None) for vantage, dst, ts, path in observations)
+    windows = fold_days(items, (granularity,))
     cells = tuple(
-        ChurnCell(
-            vantage_asn=v,
-            dst_asn=d,
-            window_id=w,
-            n_measurements=count,
-            distinct_paths=len(paths),
-        )
-        for (v, d, w), (count, paths) in sorted(acc.items())
+        ChurnCell(v, d, w, sum(count for _, count in paths.values()), len(paths))
+        for ((v, d), _, w), paths in sorted(windows.items())
     )
     histogram = {b: 0 for b in HISTOGRAM_BUCKETS}
     for cell in cells:
@@ -284,10 +275,10 @@ def ablate_churn(
 ) -> list[tuple[MeasurementRecord, AsPath]]:
     """Strip path churn: per (vantage AS, destination AS) pair keep only the
     measurements taken over the chronologically first inferred path."""
-    indexed = sorted(enumerate(pairs), key=lambda t: (t[1][0].timestamp, t[0]))
     first: dict[tuple[int, int], AsPath] = {}
     kept: list[tuple[MeasurementRecord, AsPath]] = []
-    for _, (record, path) in indexed:
+    # a stable sort: ties keep input order
+    for record, path in sorted(pairs, key=lambda pair: pair[0].timestamp):
         pair_key = (record.vantage_asn, path[-1])
         anchor = first.setdefault(pair_key, path)
         if path == anchor:
@@ -316,25 +307,22 @@ def solution_rows_by_anomaly(summaries: Sequence[SolutionSummary], cap: int) -> 
 def _solution_rows(
     summaries: Sequence[SolutionSummary], cap: int, by_anomaly: bool
 ) -> list[dict]:
-    groups: dict[str, list[SolutionSummary]] = {}
+    # grouped by enum member, so .value is read once per group and status
+    groups: dict[AnomalyType | TimeGranularity, list[SolutionSummary]] = {}
     for summary in summaries:
-        group = (
-            summary.key.anomaly.value if by_anomaly else summary.key.granularity.value
-        )
+        group = summary.key.anomaly if by_anomaly else summary.key.granularity
         groups.setdefault(group, []).append(summary)
-    if by_anomaly:
-        order = sorted(groups)
-    else:
-        order = sorted(groups, key=lambda g: TimeGranularity(g).sort_index)
+    # str members sort as their values
+    order = sorted(groups) if by_anomaly else sorted(groups, key=lambda g: g.sort_index)
     rows = []
     for group in order:
         members = groups[group]
         counts = dict.fromkeys(SOLUTION_COUNTS, 0)
-        for summary in members:
-            counts[summary.status.value] += 1
-            counts["at_cap"] += summary.model_count_capped >= cap
+        for status, n in Counter(summary.status for summary in members).items():
+            counts[status.value] = n
+        counts["at_cap"] = sum(summary.model_count_capped >= cap for summary in members)
         rows.append({
-            ("anomaly" if by_anomaly else "granularity"): group,
+            ("anomaly" if by_anomaly else "granularity"): group.value,
             "cnf_count": len(members),
             **counts,
             **{f"share_{name}": n / len(members) for name, n in counts.items()},

@@ -34,37 +34,31 @@ def build_clause(path: AsPath, detected: bool) -> Clause:
     return Clause(literal_asns=frozenset(path), truth=detected)
 
 
-def bucket(
-    pairs: Iterable[tuple[MeasurementRecord, AsPath]],
-    granularities: Sequence[TimeGranularity],
-    url_split: bool = True,
-) -> dict[BucketKey, list[Observation]]:
-    """Group inferred paths by (anomaly, url, window) into distinct observations.
+def fold_days(items: Iterable[tuple], granularities: Sequence[TimeGranularity]) -> dict:
+    """Fold ``(group, UTC date, observation, first)`` items into
+    ``{(group, granularity, window id): {observation: [first, count]}}``.
 
-    One pass over the pairs in timestamp order (ties keep input order) folds
-    each (anomaly, url, UTC day) into its distinct (path, detected) in order
-    of first appearance. A window is a run of whole days, so merging its days
-    in date order gives the order, first records and counts of its records.
+    Each (group, UTC day) keeps its distinct observations in order of first
+    appearance. A window is a run of whole days, so merging its days in date
+    order gives the order, firsts and counts of its items: items in time
+    order give each observation the first item of its window.
     """
-    # [first record_id, count] by (path, detected)
-    days: dict[tuple, dict[tuple[AsPath, bool], list]] = {}
-    for record, path in sorted(pairs, key=lambda pair: pair[0].timestamp):
-        key = (record.anomaly, record.url if url_split else MERGED_URL, record.timestamp.date())
-        day = days.get(key)
+    days: dict[tuple, dict] = {}
+    for group, utc_date, observation, first in items:
+        day = days.get((group, utc_date))
         if day is None:
-            day = days[key] = {}
-        seen = day.get((path, record.detected))
+            day = days[group, utc_date] = {}
+        seen = day.get(observation)
         if seen is None:
-            day[path, record.detected] = [record.record_id, 1]
+            day[observation] = [first, 1]
         else:
             seen[1] += 1
-    windows: dict[tuple, dict[tuple[AsPath, bool], list]] = {}
-    named = {(d, g): window_id(d, g) for d in {day for _, _, day in days} for g in granularities}
-    # within each (anomaly, url) the days arrive in date order; a window's
-    # entries are shared with its days, so a merge replaces, never mutates
-    for (anomaly, url, utc_date), day in days.items():
+    windows: dict[tuple, dict] = {}
+    named = {(d, g): window_id(d, g) for d in {day for _, day in days} for g in granularities}
+    # a window's entries are shared with its days, so a merge replaces, never mutates
+    for (group, utc_date), day in days.items():
         for granularity in granularities:
-            key = (anomaly, url, granularity, named[utc_date, granularity])
+            key = (group, granularity, named[utc_date, granularity])
             window = windows.get(key)
             if window is None:
                 windows[key] = dict(day)
@@ -72,9 +66,27 @@ def bucket(
             for observation, entry in day.items():
                 seen = window.get(observation)
                 window[observation] = entry if seen is None else [seen[0], seen[1] + entry[1]]
+    return windows
+
+
+def bucket(
+    pairs: Iterable[tuple[MeasurementRecord, AsPath]],
+    granularities: Sequence[TimeGranularity],
+    url_split: bool = True,
+) -> dict[BucketKey, list[Observation]]:
+    """Group inferred paths by (anomaly, url, window) into distinct observations.
+
+    The pairs are folded in timestamp order (ties keep input order), so each
+    (path, detected) keeps the first record of its window.
+    """
+    items = (
+        ((record.anomaly, record.url if url_split else MERGED_URL), record.timestamp.date(),
+         (path, record.detected), record.record_id)
+        for record, path in sorted(pairs, key=lambda pair: pair[0].timestamp)
+    )
     return {
-        BucketKey(*key): [(*observation, *entry) for observation, entry in window.items()]
-        for key, window in windows.items()
+        BucketKey(*group, granularity, name): [(*seen, *entry) for seen, entry in window.items()]
+        for (group, granularity, name), window in fold_days(items, granularities).items()
     }
 
 

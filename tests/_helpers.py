@@ -5,7 +5,8 @@ import random
 from datetime import datetime, timezone
 
 from censorloc import solver
-from censorloc.ingest import PrefixTable, parse_pfx2as
+from censorloc.analysis import HISTOGRAM_BUCKETS, ChurnCell, ChurnReport
+from censorloc.ingest import PrefixTable, parse_pfx2as, window_id
 from censorloc.model import (
     AnomalyType,
     BackboneStatus,
@@ -127,6 +128,40 @@ def identify_censors_reference(summaries) -> list[CensorVerdict]:
             CensorVerdict(asn=asn, censor_class=klass, anomaly=anomaly, witnesses=witnesses)
         )
     return verdicts
+
+
+def churn_stats_reference(observations, granularity) -> ChurnReport:
+    """``analysis.churn_stats`` as a per-record accumulation: each
+    observation names its own window with ``window_id``."""
+    acc: dict = {}
+    for vantage, dst, timestamp, path in observations:
+        cell_key = (vantage, dst, window_id(timestamp, granularity))
+        count, paths = acc.setdefault(cell_key, (0, set()))
+        paths.add(path)
+        acc[cell_key] = (count + 1, paths)
+    cells = tuple(
+        ChurnCell(
+            vantage_asn=v,
+            dst_asn=d,
+            window_id=w,
+            n_measurements=count,
+            distinct_paths=len(paths),
+        )
+        for (v, d, w), (count, paths) in sorted(acc.items())
+    )
+    histogram = {b: 0 for b in HISTOGRAM_BUCKETS}
+    for cell in cells:
+        histogram[str(cell.distinct_paths) if cell.distinct_paths < 5 else "5+"] += 1
+    multi = sum(1 for c in cells if c.n_measurements >= 2)
+    churning = sum(1 for c in cells if c.distinct_paths >= 2)
+    return ChurnReport(
+        granularity=granularity,
+        cells=cells,
+        fraction_churning=churning / multi if multi else None,
+        histogram=histogram,
+        multi_measurement_cells=multi,
+        churning_cells=churning,
+    )
 
 
 def make_table(spec: dict[str, int | tuple[int, ...]]) -> PrefixTable:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import forced_true_asns, identify_censors_reference, make_record, ts
+from _helpers import (
+    churn_stats_reference,
+    forced_true_asns,
+    identify_censors_reference,
+    make_record,
+    ts,
+)
 from censorloc import solver
 from censorloc.analysis import (
     HISTOGRAM_BUCKETS,
@@ -256,6 +262,23 @@ def test_detect_leakage_skips_unknown_countries():
     assert all(e.witness_record_id == "t1" for e in report.edges)
 
 
+def test_detect_leakage_counts_a_repeated_as_once():
+    registry, _ = parse_as_metadata("asn,country,name\n300,CN,F\n")
+    pairs = [
+        (make_record(record_id="t1", detected=True), (100, 300, 200, 300, 900)),
+        (make_record(record_id="c1", detected=False), (100, 200, 900)),
+    ]
+    ((key, observations),) = bucket(pairs, [G.DAY]).items()
+    inst = build_cnf(key, observations)
+    summary = solver.classify(inst)
+    assert summary.status is SolutionStatus.UNIQUE
+    assert forced_true_asns(summary) == (300,)
+    report = detect_leakage([(inst, summary)], registry)
+    # AS300 appears twice but censors once: victim AS100 is skipped once
+    assert report.edges == ()
+    assert report.skipped_missing_country == 1
+
+
 def test_detect_leakage_dedups_across_buckets():
     registry, _ = parse_as_metadata(_REGISTRY_CSV)
     first = _leak_world("2016-05-02")
@@ -333,8 +356,10 @@ def _verbatim_leakage(pairs, solved, countries):
                 continue
             if not record.detected:
                 continue
-            for censor in [asn for asn in path if backbone.get(asn) is FT]:
-                for victim in path[: path.index(censor)]:
+            # each distinct AS once, at its first occurrence on the path
+            distinct = list(dict.fromkeys(path))
+            for censor in [asn for asn in distinct if backbone.get(asn) is FT]:
+                for victim in distinct[: distinct.index(censor)]:
                     if backbone.get(victim) is not FF:
                         continue
                     if censor not in countries or victim not in countries:
@@ -427,6 +452,31 @@ def test_churn_histogram_five_plus_bucket():
     report = churn_stats(observations, G.MONTH)
     assert report.histogram == {"1": 0, "2": 0, "3": 0, "4": 0, "5+": 1}
     assert HISTOGRAM_BUCKETS == ("1", "2", "3", "4", "5+")
+
+
+# UTC days across 2015-W53 / 2016-W01 and a year boundary, and month ends
+_CHURN_DAYS = [
+    *(f"2015-12-{d}" for d in range(25, 32)),
+    *(f"2016-01-{d:02d}" for d in range(1, 11)),
+    "2016-01-31", "2016-02-01", "2016-02-29", "2016-03-01", "2016-04-30", "2016-05-01",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_churn_stats_matches_a_per_record_reference(seed):
+    rng = random.Random(seed)
+    paths = [(1, 5, 9), (1, 6, 9), (2, 5, 8), (2, 7, 6, 8), (1, 5, 8)]
+    # drawn in random order, not in time order
+    observations = []
+    for _ in range(rng.randint(1, 80)):
+        path = rng.choice(paths)
+        stamp = f"{rng.choice(_CHURN_DAYS)}T{rng.randint(0, 23):02d}:{rng.randint(0, 59):02d}:00Z"
+        observations.append((path[0], path[-1], ts(stamp), path))
+    for granularity in G:
+        assert churn_stats(observations, granularity) == churn_stats_reference(
+            observations, granularity
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,49 @@ def test_simulate_bytes_are_pinned(tmp_path):
     assert digests == PINNED_SIMULATION
 
 
+# sha256 of every output file of each analysis command on the pinned corpus
+# above, whose weeks and years cross 2017-W52 / 2018-W01
+PINNED_LOCALIZE = {
+    "censors.json": "5f9eef61c57e7054bfd46223b079c1fc2b1983aab61185cd3eb0df5b3b49168a",
+    "elimination_summary.json": "9683125c3c28d80a08717d4f211edcabf84043a91b78793fbd4f4cef29a3a218",
+    "ingest_summary.json": "f43f3d1e01247af41036eabc3d1b950cf05f795af5c117726ac71879946eb005",
+    "reduction_cdf.csv": "0d3a003922955caa9b177280eab72e573df310f433a569f15d312f0ccbe4ecc0",
+    "reduction_summary.json": "f19b9abc006564c577ff7ffe88512ccea908e1f92c19041d2bbbc95c5eafb10b",
+    "solutions_by_anomaly.csv": "a1f7926a208f82d11284f3cb66eb713e242de6a78b70c8ffe5d3597d48a1b02b",
+    "solutions_by_granularity.csv":
+        "73ded482acde457c99f338330c4f06c6af42a4e134f50cc43c4b074f9aee2bf7",
+}
+PINNED_ANALYSIS = {
+    "localize": PINNED_LOCALIZE,
+    "churn": {
+        "churn.csv": "dbe699eb296eaf4e9a144eedcb838c007d144219ff4ca3407d19249d381d068e",
+        "churn_summary.csv": "66851c7f57bf141ffd633dc3e7e5b6e79a71c22cde763f56305045d7ad34afd4",
+    },
+    "ablate": {
+        **PINNED_LOCALIZE,
+        "ablated_solutions_by_granularity.csv":
+            "55cd36c33724a2140d63b121792f441795ae500b8af75055935b153d05d028a6",
+    },
+    "leak": {
+        **PINNED_LOCALIZE,
+        "leakage.json": "fb8cca5ce2490ce44b5722b915a023a3e76d37120e450e44ddd772ca177740db",
+    },
+}
+
+
+def test_analysis_outputs_are_pinned(tmp_path):
+    sim_dir = tmp_path / "sim"
+    test_simulate_bytes_are_pinned(sim_dir)
+    extra = {"ablate": ["--workers", "1"], "leak": ["--as-meta", str(sim_dir / "as_metadata.csv")]}
+    for command, pinned in PINNED_ANALYSIS.items():
+        out_dir = tmp_path / command
+        argv = _localize_args(sim_dir, out_dir, *extra.get(command, ()))
+        assert main([command, *argv[1:]]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out_dir.iterdir()}
+        assert digests == pinned, command
+
+
 def test_refused_simulate_rerun_draws_no_record(tmp_path, monkeypatch):
     sim_dir = _simulate(tmp_path)
 
