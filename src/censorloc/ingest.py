@@ -7,8 +7,10 @@ measurement JSON: it makes every check on a record, hop by hop, and builds
 the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` named tuples, which
 check nothing themselves. Equal hops, traceroutes and traceroute triples are
 built once per parse and shared between records; ``_decode`` decodes and
-checks each distinct traceroute text of a line and the line before once.
-Addresses are checked in the prefix table's memo, which inference reuses.
+checks each distinct traceroute text of a line and the line before once, and
+hands back the last line's whole traceroutes list when the array text
+repeats. Addresses are parsed by libc's ``inet_pton`` and checked in the
+prefix table's memo, which inference reuses.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import csv
 import io
 import json
 import re
+from _socket import AF_INET, inet_pton
 from datetime import date, datetime
 from json.decoder import WHITESPACE
 from typing import Any, Iterable
@@ -82,23 +85,15 @@ def parse_ipv4(text: str) -> int | None:
 
     Accepts exactly what ``ipaddress.IPv4Address`` accepts from a string:
     four octets of one to three ASCII digits, no leading zeros, each at most
-    255. ``int`` alone would also take ``_``, ``+``, whitespace and non-ASCII
-    digits, so every octet is checked before it is converted.
+    255. libc's ``inet_pton`` makes the same checks in C. It raises
+    ``OSError`` on a malformed address, and ``ValueError`` where the string
+    cannot become a C string: an embedded NUL, or a lone surrogate that UTF-8
+    cannot encode.
     """
-    parts = text.split(".")
-    if len(parts) != 4:
+    try:
+        return int.from_bytes(inet_pton(AF_INET, text), "big")
+    except (OSError, ValueError):
         return None
-    value = 0
-    for part in parts:
-        if not (part.isascii() and part.isdigit()) or len(part) > 3:
-            return None
-        if part[0] == "0" and len(part) > 1:
-            return None
-        octet = int(part)
-        if octet > 255:
-            return None
-        value = value << 8 | octet
-    return value
 
 
 def prefix_mask(length: int) -> int:
@@ -122,8 +117,9 @@ class PrefixTable:
     """Longest-prefix-match table from IPv4 prefixes to origin AS sets.
 
     One probe per distinct prefix length present in the table, longest first,
-    after the probes of reserved space. ``mappings`` memoises ``origins`` per
-    address string for the table's lifetime, so ingest's address check and
+    after the probes of reserved space; a lookup tries them in a plain loop
+    and stops at the first hit. ``mappings`` memoises ``origins`` per address
+    string for the table's lifetime, so ingest's address check and
     ``aspath.map_ip`` parse each distinct string once between them.
     """
 
@@ -144,8 +140,13 @@ class PrefixTable:
             addr = parse_ipv4(ip)
             if addr is None:
                 return None
-            origins = self.mappings[ip] = next((nets[addr & mask] for mask, nets in self._probes
-                                                if addr & mask in nets), frozenset())
+            for mask, nets in self._probes:
+                origins = nets.get(addr & mask)
+                if origins is not None:
+                    break
+            else:
+                origins = frozenset()
+            self.mappings[ip] = origins
         return origins
 
 
@@ -183,7 +184,9 @@ def parse_pfx2as(text: str) -> tuple[PrefixTable, ParseReport]:
     """
     report = ParseReport()
     table: dict[tuple[int, int], frozenset[int]] = {}
-    for line in text.splitlines():
+    # lines end at LF only: str.splitlines would also break a line at U+0085,
+    # U+2028 and other separators; a CR before the LF is stripped with a field
+    for line in text.removesuffix("\n").split("\n"):
         if not line.strip():
             report.skip("blank line")
             continue
@@ -287,6 +290,7 @@ _RECORD_KEYS = {
 }
 _TRACEROUTE_KEYS = {"completed", "hops"}
 _HOP_KEYS = {"ttl", "addr"}
+_ANOMALIES = {member.value: member for member in AnomalyType}
 
 
 class _Seen:
@@ -294,8 +298,10 @@ class _Seen:
     prefix table's memo, every distinct (addr, ttl) hop as one shared ``Hop``,
     every distinct timestamp string as one shared ``datetime``, every distinct
     ``Traceroute`` and triple as one shared tuple, the last decoded line's
-    traceroute elements as ``[text, value, Traceroute or None]``,
-    and how many lines in a row have reused no element.
+    traceroute elements as ``[text, value, Traceroute or None]``, its whole
+    array text and the list it decoded to, the last list whose triple
+    validated with that triple, and how many lines in a row have reused no
+    element.
 
     Only validated values are interned: every ttl is then an ``int`` that is
     not a ``bool`` and every completed flag a ``bool``, so no two unequal
@@ -309,7 +315,10 @@ class _Seen:
         self.stamps: dict[str, datetime] = {}
         self.probes: dict[tuple, tuple] = {}
         self.elements: list[list] = []
+        self.array = ""
+        self.values: list = []
         self.idle = 0
+        self.last_raw: list | None = None
         self.last_triple: tuple[Traceroute, ...] = ()
 
     def timestamp(self, raw: Any) -> datetime:
@@ -389,30 +398,25 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
         raise ValueError("invalid dst_ip")
     if not isinstance(obj["anomaly"], str):
         raise ValueError("unknown anomaly type")
-    anomaly = AnomalyType.parse(obj["anomaly"])
+    anomaly = _ANOMALIES.get(obj["anomaly"]) or AnomalyType.parse(obj["anomaly"])
     if not isinstance(obj["detected"], bool):
         raise ValueError("invalid detected")
     timestamp = seen.timestamp(obj["timestamp"])
     raw = obj["traceroutes"]
-    if not isinstance(raw, list):
-        raise ValueError("invalid traceroutes")
-    if len(raw) != TRACEROUTES_PER_RECORD:
-        raise ValueError("traceroute count != 3")
-    traceroutes = tuple(map(seen.traceroute, raw))
-    # the records of one probe repeat its triple: identity makes == cheap
-    if traceroutes != seen.last_triple:
-        seen.last_triple = seen.probes.setdefault(traceroutes, traceroutes)
-    traceroutes = seen.last_triple
-    return MeasurementRecord(
-        record_id=obj["record_id"],
-        vantage_asn=obj["vantage_asn"],
-        url=url,
-        dst_ip=dst_ip,
-        anomaly=anomaly,
-        detected=obj["detected"],
-        timestamp=timestamp,
-        traceroutes=traceroutes,
-    )
+    # _decode hands back the last line's list when its array text repeats;
+    # that list is never changed, so its validated triple still holds
+    if raw is not seen.last_raw:
+        if not isinstance(raw, list):
+            raise ValueError("invalid traceroutes")
+        if len(raw) != TRACEROUTES_PER_RECORD:
+            raise ValueError("traceroute count != 3")
+        traceroutes = tuple(map(seen.traceroute, raw))
+        # the records of one probe repeat its triple: identity makes == cheap
+        if traceroutes != seen.last_triple:
+            seen.last_triple = seen.probes.setdefault(traceroutes, traceroutes)
+        seen.last_raw = raw
+    return MeasurementRecord(obj["record_id"], obj["vantage_asn"], url, dst_ip, anomaly,
+                             obj["detected"], timestamp, seen.last_triple)
 
 
 _scan = json.JSONDecoder().scan_once
@@ -424,42 +428,50 @@ def _decode(line: str, seen: _Seen) -> dict | None:
     """``json.loads(line)``, decoding each distinct traceroute text once, or
     None where this shortcut does not apply.
 
-    The ``"traceroutes"`` array at ``start`` is walked with the C decoder's
-    array grammar; an element text that begins with ``{`` and equals one
-    decoded in this line or the last decoded line reuses that value. The
-    rest is decoded as ``short``, the line with the array replaced by
-    ``NaN``, and kept only if ``NaN`` occurs there once, at ``start``, and is
-    the top-level ``"traceroutes"`` value. That is sound: (i) only the
-    ``NaN`` literal decodes to a float NaN, so the value that survives
-    duplicate keys is the token at ``start``; (ii) ``line`` and ``short``
-    share the text before ``start``, so the decoder reaches it in the same
-    state in both, and in ``line`` decodes there the array the walk parsed;
-    (iii) text that begins with ``{`` is self-delimiting, so equal text
-    decodes to an equal value of equal types in equal key order.
+    When the ``"traceroutes"`` array at ``start`` has the text of the last
+    decoded line's array, that line's list is handed back. Otherwise the
+    array is walked with the C decoder's array grammar; an element text that
+    begins with ``{`` and equals one decoded in this line or the last
+    decoded line reuses that value. The rest is decoded as ``short``, the
+    line with the array replaced by ``NaN``, and kept only if ``NaN`` occurs
+    there once, at ``start``, and is the top-level ``"traceroutes"`` value.
+    That is sound: (i) only the ``NaN`` literal decodes to a float NaN, so
+    the value that survives duplicate keys is the token at ``start``; (ii)
+    ``line`` and ``short`` share the text before ``start``, so the decoder
+    reaches it in the same state in both, and in ``line`` decodes there the
+    array the walk parsed; (iii) text that begins with ``{`` or ``[`` is
+    self-delimiting, so equal text decodes to an equal value of equal types
+    in equal key order, and a whole array text walks as it walked before.
     """
     start = line.find("[", line.find('"traceroutes"'))
     if start < 0:
         return None
-    walked: list[list] = []
-    idx = WHITESPACE.match(line, start + 1).end()
     try:
-        while True:
-            if len(walked) == TRACEROUTES_PER_RECORD or not line.startswith("{", idx):
-                return None
-            for entry in walked + seen.elements:
-                if line.startswith(entry[0], idx):
-                    seen.idle = 0
+        if seen.array and line.startswith(seen.array, start):
+            seen.idle = 0
+            walked, values = seen.elements, seen.values
+            idx = start + len(seen.array)
+        else:
+            walked = []
+            idx = WHITESPACE.match(line, start + 1).end()
+            while True:
+                if len(walked) == TRACEROUTES_PER_RECORD or not line.startswith("{", idx):
+                    return None
+                for entry in walked + seen.elements:
+                    if line.startswith(entry[0], idx):
+                        seen.idle = 0
+                        break
+                else:
+                    value, end = _scan(line, idx)
+                    entry = [line[idx:end], value, None]
+                walked.append(entry)
+                separator = _separator(line, idx + len(entry[0]))
+                if separator is None:
+                    return None
+                idx = separator.end()
+                if separator.group(1):
                     break
-            else:
-                value, end = _scan(line, idx)
-                entry = [line[idx:end], value, None]
-            walked.append(entry)
-            separator = _separator(line, idx + len(entry[0]))
-            if separator is None:
-                return None
-            idx = separator.end()
-            if separator.group(1):
-                break
+            values = [entry[1] for entry in walked]
         short = line[:start] + "NaN" + line[idx:]
         if short.find("NaN") != start or short.find("NaN", start + 1) >= 0:
             return None
@@ -469,8 +481,8 @@ def _decode(line: str, seen: _Seen) -> dict | None:
     nan = obj.get("traceroutes") if type(obj) is dict else None
     if type(nan) is not float or nan == nan:
         return None
-    seen.elements = walked
-    obj["traceroutes"] = [entry[1] for entry in walked]
+    seen.elements, seen.array, seen.values = walked, line[start:idx], values
+    obj["traceroutes"] = values
     return obj
 
 

@@ -27,6 +27,7 @@ from .model import (
     AnomalyType,
     AsPath,
     BucketKey,
+    CensorClass,
     CensorVerdict,
     CnfInstance,
     InputError,
@@ -231,10 +232,15 @@ def write_json(path: Path, obj: Any) -> None:
         out.write("\n")
 
 
+# the JSON text of every enum member a censors.json entry names
+_MEMBER_JSON = {member: json.dumps(member.value)
+                for enum in (AnomalyType, TimeGranularity, CensorClass) for member in enum}
+
+
 def write_censors(path: Path, verdicts: Sequence[CensorVerdict]) -> None:
     """Write what write_json writes for the verdicts' JSON objects, byte for
-    byte, one verdict at a time: each distinct witness bucket is rendered
-    once, and the whole text is never held in memory."""
+    byte, one verdict at a time: each distinct witness bucket and each enum
+    member is rendered once, and the whole text is never held in memory."""
     rendered: dict[BucketKey, str] = {}
     with open(path, "w", encoding="utf-8") as out:
         before = "[\n"
@@ -245,8 +251,8 @@ def write_censors(path: Path, verdicts: Sequence[CensorVerdict]) -> None:
                     # fields in sorted order
                     rendered[key] = (
                         "      {\n"
-                        f'        "anomaly": {json.dumps(key.anomaly.value)},\n'
-                        f'        "granularity": {json.dumps(key.granularity.value)},\n'
+                        f'        "anomaly": {_MEMBER_JSON[key.anomaly]},\n'
+                        f'        "granularity": {_MEMBER_JSON[key.granularity]},\n'
                         f'        "url": {json.dumps(key.url)},\n'
                         f'        "window": {json.dumps(key.window_id)}\n'
                         "      }"
@@ -254,9 +260,9 @@ def write_censors(path: Path, verdicts: Sequence[CensorVerdict]) -> None:
             listing = ",\n".join(rendered[key] for key in verdict.witnesses)
             out.write(
                 f"{before}  {{\n"
-                f'    "anomaly": {json.dumps(verdict.anomaly.value)},\n'
+                f'    "anomaly": {_MEMBER_JSON[verdict.anomaly]},\n'
                 f'    "asn": {json.dumps(verdict.asn)},\n'
-                f'    "class": {json.dumps(verdict.censor_class.value)},\n'
+                f'    "class": {_MEMBER_JSON[verdict.censor_class]},\n'
                 '    "witnesses": ' + (f"[\n{listing}\n    ]" if listing else "[]") + "\n  }"
             )
             before = ",\n"

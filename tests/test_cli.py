@@ -123,8 +123,9 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_loads_no_dataclasses_hashlib_or_simulator():
     """Every process imports censorloc.cli, so what it loads is paid by every
-    command; the simulator, dataclasses and OpenSSL serve only a few."""
-    unwanted = ("dataclasses", "inspect", "hashlib", "censorloc.simulate")
+    command; the simulator, dataclasses and OpenSSL serve only a few, and
+    ingest needs only the C module ``_socket``, not ``socket``."""
+    unwanted = ("dataclasses", "inspect", "hashlib", "censorloc.simulate", "socket", "selectors")
     proc = _fresh_python(
         "-S", "-c",
         f"import censorloc.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])",

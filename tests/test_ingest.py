@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from datetime import datetime, timezone
 from ipaddress import AddressValueError, IPv4Address
 
@@ -81,8 +82,9 @@ def _reference_ipv4(text: str) -> int | None:
         return None
 
 
-# the characters int() or a loose parser would let through, plus the legal ones
-_ADVERSARIAL = "0123456789. 0/+_²٣\n"
+# the characters int() or a loose parser would let through, plus the legal
+# ones and those a C string cannot carry (NUL, a lone surrogate)
+_ADVERSARIAL = "0123456789. 0/+_²٣\n\x00\ud800x:\t０１"
 
 
 @given(
@@ -115,6 +117,11 @@ def test_parse_ipv4_agrees_with_ipaddress(text):
         ("1.2.3.4/32", None),
         ("1.2.3.٣", None),
         ("", None),
+        ("0x1.2.3.4", None),
+        ("1.2.3.4\x00", None),
+        ("1.2.3.\ud800", None),
+        ("1.2.3.4\n", None),
+        ("１.2.3.4", None),
     ],
 )
 def test_parse_ipv4_explicit_cases(text, expected):
@@ -161,6 +168,18 @@ def test_parse_pfx2as_counts_and_lookup():
     assert map_ip(table, "6.6.6.6") == frozenset({600, 601})
     for unmapped in ("8.8.8.8", "1.0.0.1", "definitely-not-an-ip"):
         assert map_ip(table, unmapped) == frozenset()
+
+
+def test_parse_pfx2as_splits_only_at_newlines():
+    # str.splitlines would break the first line at each of these, and count
+    # three lines kept out of two
+    for separator in ("\x85", "\x0b", "\x1c", "\u2028"):
+        text = f"1.0.0.0\t8\t100{separator}2.0.0.0\t8\t200\n3.0.0.0\t8\t300\r\n"
+        table, report = parse_pfx2as(text)
+        assert (report.kept, report.skipped) == (1, 1)
+        assert report.skip_reasons == {"malformed line": 1}
+        assert map_ip(table, "3.0.0.1") == frozenset({300})
+        assert map_ip(table, "2.0.0.1") == map_ip(table, "1.0.0.1") == frozenset()
 
 
 def test_parse_pfx2as_host_bits_are_masked():
@@ -624,6 +643,102 @@ def test_parse_measurements_checks_each_distinct_traceroute_once(monkeypatch):
     three = [json.loads(_OTHER)[0], json.loads(_TRIPLE)[0], _traceroutes(completed=False)[0]]
     parse_measurements(io.StringIO(_record_line(traceroutes=three)))
     assert len(calls) == 3
+
+
+# A line whose traceroutes array has the text of the last decoded line's array
+# gets that line's list back, and a list whose triple validated is not checked
+# again; each line must still give what json.loads and the checks alone give.
+def _assert_each_plain(*lines: str) -> None:
+    records, report = parse_measurements([f"{line}\n" for line in (*lines, _LAST_LINE)])
+    outcomes = [_plain_outcome(line) for line in lines]
+    assert records[:-1] == [each for each in outcomes if not isinstance(each, str)]
+    assert report.skip_reasons == Counter(each for each in outcomes if isinstance(each, str))
+
+
+def test_decoder_reuses_an_array_after_an_earlier_field_failed():
+    other = json.loads(_OTHER)
+    _assert_each_plain(
+        _VALID,
+        _record_line(record_id="r2", url="no-scheme"),
+        _record_line(record_id="r3"),
+        # an array first decoded on a line that fails before its traceroutes
+        _record_line(record_id="r4", url="no-scheme", traceroutes=other),
+        _record_line(record_id="r5", traceroutes=other),
+    )
+
+
+def test_decoder_reuses_an_array_whose_traceroute_failed():
+    for bad in (_traceroutes(hops=[{"ttl": 0, "addr": "9.9.0.1"}]),
+                [*json.loads(_TRIPLE)[:2], _traceroutes(completed=1)[0]]):
+        _assert_each_plain(
+            _VALID,
+            _record_line(record_id="r2", traceroutes=bad),
+            _record_line(record_id="r3", traceroutes=bad),
+            _record_line(record_id="r4"),
+        )
+
+
+def test_decoder_reuses_an_array_json_loads_refused(monkeypatch):
+    # near the recursion limit the walk decodes an array that json.loads
+    # cannot; a json.loads that refuses this array's address stands in here
+    loads = json.loads
+
+    def refusing(text, *args, **kwargs):
+        if "9.9.0.5" in text:
+            raise RecursionError
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", refusing)
+    bad = _record_line(traceroutes=_traceroutes(hops=[{"ttl": 0, "addr": "9.9.0.5"}]))
+    records, report = parse_measurements([f"{line}\n" for line in (_VALID, bad, bad, _LAST_LINE)])
+    assert len(records) == 2 and report.skip_reasons == {"invalid json": 2}
+
+
+def test_decoder_reuses_an_array_after_a_json_loads_line():
+    # two NaNs in a line leave it to json.loads
+    twin = json.dumps(json.loads(_mutated_line(
+        lambda obj: obj["traceroutes"][2].update(completed=1)))["traceroutes"])
+    _assert_each_plain(
+        _VALID,
+        _raw_line(before=[('"url"', "NaN")]),
+        _record_line(record_id="r3"),
+        # equal to the valid list under ==, but not of equal types
+        _raw_line(before=[('"url"', "NaN")], traceroutes=twin),
+        _record_line(record_id="r5"),
+    )
+
+
+def test_decoder_reuses_an_array_only_where_nan_stands_alone():
+    other = json.loads(_OTHER)
+    _assert_each_plain(
+        _VALID,
+        _raw_line(after=[('"traceroutes"', "0")]),
+        _raw_line(after=[('"detected"', "NaN")]),
+        _raw_line(before=[('"traceroutes"', _TRIPLE)], traceroutes=_OTHER),
+        _record_line(record_id="r5"),
+        # walked whole, but the line's traceroutes are another key's value
+        _raw_line(traceroutes=_OTHER, after=[('"traceroutes"', "0")]),
+        _record_line(record_id="r7", traceroutes=other),
+    )
+
+
+def test_decoder_repeated_array_is_neither_walked_nor_checked(monkeypatch):
+    lines = [_record_line(record_id=f"r{i}") for i in range(10)]
+    expected = [_plain_outcome(line) for line in lines]
+    calls: Counter = Counter()
+
+    def counted(name, call):
+        return lambda *args: calls.update([name]) or call(*args)
+
+    monkeypatch.setattr(ingest, "_scan", counted("scan", ingest._scan))
+    monkeypatch.setattr(ingest, "_separator", counted("separator", ingest._separator))
+    monkeypatch.setattr(ingest._Seen, "traceroute",
+                        counted("traceroute", ingest._Seen.traceroute))
+    records, _ = parse_measurements(io.StringIO("".join(f"{line}\n" for line in lines)))
+    assert records == expected
+    # the first line scans one element and reuses it twice; the other nine
+    # reuse the whole array and its checked triple
+    assert calls == {"scan": 1, "separator": 3, "traceroute": 3}
 
 
 # a record that survives path inference: its traceroutes, one with a
