@@ -83,12 +83,15 @@ class ParseReport:
 def parse_ipv4(text: str) -> int | None:
     """Dotted-quad IPv4 address to its integer value, or None if malformed.
 
-    Accepts exactly what ``ipaddress.IPv4Address`` accepts from a string:
-    four octets of one to three ASCII digits, no leading zeros, each at most
-    255. libc's ``inet_pton`` makes the same checks in C. It raises
-    ``OSError`` on a malformed address, and ``ValueError`` where the string
-    cannot become a C string: an embedded NUL, or a lone surrogate that UTF-8
-    cannot encode.
+    Meant to accept exactly what ``ipaddress.IPv4Address`` accepts from a
+    string: four octets of one to three ASCII digits, no leading zeros, each
+    at most 255. The checks are the platform's ``inet_pton``, called through
+    CPython's C module ``_socket`` (``socket`` costs several times as much to
+    import). glibc's ``inet_pton`` makes exactly these checks; other libcs
+    are unchecked, and ``test_parse_ipv4_agrees_with_ipaddress`` guards the
+    equivalence wherever the tests run. It raises ``OSError`` on a malformed
+    address, and ``ValueError`` where the string cannot become a C string: an
+    embedded NUL, or a lone surrogate that UTF-8 cannot encode.
     """
     try:
         return int.from_bytes(inet_pton(AF_INET, text), "big")
@@ -290,7 +293,6 @@ _RECORD_KEYS = {
 }
 _TRACEROUTE_KEYS = {"completed", "hops"}
 _HOP_KEYS = {"ttl", "addr"}
-_ANOMALIES = {member.value: member for member in AnomalyType}
 
 
 class _Seen:
@@ -398,16 +400,16 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
         raise ValueError("invalid dst_ip")
     if not isinstance(obj["anomaly"], str):
         raise ValueError("unknown anomaly type")
-    anomaly = _ANOMALIES.get(obj["anomaly"]) or AnomalyType.parse(obj["anomaly"])
+    anomaly = AnomalyType.parse(obj["anomaly"])
     if not isinstance(obj["detected"], bool):
         raise ValueError("invalid detected")
     timestamp = seen.timestamp(obj["timestamp"])
     raw = obj["traceroutes"]
+    if not isinstance(raw, list):
+        raise ValueError("invalid traceroutes")
     # _decode hands back the last line's list when its array text repeats;
-    # that list is never changed, so its validated triple still holds
+    # that list is never changed, so the triple it validated to still holds
     if raw is not seen.last_raw:
-        if not isinstance(raw, list):
-            raise ValueError("invalid traceroutes")
         if len(raw) != TRACEROUTES_PER_RECORD:
             raise ValueError("traceroute count != 3")
         traceroutes = tuple(map(seen.traceroute, raw))

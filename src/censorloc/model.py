@@ -58,9 +58,11 @@ class AnomalyType(str, Enum):
 
     @classmethod
     def parse(cls, token: str) -> "AnomalyType":
+        # the value-to-member map Enum keeps: cls(token) would find the same
+        # member through a Python-level __call__ and __new__ per token
         try:
-            return cls(token)
-        except ValueError:
+            return cls._value2member_map_[token]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown anomaly type: {token!r}") from None
 
 

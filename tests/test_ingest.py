@@ -507,7 +507,8 @@ def _raw_line(before=(), after=(), traceroutes=_TRIPLE) -> str:
 
 
 def _plain_outcome(line: str):
-    """What json.loads and the record checks alone make of ``line``."""
+    """What json.loads and the record checks alone make of ``line``: a fresh
+    ``_Seen`` has validated no list, so no check is skipped by identity."""
     try:
         obj = json.loads(line)
     except ValueError:
@@ -739,6 +740,18 @@ def test_decoder_repeated_array_is_neither_walked_nor_checked(monkeypatch):
     # the first line scans one element and reuses it twice; the other nine
     # reuse the whole array and its checked triple
     assert calls == {"scan": 1, "separator": 3, "traceroute": 3}
+
+
+def test_parse_measurements_null_traceroutes_before_any_valid_line():
+    # no list has validated yet, so the skip for the last validated list
+    # must not take a null for it
+    null = _raw_line(traceroutes="null")
+    assert _plain_outcome(null) == "invalid traceroutes"
+    with pytest.raises(IngestError, match="no measurement records parsed"):
+        parse_measurements(io.StringIO(f"{null}\n"))
+    records, report = parse_measurements(io.StringIO(f"{null}\n{null}\n{_VALID}\n"))
+    assert records == [make_record()]
+    assert report.skip_reasons == {"invalid traceroutes": 2}
 
 
 # a record that survives path inference: its traceroutes, one with a
