@@ -2,15 +2,16 @@
 
 Malformed entries are skipped and counted per reason; a parse is fatal only
 when nothing usable remains. The accounting identity ``lines = kept + skipped``
-holds for every parser here. ``parse_measurements`` is the only reader of
+holds for every parser here (CSV rows for the AS metadata, where a quoted
+field may span lines). ``parse_measurements`` is the only reader of
 measurement JSON: it makes every check on a record, hop by hop, and builds
 the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` named tuples, which
 check nothing themselves. Equal hops, traceroutes and traceroute triples are
 built once per parse and shared between records; ``_decode`` decodes and
 checks each distinct traceroute text of a line and the line before once, and
-hands back the last line's whole traceroutes list when the array text
-repeats. Addresses are parsed by libc's ``inet_pton`` and checked in the
-prefix table's memo, which inference reuses.
+hands back the last line's checked triple when the array text repeats.
+Addresses are parsed by libc's ``inet_pton`` and checked in the prefix
+table's memo, which inference reuses.
 """
 from __future__ import annotations
 
@@ -233,7 +234,8 @@ def parse_as_metadata(text: str) -> tuple[dict[int, str], ParseReport]:
     """Parse "asn,country,name" CSV into ASN -> country. Missing header is
     fatal; bad rows skip."""
     report = ParseReport()
-    reader = csv.reader(io.StringIO(text))
+    # csv takes its text untranslated: a quoted field may hold a line end
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -300,15 +302,14 @@ class _Seen:
     prefix table's memo, every distinct (addr, ttl) hop as one shared ``Hop``,
     every distinct timestamp string as one shared ``datetime``, every distinct
     ``Traceroute`` and triple as one shared tuple, the last decoded line's
-    traceroute elements as ``[text, value, Traceroute or None]``, its whole
-    array text and the list it decoded to, the last list whose triple
-    validated with that triple, and how many lines in a row have reused no
-    element.
+    traceroute element texts each with the ``Traceroute`` it checked to, that
+    line's whole array text with its triple, and how many lines in a row have
+    reused no element.
 
     Only validated values are interned: every ttl is then an ``int`` that is
     not a ``bool`` and every completed flag a ``bool``, so no two unequal
-    inputs meet as equal keys the way ``True == 1 == 1.0`` would. Elements
-    match an entry by identity with its ``value``, which the entry keeps alive.
+    inputs meet as equal keys the way ``True == 1 == 1.0`` would. No decoded
+    JSON value is kept, so nothing is matched by identity.
     """
 
     def __init__(self, table: PrefixTable) -> None:
@@ -316,12 +317,10 @@ class _Seen:
         self.hops: dict[tuple[str, int], Hop] = {}
         self.stamps: dict[str, datetime] = {}
         self.probes: dict[tuple, tuple] = {}
-        self.elements: list[list] = []
+        self.elements: list[tuple[str, Traceroute]] = []
         self.array = ""
-        self.values: list = []
+        self.triple: tuple[Traceroute, ...] = ()
         self.idle = 0
-        self.last_raw: list | None = None
-        self.last_triple: tuple[Traceroute, ...] = ()
 
     def timestamp(self, raw: Any) -> datetime:
         # a non-string raw is unhashable or not a stamp; parse_timestamp
@@ -332,13 +331,6 @@ class _Seen:
         if stamp is None:
             stamp = self.stamps[raw] = parse_timestamp(raw)
         return stamp
-
-    def traceroute(self, raw: Any) -> Traceroute:
-        for entry in self.elements:
-            if entry[1] is raw:
-                entry[2] = entry[2] or _validate_traceroute(raw, self)
-                return entry[2]
-        return _validate_traceroute(raw, self)
 
 
 def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
@@ -381,7 +373,10 @@ def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
     return seen.probes.setdefault(traceroute, traceroute)
 
 
-def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
+def _validate_record(obj: Any, seen: _Seen,
+                     triple: tuple[Traceroute, ...] | None = None) -> MeasurementRecord:
+    """The record ``obj`` holds; ``triple`` is its traceroutes as ``_decode``
+    already checked them, and without it the list is checked here."""
     if not isinstance(obj, dict):
         raise ValueError("not a json object")
     if obj.keys() != _RECORD_KEYS:
@@ -404,21 +399,16 @@ def _validate_record(obj: Any, seen: _Seen) -> MeasurementRecord:
     if not isinstance(obj["detected"], bool):
         raise ValueError("invalid detected")
     timestamp = seen.timestamp(obj["timestamp"])
-    raw = obj["traceroutes"]
-    if not isinstance(raw, list):
-        raise ValueError("invalid traceroutes")
-    # _decode hands back the last line's list when its array text repeats;
-    # that list is never changed, so the triple it validated to still holds
-    if raw is not seen.last_raw:
+    if triple is None:
+        raw = obj["traceroutes"]
+        if not isinstance(raw, list):
+            raise ValueError("invalid traceroutes")
         if len(raw) != TRACEROUTES_PER_RECORD:
             raise ValueError("traceroute count != 3")
-        traceroutes = tuple(map(seen.traceroute, raw))
-        # the records of one probe repeat its triple: identity makes == cheap
-        if traceroutes != seen.last_triple:
-            seen.last_triple = seen.probes.setdefault(traceroutes, traceroutes)
-        seen.last_raw = raw
+        triple = tuple([_validate_traceroute(each, seen) for each in raw])
+        triple = seen.probes.setdefault(triple, triple)
     return MeasurementRecord(obj["record_id"], obj["vantage_asn"], url, dst_ip, anomaly,
-                             obj["detected"], timestamp, seen.last_triple)
+                             obj["detected"], timestamp, triple)
 
 
 _scan = json.JSONDecoder().scan_once
@@ -426,24 +416,27 @@ _scan = json.JSONDecoder().scan_once
 _separator = re.compile(r"[ \t\n\r]*(?:(\])|,[ \t\n\r]*)").match
 
 
-def _decode(line: str, seen: _Seen) -> dict | None:
-    """``json.loads(line)``, decoding each distinct traceroute text once, or
-    None where this shortcut does not apply.
+def _decode(line: str, seen: _Seen) -> tuple[dict, tuple[Traceroute, ...]] | None:
+    """``json.loads(line)`` and its checked traceroutes triple, decoding and
+    checking each distinct traceroute text once, or None where this shortcut
+    does not apply or an element fails its checks.
 
     When the ``"traceroutes"`` array at ``start`` has the text of the last
-    decoded line's array, that line's list is handed back. Otherwise the
+    decoded line's array, that line's triple is handed back. Otherwise the
     array is walked with the C decoder's array grammar; an element text that
     begins with ``{`` and equals one decoded in this line or the last
-    decoded line reuses that value. The rest is decoded as ``short``, the
-    line with the array replaced by ``NaN``, and kept only if ``NaN`` occurs
-    there once, at ``start``, and is the top-level ``"traceroutes"`` value.
-    That is sound: (i) only the ``NaN`` literal decodes to a float NaN, so
-    the value that survives duplicate keys is the token at ``start``; (ii)
-    ``line`` and ``short`` share the text before ``start``, so the decoder
-    reaches it in the same state in both, and in ``line`` decodes there the
-    array the walk parsed; (iii) text that begins with ``{`` or ``[`` is
-    self-delimiting, so equal text decodes to an equal value of equal types
-    in equal key order, and a whole array text walks as it walked before.
+    decoded line reuses that element's ``Traceroute``, and any other is
+    decoded and checked. The rest is decoded as ``short``, the line with the
+    array replaced by ``NaN``, and kept only if ``NaN`` occurs there once, at
+    ``start``, and is the top-level ``"traceroutes"`` value. That is sound:
+    (i) only the ``NaN`` literal decodes to a float NaN, so the value that
+    survives duplicate keys is the token at ``start``; (ii) ``line`` and
+    ``short`` share the text before ``start``, so the decoder reaches it in
+    the same state in both, and in ``line`` decodes there the array the walk
+    parsed; (iii) text that begins with ``{`` or ``[`` is self-delimiting, so
+    equal text decodes to an equal value of equal types in equal key order,
+    which passes the same checks, and a whole array text walks as it walked
+    before.
     """
     start = line.find("[", line.find('"traceroutes"'))
     if start < 0:
@@ -451,7 +444,7 @@ def _decode(line: str, seen: _Seen) -> dict | None:
     try:
         if seen.array and line.startswith(seen.array, start):
             seen.idle = 0
-            walked, values = seen.elements, seen.values
+            walked, triple = seen.elements, seen.triple
             idx = start + len(seen.array)
         else:
             walked = []
@@ -465,7 +458,7 @@ def _decode(line: str, seen: _Seen) -> dict | None:
                         break
                 else:
                     value, end = _scan(line, idx)
-                    entry = [line[idx:end], value, None]
+                    entry = (line[idx:end], _validate_traceroute(value, seen))
                 walked.append(entry)
                 separator = _separator(line, idx + len(entry[0]))
                 if separator is None:
@@ -473,7 +466,10 @@ def _decode(line: str, seen: _Seen) -> dict | None:
                 idx = separator.end()
                 if separator.group(1):
                     break
-            values = [entry[1] for entry in walked]
+            if len(walked) != TRACEROUTES_PER_RECORD:
+                return None
+            triple = tuple([entry[1] for entry in walked])
+            triple = seen.probes.setdefault(triple, triple)
         short = line[:start] + "NaN" + line[idx:]
         if short.find("NaN") != start or short.find("NaN", start + 1) >= 0:
             return None
@@ -483,9 +479,8 @@ def _decode(line: str, seen: _Seen) -> dict | None:
     nan = obj.get("traceroutes") if type(obj) is dict else None
     if type(nan) is not float or nan == nan:
         return None
-    seen.elements, seen.array, seen.values = walked, line[start:idx], values
-    obj["traceroutes"] = values
-    return obj
+    seen.elements, seen.array, seen.triple = walked, line[start:idx], triple
+    return obj, triple
 
 
 def _parse_line(line: str, seen: _Seen) -> MeasurementRecord:
@@ -495,10 +490,10 @@ def _parse_line(line: str, seen: _Seen) -> MeasurementRecord:
     # where nothing repeats the walk only costs: after two lines in a row that
     # reused nothing, every 16th line is walked until one reuses again
     seen.idle += 1
-    obj = _decode(line, seen) if seen.idle < 3 or seen.idle % 16 == 0 else None
-    if obj is not None:
+    decoded = _decode(line, seen) if seen.idle < 3 or seen.idle % 16 == 0 else None
+    if decoded is not None:
         try:
-            return _validate_record(obj, seen)
+            return _validate_record(decoded[0], seen, decoded[1])
         except ValueError:
             pass  # near the recursion limit the walk can decode what json.loads cannot
     try:

@@ -392,7 +392,8 @@ def parse_dimacs(text: str) -> tuple[int, list[ClauseTuple]]:
     n_vars: int | None = None
     clauses: list[ClauseTuple] = []
     pending: list[int] = []
-    for line in text.splitlines():
+    # lines end at LF only: str.splitlines would also end a comment at U+0085
+    for line in text.split("\n"):
         stripped = line.strip()
         if stripped == "%":
             break  # the end marker of SATLIB files

@@ -1,8 +1,11 @@
-"""Shared builders for the test suite: records, tables, random CNFs."""
+"""Shared builders for the test suite: records, tables, random CNFs, and the
+mutations the fuzz tests draw."""
 from __future__ import annotations
 
 import random
 from datetime import datetime, timezone
+
+from hypothesis import strategies as st
 
 from censorloc import solver
 from censorloc.analysis import HISTOGRAM_BUCKETS, ChurnCell, ChurnReport
@@ -269,3 +272,63 @@ def assert_canonical_cnf(instance) -> None:
     assert instance.variables == tuple(sorted(union))
     keys = [c.canonical_key() for c in instance.clauses]
     assert keys == sorted(set(keys))
+
+
+# ---------------------------------------------------------------------------
+# mutations
+
+# bytes that matter to some reader, besides arbitrary short runs
+_BYTE_TOKENS = st.sampled_from(
+    [b"\t", b",", b"\n", b"\r", b" ", b"_", b"-", b".", b"0", b"9", b"{", b"}", b"[", b"]",
+     b'"', b":", b"null", b"\xff", b"\xc3", b"p cnf", b"/"]
+) | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def mutated_bytes(draw, data: bytes) -> bytes:
+    """``data`` with one to four bytes runs replaced, inserted, deleted or repeated."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(out)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "repeat"]))
+        if kind == "replace":
+            chunk = draw(_BYTE_TOKENS)
+            out[pos : pos + len(chunk)] = chunk
+        elif kind == "insert":
+            out[pos:pos] = draw(_BYTE_TOKENS)
+        elif kind == "delete":
+            del out[pos : pos + draw(st.integers(1, 16))]
+        else:
+            out[pos:pos] = out[pos : pos + draw(st.integers(1, 16))]
+    return bytes(out)
+
+
+def value_paths(value, path=()):
+    """The key path of every value below the top of a JSON value."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        yield (*path, key)
+        if isinstance(child, (dict, list)):
+            yield from value_paths(child, (*path, key))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# values that pass, or nearly pass, some check of a measurement record
+NEAR_VALUES = st.sampled_from([
+    0, 1, 2, 1.0, True, False, None, "", "*", "9.9.0.1", "9.9.0.1 ", "http://x/", [], {},
+    {"addr": "9.9.0.1", "ttl": 1}, {"ttl": 1, "addr": 7}, {"hops": [], "completed": False},
+])
+
+
+def equal_twins(value) -> list:
+    """Values equal to a JSON number or bool under ``==`` but of another type."""
+    if type(value) not in (bool, int, float):
+        return []
+    twins = (bool(value), int(value), float(value))
+    return [v for v in twins if v == value and type(v) is not type(value)]

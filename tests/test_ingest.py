@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_record, make_traceroute, record_obj, ts
+from _helpers import (
+    JSON_VALUES,
+    NEAR_VALUES,
+    equal_twins,
+    make_record,
+    make_traceroute,
+    record_obj,
+    ts,
+    value_paths,
+)
 from censorloc import ingest
 from censorloc.aspath import map_ip
 from censorloc.cli import main
@@ -507,8 +516,8 @@ def _raw_line(before=(), after=(), traceroutes=_TRIPLE) -> str:
 
 
 def _plain_outcome(line: str):
-    """What json.loads and the record checks alone make of ``line``: a fresh
-    ``_Seen`` has validated no list, so no check is skipped by identity."""
+    """What json.loads and the record checks alone make of ``line``: given no
+    triple, ``_validate_record`` checks the traceroutes list itself."""
     try:
         obj = json.loads(line)
     except ValueError:
@@ -647,7 +656,7 @@ def test_parse_measurements_checks_each_distinct_traceroute_once(monkeypatch):
 
 
 # A line whose traceroutes array has the text of the last decoded line's array
-# gets that line's list back, and a list whose triple validated is not checked
+# gets that line's checked triple back, and its traceroutes are not checked
 # again; each line must still give what json.loads and the checks alone give.
 def _assert_each_plain(*lines: str) -> None:
     records, report = parse_measurements([f"{line}\n" for line in (*lines, _LAST_LINE)])
@@ -733,13 +742,13 @@ def test_decoder_repeated_array_is_neither_walked_nor_checked(monkeypatch):
 
     monkeypatch.setattr(ingest, "_scan", counted("scan", ingest._scan))
     monkeypatch.setattr(ingest, "_separator", counted("separator", ingest._separator))
-    monkeypatch.setattr(ingest._Seen, "traceroute",
-                        counted("traceroute", ingest._Seen.traceroute))
+    monkeypatch.setattr(ingest, "_validate_traceroute",
+                        counted("check", ingest._validate_traceroute))
     records, _ = parse_measurements(io.StringIO("".join(f"{line}\n" for line in lines)))
     assert records == expected
-    # the first line scans one element and reuses it twice; the other nine
-    # reuse the whole array and its checked triple
-    assert calls == {"scan": 1, "separator": 3, "traceroute": 3}
+    # the first line scans and checks one element text and reuses it twice;
+    # the other nine reuse the whole array and its checked triple
+    assert calls == {"scan": 1, "separator": 3, "check": 1}
 
 
 def test_parse_measurements_null_traceroutes_before_any_valid_line():
@@ -764,46 +773,15 @@ _FUZZ_BASE = record_obj(make_record(traceroutes=(
 _FUZZ_PFX2AS = "1.1.0.0\t16\t100\n2.2.0.0\t16\t200\n9.9.0.0\t16\t900\n"
 
 
-def _value_paths(value, path=()):
-    """The key path of every value below the top of a JSON value."""
-    children = value.items() if isinstance(value, dict) else enumerate(value)
-    for key, child in children:
-        yield (*path, key)
-        if isinstance(child, (dict, list)):
-            yield from _value_paths(child, (*path, key))
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: (
-        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
-    ),
-    max_leaves=6,
-)
-# values that pass, or nearly pass, some check of a record
-_NEAR_VALUES = st.sampled_from([
-    0, 1, 2, 1.0, True, False, None, "", "*", "9.9.0.1", "9.9.0.1 ", "http://x/", [], {},
-    {"addr": "9.9.0.1", "ttl": 1}, {"ttl": 1, "addr": 7}, {"hops": [], "completed": False},
-])
-
-
-def _equal_twins(value) -> list:
-    """Values equal to a JSON number or bool under ``==`` but of another type."""
-    if type(value) not in (bool, int, float):
-        return []
-    twins = (bool(value), int(value), float(value))
-    return [v for v in twins if v == value and type(v) is not type(value)]
-
-
 @settings(max_examples=100, deadline=None)
-@given(path=st.sampled_from(list(_value_paths(_FUZZ_BASE))), data=st.data())
+@given(path=st.sampled_from(list(value_paths(_FUZZ_BASE))), data=st.data())
 def test_parse_measurements_memo_is_invisible(path, data):
     obj = json.loads(json.dumps(_FUZZ_BASE))
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    values = _NEAR_VALUES | _JSON_VALUES
-    twins = _equal_twins(parent[path[-1]])
+    values = NEAR_VALUES | JSON_VALUES
+    twins = equal_twins(parent[path[-1]])
     parent[path[-1]] = data.draw(st.sampled_from(twins) | values if twins else values)
     valid, line = json.dumps(_FUZZ_BASE), json.dumps(obj)
     assert _outcome(line, after=(valid,)) == _outcome(line)

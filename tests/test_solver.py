@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,7 @@ from _helpers import (
     satisfies,
     structured_dimacs,
 )
-from censorloc import solver
+from censorloc import pipeline, solver
 from censorloc.model import (
     AnomalyType,
     BackboneStatus,
@@ -326,15 +328,60 @@ def test_general_cnfs_match_brute_force(cnf, cap):
     # the witness is the first model in variable order, true before false
     first = max(models, key=lambda m: [m[v] for v in variables], default=None)
     assert solver.check_sat(variables, clauses)[1] == first
-    backbone = backbone_from_models(variables, models)
     # solve_dimacs_text refuses a cap of 1
-    count = min(len(models), max(cap, 2))
-    status = "unsat" if count == 0 else "unique" if count == 1 else "multiple"
-    assert solver.solve_dimacs_text(_dimacs_text(n, clauses), max(cap, 2)) == {
-        "status": status,
+    assert solver.solve_dimacs_text(_dimacs_text(n, clauses), max(cap, 2)) == \
+        _brute_force_answer(n, clauses, max(cap, 2))
+
+
+def _brute_force_answer(n, clauses, cap) -> dict:
+    """What solve-dimacs must print for a CNF over 1..n, from brute force."""
+    variables = tuple(range(1, n + 1))
+    models = solver.brute_force_models(variables, clauses)
+    count = min(len(models), cap)
+    return {
+        "status": "unsat" if count == 0 else "unique" if count == 1 else "multiple",
         "count_capped": count,
-        "backbone": {str(v): s.value for v, s in sorted(backbone.items())},
+        "backbone": {str(v): s.value
+                     for v, s in sorted(backbone_from_models(variables, models).items())},
     }
+
+
+# what may follow "c" in a comment: characters str.splitlines would end a
+# line at, a lone CR, and text that reads as a clause if the comment ends early
+_COMMENT_TEXT = st.lists(st.sampled_from(
+    ["\x85", "\u2028", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", " ", "1", "-2", "0", "x"]
+), max_size=6).map("".join)
+
+
+@st.composite
+def dimacs_files(draw):
+    """A CNF and DIMACS bytes that mean it: clauses split over lines at drawn
+    tokens, comment and blank lines anywhere, each line ended by LF or CRLF."""
+    n, clauses = draw(general_dimacs_cnfs())
+    tokens = [token for clause in clauses for token in (*map(str, clause), "0")]
+    lines, line = [f"p cnf {n} {len(clauses)}"], []
+    for token in tokens:
+        line.append(token)
+        if draw(st.booleans()):
+            lines.append(" ".join(line))
+            line = []
+    lines.append(" ".join(line))
+    extra = _COMMENT_TEXT.map(lambda text: "c" + text) | st.sampled_from(["", " ", "\t", "\r"])
+    for pos, text in draw(st.lists(st.tuples(st.integers(0, len(lines)), extra), max_size=4)):
+        lines.insert(pos, text)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return n, clauses, "".join(map(str.__add__, lines, ends)).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dimacs_files(), st.integers(2, 8))
+def test_dimacs_files_match_brute_force(cnf, cap):
+    n, clauses, data = cnf
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cnf.cnf")
+        path.write_bytes(data)
+        assert pipeline.cmd_solve_dimacs(path, cap) == _brute_force_answer(n, clauses, cap)
 
 
 @pytest.mark.parametrize(
