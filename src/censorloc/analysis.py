@@ -60,7 +60,8 @@ def identify_censors(summaries: Sequence[SolutionSummary]) -> list[CensorVerdict
                 potential_wit.setdefault(pair, []).extend(ranks)
 
     verdicts: list[CensorVerdict] = []
-    for pair in sorted(seen, key=lambda p: (p[1].value, p[0])):
+    # by anomaly name, then ASN: a str enum member compares as its value
+    for pair in sorted(seen, key=lambda p: (p[1], p[0])):
         if pair in censor_wit:
             klass, ranks = CensorClass.CENSOR, censor_wit[pair]
         elif pair in potential_wit:
@@ -190,7 +191,7 @@ def detect_leakage(
                     )
 
     edge_list = sorted(
-        edges.values(), key=lambda e: (e.censor_asn, e.victim_asn, e.anomaly.value)
+        edges.values(), key=lambda e: (e.censor_asn, e.victim_asn, e.anomaly)
     )
     per_censor: list[CensorLeakSummary] = []
     # edge_list is sorted by censor, so each censor's edges are one run

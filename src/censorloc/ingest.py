@@ -9,7 +9,12 @@ the ``Hop``, ``Traceroute`` and ``MeasurementRecord`` named tuples, which
 check nothing themselves. Equal hops, traceroutes and traceroute triples are
 built once per parse and shared between records; ``_decode`` decodes and
 checks each distinct traceroute text of a line and the line before once, and
-hands back the last line's checked triple when the array text repeats.
+hands back the last line's checked triple when the array text repeats. A
+line in the canonical layout ``simulate`` writes (sorted keys, ``json.dumps``'s
+default separators, strings without escapes) has its other fields read by
+two anchored patterns, one up to the traceroutes array and one from its end
+to the end of the line, and no ``json.loads`` runs; any other line is decoded
+as before. Either way a skipped line gets the plain decoder's reason.
 Addresses are parsed by libc's ``inet_pton`` and checked in the prefix
 table's memo, which inference reuses.
 """
@@ -321,6 +326,9 @@ class _Seen:
         self.array = ""
         self.triple: tuple[Traceroute, ...] = ()
         self.idle = 0
+        # compiled on first use, not at import; re caches them between parses
+        self.head = re.compile(_HEAD).match
+        self.tail = re.compile(_TAIL).match
 
     def timestamp(self, raw: Any) -> datetime:
         # a non-string raw is unhashable or not a stamp; parse_timestamp
@@ -376,7 +384,7 @@ def _validate_traceroute(obj: Any, seen: _Seen) -> Traceroute:
 def _validate_record(obj: Any, seen: _Seen,
                      triple: tuple[Traceroute, ...] | None = None) -> MeasurementRecord:
     """The record ``obj`` holds; ``triple`` is its traceroutes as ``_decode``
-    already checked them, and without it the list is checked here."""
+    already checked them, and without it ``_record`` checks the list."""
     if not isinstance(obj, dict):
         raise ValueError("not a json object")
     if obj.keys() != _RECORD_KEYS:
@@ -384,61 +392,84 @@ def _validate_record(obj: Any, seen: _Seen,
         if missing:
             raise ValueError(f"missing key: {sorted(missing)[0]}")
         raise ValueError(f"unexpected key: {sorted(obj.keys() - _RECORD_KEYS)[0]}")
-    if not isinstance(obj["record_id"], str) or not obj["record_id"]:
+    return _record(seen, obj["record_id"], obj["vantage_asn"], obj["url"], obj["dst_ip"],
+                   obj["anomaly"], obj["detected"], obj["timestamp"],
+                   obj["traceroutes"] if triple is None else triple)
+
+
+def _record(seen: _Seen, record_id: Any, vantage_asn: Any, url: Any, dst_ip: Any,
+            anomaly: Any, detected: Any, timestamp: Any, traceroutes: Any) -> MeasurementRecord:
+    """The record of these field values, checked in this order. JSON decodes
+    to no tuple, so a tuple ``traceroutes`` is a triple ``_decode`` checked,
+    and any other value is a decoded list, checked here."""
+    if not isinstance(record_id, str) or not record_id:
         raise ValueError("invalid record_id")
-    validate_asn(obj["vantage_asn"], "vantage_asn")
-    url = obj["url"]
+    validate_asn(vantage_asn, "vantage_asn")
     if not isinstance(url, str) or "://" not in url or url.startswith("://"):
         raise ValueError("invalid url")
-    dst_ip = obj["dst_ip"]
     if not isinstance(dst_ip, str) or seen.table.origins(dst_ip) is None:
         raise ValueError("invalid dst_ip")
-    if not isinstance(obj["anomaly"], str):
+    if not isinstance(anomaly, str):
         raise ValueError("unknown anomaly type")
-    anomaly = AnomalyType.parse(obj["anomaly"])
-    if not isinstance(obj["detected"], bool):
+    anomaly = AnomalyType.parse(anomaly)
+    if not isinstance(detected, bool):
         raise ValueError("invalid detected")
-    timestamp = seen.timestamp(obj["timestamp"])
-    if triple is None:
-        raw = obj["traceroutes"]
-        if not isinstance(raw, list):
+    timestamp = seen.timestamp(timestamp)
+    if type(traceroutes) is not tuple:
+        if not isinstance(traceroutes, list):
             raise ValueError("invalid traceroutes")
-        if len(raw) != TRACEROUTES_PER_RECORD:
+        if len(traceroutes) != TRACEROUTES_PER_RECORD:
             raise ValueError("traceroute count != 3")
-        triple = tuple([_validate_traceroute(each, seen) for each in raw])
-        triple = seen.probes.setdefault(triple, triple)
-    return MeasurementRecord(obj["record_id"], obj["vantage_asn"], url, dst_ip, anomaly,
-                             obj["detected"], timestamp, triple)
+        triple = tuple([_validate_traceroute(each, seen) for each in traceroutes])
+        traceroutes = seen.probes.setdefault(triple, triple)
+    return MeasurementRecord(record_id, vantage_asn, url, dst_ip, anomaly, detected, timestamp,
+                             traceroutes)
 
 
 _scan = json.JSONDecoder().scan_once
 # after an array element: JSON whitespace, then the array's end or a comma
 _separator = re.compile(r"[ \t\n\r]*(?:(\])|,[ \t\n\r]*)").match
+# The layout simulate writes, json.dumps(record, sort_keys=True): the fields
+# before the traceroutes array, and after it to the end of the line. A string
+# without escapes or control characters decodes to the text between its
+# quotes; an ASN is a JSON integer with no sign, fraction or leading zero.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_HEAD = (rf'\{{"anomaly": {_STRING}, "detected": (true|false), "dst_ip": {_STRING}, '
+         rf'"record_id": {_STRING}, "timestamp": {_STRING}, "traceroutes": (?=\[)')
+_TAIL = rf', "url": {_STRING}, "vantage_asn": ([1-9][0-9]{{0,9}})\}}[ \t\n\r]*\Z'
 
 
-def _decode(line: str, seen: _Seen) -> tuple[dict, tuple[Traceroute, ...]] | None:
-    """``json.loads(line)`` and its checked traceroutes triple, decoding and
-    checking each distinct traceroute text once, or None where this shortcut
-    does not apply or an element fails its checks.
+def _decode(line: str, seen: _Seen) -> MeasurementRecord | None:
+    """The record on ``line``, decoding and checking each distinct traceroute
+    text once, or None where this shortcut does not apply or an element fails
+    its checks; a ValueError names a field that failed its check.
 
     When the ``"traceroutes"`` array at ``start`` has the text of the last
     decoded line's array, that line's triple is handed back. Otherwise the
     array is walked with the C decoder's array grammar; an element text that
     begins with ``{`` and equals one decoded in this line or the last
     decoded line reuses that element's ``Traceroute``, and any other is
-    decoded and checked. The rest is decoded as ``short``, the line with the
-    array replaced by ``NaN``, and kept only if ``NaN`` occurs there once, at
-    ``start``, and is the top-level ``"traceroutes"`` value. That is sound:
-    (i) only the ``NaN`` literal decodes to a float NaN, so the value that
-    survives duplicate keys is the token at ``start``; (ii) ``line`` and
-    ``short`` share the text before ``start``, so the decoder reaches it in
-    the same state in both, and in ``line`` decodes there the array the walk
-    parsed; (iii) text that begins with ``{`` or ``[`` is self-delimiting, so
-    equal text decodes to an equal value of equal types in equal key order,
-    which passes the same checks, and a whole array text walks as it walked
-    before.
+    decoded and checked.
+
+    A line in the canonical layout, which ``seen.head`` matches up to the
+    array and ``seen.tail`` from its end, has its other fields read from the
+    two matches. They admit only text that ``json.loads`` decodes to the same
+    values: each key once, strings it copies verbatim, ``true`` or ``false``,
+    an integer it reads as ``int`` does, and after the closing brace nothing
+    but JSON whitespace. On any other line the rest is decoded as ``short``, the
+    line with the array replaced by ``NaN``, and kept only if ``NaN`` occurs
+    there once, at ``start``, and is the top-level ``"traceroutes"`` value.
+    That is sound: (i) only the ``NaN`` literal decodes to a float NaN, so
+    the value that survives duplicate keys is the token at ``start``; (ii)
+    ``line`` and ``short`` share the text before ``start``, so the decoder
+    reaches it in the same state in both, and in ``line`` decodes there the
+    array the walk parsed; (iii) text that begins with ``{`` or ``[`` is
+    self-delimiting, so equal text decodes to an equal value of equal types
+    in equal key order, which passes the same checks, and a whole array text
+    walks as it walked before.
     """
-    start = line.find("[", line.find('"traceroutes"'))
+    head = seen.head(line)
+    start = head.end() if head else line.find("[", line.find('"traceroutes"'))
     if start < 0:
         return None
     try:
@@ -470,17 +501,34 @@ def _decode(line: str, seen: _Seen) -> tuple[dict, tuple[Traceroute, ...]] | Non
                 return None
             triple = tuple([entry[1] for entry in walked])
             triple = seen.probes.setdefault(triple, triple)
-        short = line[:start] + "NaN" + line[idx:]
-        if short.find("NaN") != start or short.find("NaN", start + 1) >= 0:
-            return None
-        obj = json.loads(short)
     except (ValueError, RecursionError, StopIteration):
         return None
-    nan = obj.get("traceroutes") if type(obj) is dict else None
-    if type(nan) is not float or nan == nan:
-        return None
+    tail = seen.tail(line, idx) if head else None
+    if tail is None:
+        obj = _short(line, start, idx)
+        if obj is None:
+            return None
     seen.elements, seen.array, seen.triple = walked, line[start:idx], triple
-    return obj, triple
+    if tail is None:
+        return _validate_record(obj, seen, triple)
+    anomaly, detected, dst_ip, record_id, timestamp = head.groups()
+    url, vantage_asn = tail.groups()
+    return _record(seen, record_id, int(vantage_asn), url, dst_ip, anomaly,
+                   detected == "true", timestamp, triple)
+
+
+def _short(line: str, start: int, idx: int) -> dict | None:
+    """``line`` decoded with its array at ``start:idx`` replaced by ``NaN``,
+    or None unless that ``NaN`` is the one top-level ``"traceroutes"`` value."""
+    short = line[:start] + "NaN" + line[idx:]
+    if short.find("NaN") != start or short.find("NaN", start + 1) >= 0:
+        return None
+    try:
+        obj = json.loads(short)
+    except (ValueError, RecursionError):
+        return None
+    nan = obj.get("traceroutes") if type(obj) is dict else None
+    return obj if type(nan) is float and nan != nan else None
 
 
 def _parse_line(line: str, seen: _Seen) -> MeasurementRecord:
@@ -490,12 +538,16 @@ def _parse_line(line: str, seen: _Seen) -> MeasurementRecord:
     # where nothing repeats the walk only costs: after two lines in a row that
     # reused nothing, every 16th line is walked until one reuses again
     seen.idle += 1
-    decoded = _decode(line, seen) if seen.idle < 3 or seen.idle % 16 == 0 else None
-    if decoded is not None:
+    if seen.idle < 3 or seen.idle % 16 == 0:
         try:
-            return _validate_record(decoded[0], seen, decoded[1])
+            record = _decode(line, seen)
         except ValueError:
-            pass  # near the recursion limit the walk can decode what json.loads cannot
+            # a field failed its check: decoded whole below, the line gets the
+            # plain decoder's reason (near the recursion limit the walk can
+            # decode what json.loads cannot)
+            record = None
+        if record is not None:
+            return record
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError):

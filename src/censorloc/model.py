@@ -108,8 +108,10 @@ def parse_timestamp(raw: str) -> datetime:
     if not isinstance(raw, str):
         raise ValueError(f"timestamp must be a string, got {raw!r}")
     try:
-        # strptime alone takes non-ASCII digits and unpadded fields
-        if len(raw) != 20 or not raw.isascii():
+        # strptime alone takes non-ASCII digits, unpadded fields and a space
+        # before a one-digit day
+        digits = raw[0:4] + raw[5:7] + raw[8:10] + raw[11:13] + raw[14:16] + raw[17:19]
+        if len(raw) != 20 or not (raw.isascii() and digits.isdigit()):
             raise ValueError
         naive = datetime.strptime(raw, TIMESTAMP_FORMAT)
     except ValueError:
@@ -161,7 +163,9 @@ class BucketKey(NamedTuple):
     window_id: str
 
     def sort_key(self) -> tuple:
-        return (self.anomaly.value, self.url, self.granularity.sort_index, self.window_id)
+        # a str enum member compares as its value, without the Python-level
+        # .value property
+        return (self.anomaly, self.url, _GRANULARITY_ORDER[self.granularity], self.window_id)
 
     def to_json_obj(self) -> dict[str, str]:
         return {

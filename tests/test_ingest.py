@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 from ipaddress import AddressValueError, IPv4Address
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
@@ -38,7 +38,7 @@ from censorloc.ingest import (
     parse_pfx2as,
     window_id,
 )
-from censorloc.model import TimeGranularity, parse_timestamp
+from censorloc.model import AnomalyType, TimeGranularity, parse_timestamp
 
 G = TimeGranularity
 
@@ -761,6 +761,105 @@ def test_parse_measurements_null_traceroutes_before_any_valid_line():
     records, report = parse_measurements(io.StringIO(f"{null}\n{null}\n{_VALID}\n"))
     assert records == [make_record()]
     assert report.skip_reasons == {"invalid traceroutes": 2}
+
+
+# The canonical layout simulate writes, json.dumps(obj, sort_keys=True), is
+# read by two anchored patterns around the traceroutes array; each line below
+# perturbs one field of such a line and must give what json.loads and the
+# record checks alone give, after a canonical line with the same array or
+# with none before it.
+_CANONICAL = json.dumps(record_obj(make_record()), sort_keys=True)
+_STRING_FIELDS = ["anomaly", "dst_ip", "record_id", "timestamp", "url"]
+# escaped and control characters, DEL, non-ASCII, astral and quote
+_IN_STRINGS = ['\\"', "\\\\", "\\/", "\\n", "\\u0041", "\\ud83d\\ude00", "\\", "\x00", "\t",
+               "\x1f", "\x7f", "é", " ", "\U0001f600", '"']
+_ASN_TEXTS = ["0", "01", "00", "0100", "-1", "1e3", "1.0", "4294967296", "4294967295", "1"]
+
+
+@st.composite
+def _perturbed_lines(draw) -> str:
+    """A valid record in the canonical layout, with one field perturbed."""
+    obj = {
+        "anomaly": draw(st.sampled_from([anomaly.value for anomaly in AnomalyType])),
+        "detected": draw(st.booleans()),
+        "dst_ip": draw(st.sampled_from(["9.9.0.1", "10.0.0.1"])),
+        "record_id": draw(st.sampled_from(["r1", "r\x7f", "\U0001f600"])
+                          | st.text(min_size=1, max_size=3)),
+        "timestamp": draw(st.sampled_from(["2016-05-02T12:00:00Z", "0999-12-31T23:59:59Z"])),
+        "traceroutes": json.loads(draw(st.sampled_from([_TRIPLE, _OTHER]))),
+        "url": draw(st.sampled_from(["http://example.com/", "https://é.x/\U0001f600"])),
+        "vantage_asn": draw(st.integers(1, 2**32 - 1)),
+    }
+    line = json.dumps(obj, sort_keys=True, ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from(["escape", "insert", "asn", "detected", "whitespace",
+                                 "duplicate", "trailing", "bom"]))
+    if kind in ("escape", "insert"):
+        key = draw(st.sampled_from(_STRING_FIELDS))
+        at = line.index(f'"{key}": "') + len(key) + 5
+        end = line.index('"', at)
+        at = draw(st.integers(at, end))
+        if kind == "insert":
+            return line[:at] + draw(st.sampled_from(_IN_STRINGS)) + line[at:]
+        if at == end:
+            return line
+        # one character as its escape, which decodes to the same string
+        escape = json.dumps(line[at])[1:-1]
+        escape = escape if escape.startswith("\\") else f"\\u{ord(line[at]):04x}"
+        return line[:at] + escape + line[at + 1:]
+    if kind == "asn":
+        return line.replace(f'"vantage_asn": {obj["vantage_asn"]}',
+                            f'"vantage_asn": {draw(st.sampled_from(_ASN_TEXTS))}')
+    if kind == "detected":
+        value = json.dumps(obj["detected"])
+        return line.replace(f'"detected": {value}',
+                            f'"detected": {draw(st.sampled_from([f"{value}ish", "1", "null"]))}')
+    if kind == "whitespace":
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + draw(st.sampled_from([" ", "\t", "\r", "\n", "\x0c"])) + line[at:]
+    if kind == "duplicate":
+        key = draw(st.sampled_from(sorted(obj)))
+        value = draw(st.sampled_from([obj[key], "", "no-scheme", None, 7]))
+        pair = f"{json.dumps(key)}: {json.dumps(value)}"
+        return f"{{{pair}, {line[1:]}" if draw(st.booleans()) else f"{line[:-1]}, {pair}}}"
+    if kind == "trailing":
+        return line + draw(st.sampled_from(["x", " 1", "}", ",", " {}", "\x00", "\ufeff"]))
+    return "\ufeff" + line
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_perturbed_lines())
+@example(line=_CANONICAL)
+@example(line=_CANONICAL.replace('"vantage_asn": 100', '"vantage_asn": 0100'))
+@example(line=_CANONICAL + " x")
+@example(line=_CANONICAL.replace('"r1"', '"r\\u0031"'))
+def test_canonical_layout_reads_as_json_loads(line):
+    expected = _plain_outcome(line)
+    for before in ((), (_CANONICAL,)):
+        records, report = parse_measurements([f"{each}\n" for each in (*before, line, _LAST_LINE)])
+        assert records[: len(before)] == [make_record()] * len(before)
+        if report.skipped:
+            assert list(report.skip_reasons) == [expected], line
+        else:
+            assert records[len(before)] == expected, line
+
+
+@pytest.mark.parametrize("anomalies", [[], ["--anomaly", "dns"]], ids=["shared", "unshared"])
+def test_simulated_lines_take_the_canonical_layout_path(monkeypatch, tmp_path, anomalies):
+    # a change to simulate's writer must not turn the pattern path off unseen
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--seed", "3", "--days", "2", "--n-ases", "10",
+                     "--n-vantage", "2", "--n-urls", "2", "--noise-prob", "0.1",
+                     "--nonresponsive-prob", "0.2", *anomalies, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "measurements.jsonl").read_text(encoding="utf-8")
+    table, _ = parse_pfx2as((tmp_path / "pfx2as.tsv").read_text(encoding="utf-8"))
+    loads, decoded = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: loads.append(a) or decoded(*a, **kw))
+    records, report = parse_measurements(io.StringIO(text), table)
+    monkeypatch.undo()
+    assert loads == [] and report.skipped == 0
+    seen = ingest._Seen(table)
+    assert records == [ingest._validate_record(json.loads(line), seen)
+                       for line in text.splitlines()]
 
 
 # a record that survives path inference: its traceroutes, one with a

@@ -6,18 +6,21 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import _reference
 from _helpers import assert_canonical_cnf, make_record, make_traceroute, record_obj, ts
 from censorloc.analysis import detect_leakage
 from censorloc.ingest import parse_as_metadata, parse_measurements
 from censorloc.model import (
     AnomalyType,
+    BackboneStatus,
     BucketKey,
     CensorClass,
     CensorVerdict,
     LeakageEdge,
+    SolutionStatus,
     TimeGranularity,
     Traceroute,
     format_timestamp,
@@ -46,6 +49,34 @@ def test_granularity_sort_order_is_fine_to_coarse():
         TimeGranularity.YEAR,
     ]
     assert order == list(TimeGranularity)
+
+
+def test_str_enum_members_compare_as_their_values():
+    for enum in (AnomalyType, TimeGranularity, SolutionStatus, BackboneStatus, CensorClass):
+        for a in enum:
+            for b in enum:
+                assert (a < b, a == b, a > b) == (a.value < b.value, a.value == b.value,
+                                                  a.value > b.value)
+
+
+# keys from small pools, so that pairs tie on some fields
+_KEYS = st.builds(
+    BucketKey,
+    anomaly=st.sampled_from(AnomalyType),
+    url=st.sampled_from(["", "http://a/", "http://b/", "http://\u00e9/"]),
+    granularity=st.sampled_from(TimeGranularity),
+    window_id=st.sampled_from(["2016", "2016-05", "2016-W18"]),
+)
+
+
+@given(_KEYS, _KEYS)
+def test_bucket_key_sort_key_orders_as_by_value(a, b):
+    def by_value(key):
+        return (key.anomaly.value, key.url, list(TimeGranularity).index(key.granularity),
+                key.window_id)
+
+    assert (a.sort_key() < b.sort_key(), a.sort_key() == b.sort_key()) == (
+        by_value(a) < by_value(b), by_value(a) == by_value(b))
 
 
 def test_validate_asn_bounds():
@@ -79,6 +110,37 @@ def test_timestamps_before_year_1000_round_trip():
         parsed = parse_timestamp(raw)
         assert format_timestamp(parsed) == raw
         assert parse_timestamp(format_timestamp(parsed)) == parsed
+
+
+# a space in place of each field's leading zero; strptime's %d takes " 2"
+@pytest.mark.parametrize("raw", [
+    " 016-05-02T12:00:00Z", "2016- 5-02T12:00:00Z", "2016-05- 2T12:00:00Z",
+    "2016-05-02T 2:00:00Z", "2016-05-02T12: 0:00Z", "2016-05-02T12:00: 0Z",
+])
+def test_parse_timestamp_rejects_a_space_in_any_field(raw):
+    with pytest.raises(ValueError, match="not in YYYY-MM-DDThh:mm:ssZ form"):
+        parse_timestamp(raw)
+
+
+def _timestamp_outcome(raw):
+    try:
+        return parse_timestamp(raw).replace(tzinfo=None)
+    except ValueError as exc:
+        return str(exc)
+
+
+# one character of a valid stamp replaced, often by one strptime might take
+@given(
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
+    st.integers(0, 19),
+    st.sampled_from([" ", "+", "-", "0", "1", "3", "9", ":", "T", "Z", "\u0662", "\uff11"])
+    | st.characters(),
+)
+@example(datetime(2016, 5, 2), 8, " ")
+def test_parse_timestamp_agrees_with_the_reference_form_check(naive, at, char):
+    raw = naive.replace(microsecond=0).isoformat("T") + "Z"
+    raw = raw[:at] + char + raw[at + 1:]
+    assert _timestamp_outcome(raw) == _reference.timestamp_of(raw)
 
 
 def _skip_reason(obj) -> str:

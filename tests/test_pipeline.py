@@ -709,3 +709,55 @@ def test_cmd_evaluate_rejects_malformed_inputs(tmp_path):
     censors.write_text("[{\"asn\": 1}]")
     with pytest.raises(pipeline.InputError, match="malformed input"):
         pipeline.cmd_evaluate(censors, truth)
+
+
+# evaluate reads back what the program writes: scoring the written files must
+# equal scoring the values they were written from
+_FEW_ASNS = st.integers(1, 4)
+_DRAWN_VERDICTS = st.lists(
+    st.builds(CensorVerdict, asn=_FEW_ASNS, censor_class=st.sampled_from(CensorClass),
+              anomaly=st.sampled_from(AnomalyType),
+              witnesses=st.lists(_WITNESS_KEYS, max_size=2).map(tuple)),
+    max_size=8,
+)
+_DRAWN_TRUTHS = st.builds(
+    simulate.GroundTruth,
+    censors=st.lists(
+        st.builds(simulate.CensorPolicy, asn=_FEW_ASNS, anomaly=st.sampled_from(AnomalyType),
+                  urls=st.frozensets(st.text(max_size=6), max_size=2),
+                  active_days=st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        max_size=5,
+    ).map(tuple),
+    countries=st.dictionaries(_FEW_ASNS, st.sampled_from(["US", "CN"]), max_size=3),
+    path_log=st.dictionaries(st.text(max_size=4), st.lists(_FEW_ASNS, max_size=3).map(tuple),
+                             max_size=3),
+)
+_CLASSES = list(CensorClass)
+_EVERY_VERDICT = [CensorVerdict(asn, _CLASSES[(asn + i) % 3], anomaly, ())
+                  for asn in range(1, 5) for i, anomaly in enumerate(AnomalyType)]
+_TRUTH = simulate.GroundTruth(
+    tuple(simulate.CensorPolicy(asn, anomaly, frozenset({"http://a/"}), (1, 9))
+          for asn, anomaly in [(1, AnomalyType.DNS), (2, AnomalyType.TTL), (3, AnomalyType.DNS)]),
+    {1: "US"}, {"r1": (1, 2)},
+)
+
+
+def _scored_from_files(out, verdicts, truth) -> dict:
+    pipeline.write_censors(out / "censors.json", verdicts)
+    pipeline.write_json(out / "truth.json", simulate.ground_truth_obj(truth))
+    return pipeline.cmd_evaluate(out / "censors.json", out / "truth.json")
+
+
+@settings(max_examples=50)
+@given(verdicts=_DRAWN_VERDICTS)
+def test_cmd_evaluate_reads_censors_json_as_written(tmp_path_factory, verdicts):
+    out = tmp_path_factory.mktemp("evaluate")
+    assert _scored_from_files(out, verdicts, _TRUTH) == simulate.evaluate(verdicts, _TRUTH)
+
+
+@settings(max_examples=50)
+@given(truth=_DRAWN_TRUTHS)
+def test_cmd_evaluate_reads_ground_truth_as_written(tmp_path_factory, truth):
+    out = tmp_path_factory.mktemp("evaluate")
+    assert (_scored_from_files(out, _EVERY_VERDICT, truth)
+            == simulate.evaluate(_EVERY_VERDICT, truth))

@@ -103,10 +103,9 @@ def test_localize_matches_the_reference_when_a_failed_line_repeats(fault):
 
 
 @st.composite
-def corpora(draw) -> tuple[bytes, bytes]:
-    """A small simulated corpus: its measurement lines, mutated as drawn,
-    and its prefix table."""
-    simulated = _simulated([
+def simulate_args(draw) -> list[str]:
+    """The arguments of a small ``simulate`` run."""
+    return [
         "simulate", "--seed", str(draw(st.integers(0, 2**16))),
         "--days", str(draw(st.integers(1, 4))),
         "--n-ases", str(draw(st.integers(8, 12))),
@@ -116,7 +115,14 @@ def corpora(draw) -> tuple[bytes, bytes]:
         "--churn-prob", str(draw(st.sampled_from([0.0, 0.3]))),
         "--noise-prob", str(draw(st.sampled_from([0.0, 0.1, 0.4]))),
         "--nonresponsive-prob", str(draw(st.sampled_from([0.0, 0.2]))),
-    ])
+    ]
+
+
+@st.composite
+def corpora(draw) -> tuple[bytes, bytes]:
+    """A small simulated corpus: its measurement lines, mutated as drawn,
+    and its prefix table."""
+    simulated = _simulated(draw(simulate_args()))
     assume(simulated is not None)  # some draws ask for more paths than exist
     objs, pfx2as = simulated
     first = draw(st.sampled_from([None, *_FIRST_TRACEROUTES]))
@@ -144,3 +150,23 @@ def corpora(draw) -> tuple[bytes, bytes]:
 @given(corpus=corpora(), cap=st.integers(2, 6), url_split=st.booleans())
 def test_localize_matches_the_reference(corpus, cap, url_split):
     _assert_matches_reference(*corpus, cap, url_split)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(args=simulate_args())
+def test_inferred_paths_match_the_ground_truth(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assume(main([*args, "--out", f"{tmp}/sim"]) == 0)
+            assert main(["localize", "--measurements", f"{tmp}/sim/measurements.jsonl",
+                         "--pfx2as", f"{tmp}/sim/pfx2as.tsv", "--out", f"{tmp}/out",
+                         "--debug-trace"]) == 0
+        truth = json.loads(Path(tmp, "sim", "ground_truth.json").read_text())["paths"]
+        traces = Path(tmp, "out", "inference_trace.jsonl").read_text().splitlines()
+    results = {trace["record_id"]: trace["result"] for trace in map(json.loads, traces)}
+    assert results.keys() == truth.keys()  # ingest keeps every simulated record
+    inferred = {rid: result["path"] for rid, result in results.items() if "path" in result}
+    assert inferred == {rid: truth[rid] for rid in inferred}
+    if args[args.index("--nonresponsive-prob") + 1] == "0.0":
+        # no traceroute has a gap, so none is eliminated
+        assert len(inferred) == len(truth)
