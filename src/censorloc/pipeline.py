@@ -62,7 +62,8 @@ def _read_error(path: Path, what: str, exc: Exception) -> InputError:
 def _read_text(path: Path, what: str) -> str:
     # line ends stay as written: each reader says where its lines end
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb", buffering=0) as file:
+            return file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _read_error(path, what, exc) from None
 

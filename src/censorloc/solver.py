@@ -37,6 +37,9 @@ BRUTE_FORCE_MAX_VARS = 20
 # variable, so a larger count is refused as a malformed header instead of
 # exhausting memory (or overflowing range) before the first clause is read.
 MAX_DIMACS_VARS = 1_000_000
+# member -> value as a dict lookup: `.value` of a str enum is a Python-level
+# property, read once per variable when a backbone is rendered
+_VALUES = {member: member.value for member in (*SolutionStatus, *BackboneStatus)}
 
 
 def _check_inputs(variables: Sequence[int], clauses: Sequence[ClauseTuple]) -> None:
@@ -448,8 +451,9 @@ def solve_dimacs_text(text: str, cap: int = DEFAULT_MODEL_CAP) -> dict:
         raise ValueError("cap must be >= 2")
     n_vars, clauses = parse_dimacs(text)
     status, count, backbone = _solve(tuple(range(1, n_vars + 1)), clauses, cap)
+    # both solve paths build the backbone in ascending variable order
     return {
-        "status": status.value,
+        "status": _VALUES[status],
         "count_capped": count,
-        "backbone": {str(v): backbone[v].value for v in sorted(backbone)},
+        "backbone": {str(v): _VALUES[s] for v, s in backbone.items()},
     }

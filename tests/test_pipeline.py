@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import copy
+import errno
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -761,3 +764,81 @@ def test_cmd_evaluate_reads_ground_truth_as_written(tmp_path_factory, truth):
     out = tmp_path_factory.mktemp("evaluate")
     assert (_scored_from_files(out, _EVERY_VERDICT, truth)
             == simulate.evaluate(_EVERY_VERDICT, truth))
+
+
+# ---------------------------------------------------------------------------
+# whole-file readers
+
+_WHOLE_FILE_READERS = ["prefix table", "AS metadata", "DIMACS", "censors", "ground truth"]
+
+
+def _whole_file_inputs(world) -> dict:
+    """Per whole-file reader: a valid file, and a call that reads a given
+    path through the reader with every other input valid."""
+    pipeline.write_censors(world / "censors.json", _EVERY_VERDICT)
+    pipeline.write_json(world / "truth.json", simulate.ground_truth_obj(_TRUTH))
+    (world / "xor.cnf").write_text("p cnf 12 3\n1 2 0\n-1 -2 0\n-12 0\n")
+
+    def loaded(cfg):
+        got = pipeline.load_inputs(cfg)
+        return (got.records, got.measurement_report, got.table._probes, got.registry,
+                got.warnings)
+
+    return {
+        "prefix table": (world / "pfx2as.tsv",
+                         lambda p: loaded(_config(world, pfx2as=p))),
+        "AS metadata": (world / "as_metadata.csv",
+                        lambda p: loaded(_config(world, as_meta=p))),
+        "DIMACS": (world / "xor.cnf", lambda p: pipeline.cmd_solve_dimacs(p, cap=5)),
+        "censors": (world / "censors.json",
+                    lambda p: pipeline.cmd_evaluate(p, world / "truth.json")),
+        "ground truth": (world / "truth.json",
+                         lambda p: pipeline.cmd_evaluate(world / "censors.json", p)),
+    }
+
+
+def _os_error_text(code: int, path) -> str:
+    return f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+
+
+@pytest.mark.parametrize("as_type", [str, Path])
+@pytest.mark.parametrize("what", _WHOLE_FILE_READERS)
+def test_whole_file_readers_name_the_file_they_cannot_read(world, what, as_type):
+    _, read = _whole_file_inputs(world)[what]
+    (world / "a_dir").mkdir()
+    (world / "latin1").write_bytes(b"\xff\n")
+    cases = {
+        "missing": _os_error_text(errno.ENOENT, world / "missing"),
+        "a_dir": _os_error_text(errno.EISDIR, world / "a_dir"),
+        "latin1": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    }
+    for name, reason in cases.items():
+        with pytest.raises(pipeline.InputError) as caught:
+            read(as_type(world / name))
+        assert str(caught.value) == f"cannot read {what} file {world / name}: {reason}"
+
+
+@pytest.mark.parametrize("what", _WHOLE_FILE_READERS)
+def test_whole_file_readers_read_str_and_path_alike(world, what):
+    valid, read = _whole_file_inputs(world)[what]
+    assert read(str(valid)) == read(valid)
+
+
+def test_solve_dimacs_parses_each_file_once(world, monkeypatch):
+    # perfbench's trace mode counts DIMACS instances by wrapping this name
+    files = {"restricted.cnf": "p cnf 3 2\n1 2 0\n-3 0\n",
+             "general.cnf": "p cnf 2 2\n1 2 0\n-1 -2 0\n",
+             "unsat.cnf": "p cnf 1 2\n1 0\n-1 0\n"}
+    for name, text in files.items():
+        (world / name).write_text(text)
+    calls = []
+    parse = solver.parse_dimacs
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(solver, "parse_dimacs", counted)
+    for name in files:
+        pipeline.cmd_solve_dimacs(world / name, cap=5)
+    assert calls == list(files.values())

@@ -618,6 +618,33 @@ def test_solve_dimacs_text_general_shape():
     assert out["count_capped"] == 2
 
 
+@pytest.mark.parametrize("restricted,clauses", [
+    # -4 forces 4 false and 5 true through (4 5); the rest stay free
+    (True, [(1, 2, 3), (-4,), (4, 5), (10, 11, 12), (6, 7, 8, 9)]),
+    # the same around an XOR over 6 and 7, which needs the engine
+    (False, [(1, 2, 3), (-4,), (4, 5), (10, 11, 12), (6, 7), (-6, -7), (8, 9)]),
+])
+def test_solve_dimacs_text_renders_plain_strings_in_numeric_order(restricted, clauses):
+    # 12 variables, so that string order ("1", "10", "11", "12", "2", ...)
+    # differs from numeric order
+    n = 12
+    assert solver.is_restricted_shape(clauses) is restricted
+    out = solver.solve_dimacs_text(_dimacs_text(n, clauses))
+    assert list(out["backbone"]) == [str(v) for v in range(1, n + 1)]
+    assert type(out["status"]) is str
+    assert all(type(s) is str for s in out["backbone"].values())
+    assert set(out["backbone"].values()) == {s.value for s in BackboneStatus}
+    variables = tuple(range(1, n + 1))
+    models = solver.brute_force_models(variables, clauses)
+    expected = backbone_from_models(variables, models)
+    assert out["backbone"] == {str(v): s.value for v, s in expected.items()}
+    # an unsatisfiable file of the same shape has an empty backbone
+    contradiction = [(1,), (-1,)] if restricted else [(1, 2), (-1, -2), (1, -2), (-1, 2)]
+    unsat = solver.solve_dimacs_text(_dimacs_text(n, clauses + contradiction))
+    assert unsat == {"status": "unsat", "count_capped": 0, "backbone": {}}
+    assert type(unsat["status"]) is str
+
+
 def test_solve_dimacs_text_rejects_cap_below_two():
     with pytest.raises(ValueError, match="cap must be >= 2"):
         solver.solve_dimacs_text("p cnf 1 1\n1 0\n", cap=1)
