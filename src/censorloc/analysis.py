@@ -155,14 +155,26 @@ def detect_leakage(
     """
     edges: dict[tuple[int, int, AnomalyType], LeakageEdge] = {}
     skipped = 0
+    # backbone id -> its forced-true ASes. Equal bodies share one backbone,
+    # and with it one set of distinct path AS sets, so the first bucket of a
+    # backbone checks every clean path its later buckets hold
+    pinned: dict[int, set[int]] = {}
     for instance, summary in sorted(solved, key=lambda t: t[0].key.sort_key()):
         if summary.status is not SolutionStatus.UNIQUE:
             continue
         backbone = summary.backbone
+        censors = pinned.get(id(backbone))
+        if censors is None:
+            censors = pinned[id(backbone)] = {
+                asn for asn, role in backbone.items() if role is BackboneStatus.FORCED_TRUE
+            }
+            # a pinned censor can never sit on a clean path
+            assert all(censors.isdisjoint(path)
+                       for path, truth, _, _ in instance.source_paths if not truth)
+        if not censors:
+            continue  # no path here crossed a censor
         for path, truth, record_id, count in instance.source_paths:
             if not truth:
-                # a pinned censor can never sit on a clean path
-                assert BackboneStatus.FORCED_TRUE not in map(backbone.__getitem__, path)
                 continue
             upstream: list[int] = []  # distinct forced-false ASes so far
             for asn in dict.fromkeys(path):  # each distinct AS, at its first occurrence

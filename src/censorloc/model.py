@@ -31,8 +31,6 @@ from typing import Any, NamedTuple
 MIN_ASN = 1
 MAX_ASN = 2**32 - 1
 
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
 
 class InputError(Exception):
     """A problem with the run's inputs or output destination (exit code 2)."""
@@ -107,16 +105,18 @@ def format_timestamp(ts: datetime) -> str:
 def parse_timestamp(raw: str) -> datetime:
     if not isinstance(raw, str):
         raise ValueError(f"timestamp must be a string, got {raw!r}")
-    try:
-        # strptime alone takes non-ASCII digits, unpadded fields and a space
-        # before a one-digit day
-        digits = raw[0:4] + raw[5:7] + raw[8:10] + raw[11:13] + raw[14:16] + raw[17:19]
-        if len(raw) != 20 or not (raw.isascii() and digits.isdigit()):
-            raise ValueError
-        naive = datetime.strptime(raw, TIMESTAMP_FORMAT)
-    except ValueError:
-        raise ValueError(f"timestamp not in YYYY-MM-DDThh:mm:ssZ form: {raw!r}") from None
-    return naive.replace(tzinfo=timezone.utc)
+    # ASCII digits in every field and each separator exactly as written:
+    # strptime would take non-ASCII digits, unpadded fields, a space before a
+    # one-digit day and a lowercase t or z
+    digits = raw[0:4] + raw[5:7] + raw[8:10] + raw[11:13] + raw[14:16] + raw[17:19]
+    if len(raw) == 20 and raw.isascii() and digits.isdigit() and \
+            raw[4] + raw[7] + raw[10] + raw[13] + raw[16] + raw[19] == "--T::Z":
+        try:
+            return datetime(int(raw[0:4]), int(raw[5:7]), int(raw[8:10]), int(raw[11:13]),
+                            int(raw[14:16]), int(raw[17:19]), tzinfo=timezone.utc)
+        except ValueError:
+            pass  # no such date or time
+    raise ValueError(f"timestamp not in YYYY-MM-DDThh:mm:ssZ form: {raw!r}")
 
 
 class Hop(NamedTuple):

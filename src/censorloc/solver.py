@@ -7,9 +7,9 @@ all-positive or a negative unit. For that shape satisfiability and the
 backbone follow in closed form in one pass over the clauses
 (``_closed_form``), and m free variables give at least m + 1 models: exactly
 m + 1 when m < 2, and 3 or 4 when m = 2. Every other count, and every other
-CNF, goes through ``_Engine``, an iterative DPLL with two watched literals
-that counts by resuming its search after each model and filters the backbone
-with the models it finds.
+CNF, goes through ``_Engine``, an iterative DPLL over implication lists and
+two watched literals that counts by resuming its search after each model and
+filters the backbone with the models it finds.
 
 Inputs are checked once, on entry to ``check_sat``, ``compute_backbone``,
 ``count_models`` and ``brute_force_models``; the probes they make are not.
@@ -96,7 +96,9 @@ def _closed_form(
 
 class _Engine:
     """Iterative DPLL over one CNF: a trail of true literals, chronological
-    backtracking, unit propagation through two watched literals per clause.
+    backtracking, unit propagation through implication lists for binary
+    clauses, (a b) as -a -> b and -b -> a, and two watched literals per longer
+    clause. Lists exist only for the literals and variables of some clause.
 
     Intake dedupes each clause's literals and drops tautologies; an empty
     clause makes the CNF unsat, and unit clauses are asserted at the root,
@@ -109,27 +111,37 @@ class _Engine:
         self.true: set[int] = set()
         self.trail: list[int] = []
         self.head = 0  # trail[:head] is propagated
-        self.watches: dict[int, list[list[int]]] = {lit: [] for v in variables for lit in (v, -v)}
+        # literal -> the literals it implies, and the longer clauses to visit,
+        # when it comes true
+        self.implies: dict[int, list[int]] = {}
+        self.watches: dict[int, list[list[int]]] = {}
         # variable -> its clauses of two or more literals
-        self.occurs: dict[int, list[list[int]]] = {v: [] for v in variables}
+        self.occurs: dict[int, list[ClauseTuple | list[int]]] = {}
         self.order = sorted(variables)
         self.ok = True
+        implies, watches, occurs = self.implies, self.watches, self.occurs
         units = []
         for clause in clauses:
-            lits = list(dict.fromkeys(clause))
-            clause_vars = set(map(abs, lits))
-            if len(clause_vars) < len(lits):
-                continue  # a tautology
-            if not lits:
-                self.ok = False
-            elif len(lits) == 1:
-                units.append(lits[0])
+            if len(clause) != 2 or clause[0] == clause[1] or clause[0] == -clause[1]:
+                # only a binary clause over two variables needs no dedupe
+                clause = list(dict.fromkeys(clause))
+                if len(set(map(abs, clause))) < len(clause):
+                    continue  # a tautology
+            if len(clause) == 2:
+                a, b = clause
+                implies.setdefault(-a, []).append(b)
+                implies.setdefault(-b, []).append(a)
+                occurs.setdefault(abs(a), []).append(clause)
+                occurs.setdefault(abs(b), []).append(clause)
+            elif len(clause) > 2:
+                watches.setdefault(-clause[0], []).append(clause)
+                watches.setdefault(-clause[1], []).append(clause)
+                for lit in clause:
+                    occurs.setdefault(abs(lit), []).append(clause)
+            elif clause:
+                units.append(clause[0])
             else:
-                # visited when the negation of a watched literal comes true
-                self.watches[-lits[0]].append(lits)
-                self.watches[-lits[1]].append(lits)
-                for v in clause_vars:
-                    self.occurs[v].append(lits)
+                self.ok = False
         self.ok = self.ok and all(map(self._assign, units)) and self._propagate()
         self.root = len(self.trail)
 
@@ -142,22 +154,25 @@ class _Engine:
             self.trail.append(lit)
         return True
 
-    def _open(self, v: int) -> bool:
-        # unassigned, and in a clause that no true literal satisfies
-        true = self.true
-        return v not in true and -v not in true and any(map(true.isdisjoint, self.occurs[v]))
-
     def _undo(self, mark: int) -> None:
         self.true.difference_update(self.trail[mark:])
         del self.trail[mark:]
         self.head = mark
 
     def _propagate(self) -> bool:
-        true, trail, watches = self.true, self.trail, self.watches
-        while self.head < len(trail):
-            lit = trail[self.head]
-            self.head += 1
-            watching = watches[lit]
+        # on a conflict the caller undoes, which resets head
+        true, trail, implies, watches = self.true, self.trail, self.implies, self.watches
+        head = self.head
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            for other in implies.get(lit, ()):
+                if other not in true:
+                    if -other in true:
+                        return False
+                    true.add(other)
+                    trail.append(other)
+            watching = watches.get(lit, ())
             i = 0
             while i < len(watching):
                 clause = watching[i]
@@ -171,7 +186,7 @@ class _Engine:
                     if -clause[k] not in true:
                         # watch clause[k] instead
                         clause[1], clause[k] = clause[k], clause[1]
-                        watches[-clause[1]].append(clause)
+                        watches.setdefault(-clause[1], []).append(clause)
                         i -= 1
                         watching[i] = watching[-1]
                         watching.pop()
@@ -179,6 +194,7 @@ class _Engine:
                 else:
                     if not self._assign(clause[0]):
                         return False
+        self.head = head
         return True
 
     def models(self, against: Container[int] = (), assume: int = 0) -> Iterator[set[int]]:
@@ -191,21 +207,24 @@ class _Engine:
         self._undo(self.root)
         if not self.ok or (assume and not (self._assign(assume) and self._propagate())):
             return
-        order, true = self.order, self.true
+        order, true, trail, occurs = self.order, self.true, self.trail, self.occurs
         # (trail length before, order index, literal, both values tried)
         stack: list[tuple[int, int, int, bool]] = []
         i = 0
         while True:
-            while i < len(order) and not self._open(order[i]):
-                i += 1
-            if i == len(order):
+            # decide the next unassigned variable of a clause nothing satisfies
+            for i in range(i, len(order)):
+                v = order[i]
+                if v not in true and -v not in true and any(map(true.isdisjoint, occurs.get(v, ()))):
+                    lit = -v if v in against else v
+                    stack.append((len(trail), i, lit, False))
+                    true.add(lit)
+                    trail.append(lit)
+                    ok = self._propagate()
+                    break
+            else:
                 yield true
                 ok = False
-            else:
-                v = order[i]
-                lit = -v if v in against else v
-                stack.append((len(self.trail), i, lit, False))
-                ok = self._assign(lit) and self._propagate()
             while not ok:
                 while stack and stack[-1][3]:
                     stack.pop()
@@ -223,8 +242,8 @@ class _Engine:
         away from every candidate: with no model it is forced and joins the
         root; a model drops every candidate it does not make true.
         """
-        for lit in sorted(candidates, key=abs):
-            self._undo(self.root)
+        self._undo(self.root)
+        for lit in sorted(candidates - self.true, key=abs):
             if lit not in candidates or lit in self.true:
                 continue
             model = next(self.models(candidates, -lit), None)
@@ -234,6 +253,7 @@ class _Engine:
                 self.root = len(self.trail)
             else:
                 candidates &= model
+                self._undo(self.root)
         forced = set(self.trail[: self.root])
         return {
             v: BackboneStatus.FORCED_TRUE if v in forced

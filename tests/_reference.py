@@ -1,4 +1,5 @@
-"""A plain ``localize``, written for clarity: the whole-run oracle of the tests.
+"""A plain ``localize`` and ``leak``, written for clarity: the whole-run
+oracle of the tests.
 
 It shares no code with ``censorloc`` beyond the model enums and the solver's
 test oracle ``brute_force_models``. Each line is read with ``json.loads`` and
@@ -8,8 +9,8 @@ grouped with ``itertools.groupby`` and solved by enumerating every
 assignment; and the outputs are written with ``json.dumps`` and ``csv``. No
 memo, no shared value and no fast path: it is slow on purpose.
 
-The prefix table is taken as valid, so this reference suits runs whose
-mutations are confined to the measurements file.
+The prefix table and the AS metadata are taken as valid, so this reference
+suits runs whose mutations are confined to the measurements file.
 """
 from __future__ import annotations
 
@@ -158,7 +159,7 @@ def record_of(line: str) -> dict | str:
     for each in checked:
         if isinstance(each, str):
             return each
-    return {**obj, "day": stamp.date(), "traceroutes": checked}
+    return {**obj, "instant": stamp, "day": stamp.date(), "traceroutes": checked}
 
 
 def collapse(traceroute, table, vantage: int, dst: int) -> tuple | str:
@@ -286,6 +287,82 @@ def localize(measurements: bytes, pfx2as: bytes, cap: int,
              url_split: bool = True) -> dict[str, bytes] | None:
     """The seven files ``localize --out`` writes, or None where it refuses
     the inputs. Granularities are all four."""
+    run = _localize(measurements, pfx2as, cap, url_split)
+    return None if run is None else run[0]
+
+
+def leak(measurements: bytes, pfx2as: bytes, as_meta: bytes, cap: int,
+         url_split: bool = True) -> dict[str, bytes] | None:
+    """The files ``leak --out`` writes: localize's seven and leakage.json."""
+    run = _localize(measurements, pfx2as, cap, url_split)
+    if run is None:
+        return None
+    files, inferred, solved = run
+    countries = {int(row[0]): row[1] for row in
+                 list(csv.reader(io.StringIO(as_meta.decode("utf-8"))))[1:]}
+    return {**files, "leakage.json": leakage(inferred, solved, countries, url_split)}
+
+
+def leakage(inferred: list, solved: list, countries: dict[int, str], url_split: bool) -> bytes:
+    """Edges from uniquely solved buckets: on each detected path, every AS
+    forced false that comes before the first occurrence of an AS forced true
+    is that censor's victim. An edge is kept once per (censor, victim,
+    anomaly), from the first bucket in output order and its first path; a pair
+    missing a country is skipped once per record of the path."""
+    unique = {key: backbone for key, (status, _, backbone) in solved
+              if status is SolutionStatus.UNIQUE}
+    # per unique bucket, each detected path in order of first appearance in
+    # time order (ties in input order), with its first record and record count
+    paths: dict[tuple, dict[tuple, list]] = {}
+    for record, path in sorted(inferred, key=lambda pair: pair[0]["instant"]):
+        if not record["detected"]:
+            continue
+        url = record["url"] if url_split else "*"
+        for granularity in TimeGranularity:
+            key = (AnomalyType(record["anomaly"]), url, granularity,
+                   window(record["day"], granularity))
+            if key in unique:
+                entry = paths.setdefault(key, {}).setdefault(path, [record["record_id"], 0])
+                entry[1] += 1
+    edges, skipped = {}, 0
+    for key, _ in solved:
+        backbone = unique.get(key)
+        for path, (record_id, count) in paths.get(key, {}).items():
+            distinct = list(dict.fromkeys(path))
+            for i, censor in enumerate(distinct):
+                if backbone[censor] is not BackboneStatus.FORCED_TRUE:
+                    continue
+                for victim in distinct[:i]:
+                    if backbone[victim] is not BackboneStatus.FORCED_FALSE:
+                        continue
+                    if censor not in countries or victim not in countries:
+                        skipped += count
+                        continue
+                    edges.setdefault((censor, victim, key[0].value), {
+                        "censor_asn": censor, "victim_asn": victim,
+                        "censor_country": countries[censor],
+                        "victim_country": countries[victim],
+                        "anomaly": key[0].value,
+                        "witness_key": {"anomaly": key[0].value, "url": key[1],
+                                        "granularity": key[2].value, "window": key[3]},
+                        "witness_record_id": record_id,
+                    })
+    edge_list = [edges[k] for k in sorted(edges)]
+    censors = []
+    for censor, run in groupby(edge_list, key=lambda e: e["censor_asn"]):
+        mine = list(run)
+        censors.append({
+            "asn": censor, "country": mine[0]["censor_country"],
+            "leaks_as": len({e["victim_asn"] for e in mine}),
+            "leaks_country": len({e["victim_country"] for e in mine
+                                  if e["victim_country"] != e["censor_country"]}),
+        })
+    return _json({"edges": edge_list, "censors": censors, "skipped_missing_country": skipped})
+
+
+def _localize(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool):
+    # localize's files, each kept record with its inferred path, and every
+    # bucket's key and solution in output order; None where it refuses
     try:
         text = measurements.decode("utf-8")
     except UnicodeDecodeError:
@@ -302,11 +379,13 @@ def localize(measurements: bytes, pfx2as: bytes, cap: int,
 
     failures = dict.fromkeys(RULES, 0)
     observed = []  # (anomaly, url, granularity, window, path, detected)
+    inferred = []
     for record in records:
         path = infer(record, table)
         if isinstance(path, str):
             failures[path] += 1
             continue
+        inferred.append((record, path))
         url = record["url"] if url_split else "*"
         anomaly = AnomalyType(record["anomaly"])
         for granularity in TimeGranularity:
@@ -332,7 +411,7 @@ def localize(measurements: bytes, pfx2as: bytes, cap: int,
     mean = sum(forced_false / n for n, forced_false in ambiguous) / len(ambiguous) \
         if ambiguous else "n/a"
 
-    return {
+    files = {
         "ingest_summary.json": _json({
             "records_ok": len(records),
             "records_skipped": len(skipped),
@@ -349,3 +428,4 @@ def localize(measurements: bytes, pfx2as: bytes, cap: int,
         "solutions_by_granularity.csv": solution_table(solved, "granularity", cap),
         "solutions_by_anomaly.csv": solution_table(solved, "anomaly", cap),
     }
+    return files, inferred, solved

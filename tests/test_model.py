@@ -143,6 +143,39 @@ def test_parse_timestamp_agrees_with_the_reference_form_check(naive, at, char):
     assert _timestamp_outcome(raw) == _reference.timestamp_of(raw)
 
 
+def _strptime_outcome(raw):
+    # the reader as it was: an ASCII-digit form check, then strptime
+    digits = raw[0:4] + raw[5:7] + raw[8:10] + raw[11:13] + raw[14:16] + raw[17:19]
+    try:
+        if len(raw) != 20 or not (raw.isascii() and digits.isdigit()):
+            raise ValueError
+        return datetime.strptime(raw, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        return f"timestamp not in YYYY-MM-DDThh:mm:ssZ form: {raw!r}"
+
+
+# up to three characters of a valid stamp replaced, or the stamp cut short
+@given(
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
+    st.lists(st.tuples(st.integers(0, 19), st.sampled_from(
+        [" ", "+", "-", "0", "1", "9", ":", "T", "Z", "t", "z", "٢"]) | st.characters()),
+        max_size=3),
+    st.integers(0, 21),
+)
+@example(datetime(2016, 5, 2, 12), [(10, "t")], 20)
+@example(datetime(2016, 5, 2, 12), [(19, "z")], 20)
+def test_parse_timestamp_agrees_with_strptime_but_for_case(naive, edits, length):
+    raw = naive.replace(microsecond=0).isoformat("T") + "Z"
+    for at, char in edits:
+        raw = raw[:at] + char + raw[at + 1:]
+    raw = raw[:length]
+    expected = _strptime_outcome(raw)
+    if raw[10:11] == "t" or raw[19:20] == "z":
+        # strptime matches the format's literals case-insensitively
+        expected = f"timestamp not in YYYY-MM-DDThh:mm:ssZ form: {raw!r}"
+    assert _timestamp_outcome(raw) == expected
+
+
 def _skip_reason(obj) -> str:
     """The one skip reason ingest gives a record object; ingest alone checks
     Hop, Traceroute and MeasurementRecord."""

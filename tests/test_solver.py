@@ -420,6 +420,55 @@ def test_search_decides_only_variables_of_open_clauses():
     assert time.perf_counter() - start < 5.0
 
 
+@st.composite
+def binary_heavy_cnfs(draw):
+    """2-CNFs over 1..n at clause ratios 0.5-3, mixed with the clauses the
+    engine's intake keeps apart from plain implications: (a a), (a -a),
+    repeated and reversed binary clauses, units with binary clauses over the
+    literals they imply at the root, and a few longer clauses."""
+    n = draw(st.integers(2, 14))
+    var = st.integers(1, n)
+    lit = st.tuples(var, st.booleans()).map(lambda p: p[0] if p[1] else -p[0])
+    pair = st.lists(var, min_size=2, max_size=2, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs)))
+    binary = draw(st.lists(pair, min_size=max(1, n // 2), max_size=3 * n))
+    doubled = draw(st.lists(lit.map(lambda a: (a, a)), max_size=2))
+    tautologies = draw(st.lists(lit.map(lambda a: (a, -a)), max_size=2))
+    repeated = [c[::-1] if flip else c for c, flip in
+                draw(st.lists(st.tuples(st.sampled_from(binary), st.booleans()), max_size=3))]
+    units = draw(st.lists(lit.map(lambda a: (a,)), max_size=2))
+    # binary clauses over a unit's literal or its negation
+    rooted = [(draw(st.sampled_from([u, -u])), draw(lit)) for (u,) in units]
+    rooted = [c for c in rooted if c[0] != -c[1]]
+    longer = draw(st.lists(st.lists(lit, min_size=3, max_size=4).map(tuple), max_size=2))
+    clauses = binary + doubled + tautologies + repeated + units + rooted + longer
+    return n, draw(st.permutations(clauses))
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_heavy_cnfs(), st.integers(1, 40))
+def test_binary_heavy_cnfs_match_brute_force(cnf, cap):
+    n, clauses = cnf
+    variables = tuple(range(1, n + 1))
+    for on_engine in (False, True):
+        check_against_brute_force(variables, clauses, cap=cap, on_engine=on_engine)
+    models = solver.brute_force_models(variables, clauses)
+    first = max(models, key=lambda m: [m[v] for v in variables], default=None)
+    assert solver.check_sat(variables, clauses)[1] == first
+
+
+def test_engine_holds_lists_only_for_the_literals_its_clauses_use():
+    n, clauses = solver.parse_dimacs("p cnf 100000 3\n1 -2 0\n-3 4 5 0\n7 0\n")
+    engine = solver._Engine(tuple(range(1, n + 1)), clauses)
+    assert (set(engine.implies), set(engine.watches)) == ({-1, 2}, {3, -4})
+    assert set(engine.occurs) == {1, 2, 3, 4, 5}
+    count, shared = solver._enumerate(engine, 5)
+    assert count == 5 and len(engine.backbone(shared)) == n
+    # watches move only to the negations of the long clause's literals
+    assert set(engine.implies) == {-1, 2} and set(engine.watches) <= {3, -4, -5}
+    assert set(engine.occurs) == {1, 2, 3, 4, 5}
+
+
 def test_closed_form_counts_a_sole_survivor_over_distinct_literals():
     # (1 v 1) has one distinct literal, so it forces 1 true
     assert solver.solve_dimacs_text("p cnf 2 1\n1 1 0\n") == {

@@ -1,7 +1,8 @@
-"""Whole ``localize`` runs against the plain reference in _reference.py.
+"""Whole ``localize`` and ``leak`` runs against the plain reference in
+_reference.py.
 
 Each example simulates a small corpus, mutates some of its measurement lines,
-runs ``localize`` through ``cli.main`` and asserts that every file under
+runs the command through ``cli.main`` and asserts that every file under
 ``--out`` equals the reference's byte for byte, or that both refuse the
 inputs. This is differential testing (McKeeman, "Differential Testing for
 Software", Digital Technical Journal, 1998): the reference takes no shortcut
@@ -40,15 +41,17 @@ _SCALAR_FAULTS = [
 ]
 
 
-def _simulated(args: list[str]) -> tuple[list[dict], bytes] | None:
-    """The measurement objects and the prefix table ``simulate args`` writes,
-    or None where the simulator refuses the arguments."""
+def _simulated(args: list[str]) -> tuple[list[dict], bytes, bytes] | None:
+    """The measurement objects, the prefix table and the AS metadata that
+    ``simulate args`` writes, or None where the simulator refuses the
+    arguments."""
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             if main([*args, "--out", tmp]) != 0:
                 return None
         lines = Path(tmp, "measurements.jsonl").read_text(encoding="utf-8").splitlines()
-        return [json.loads(line) for line in lines], Path(tmp, "pfx2as.tsv").read_bytes()
+        return ([json.loads(line) for line in lines], Path(tmp, "pfx2as.tsv").read_bytes(),
+                Path(tmp, "as_metadata.csv").read_bytes())
 
 
 def _jsonl(objs: list[dict]) -> bytes:
@@ -64,22 +67,31 @@ def _fail_then_repeat(objs: list[dict], i: int, fault: tuple[str, object]) -> No
 
 
 def _assert_matches_reference(measurements: bytes, pfx2as: bytes, cap: int,
-                              url_split: bool = True) -> None:
-    expected = _reference.localize(measurements, pfx2as, cap, url_split)
+                              url_split: bool = True, as_meta: bytes | None = None) -> None:
+    # localize, or leak when given AS metadata
+    if as_meta is None:
+        expected = _reference.localize(measurements, pfx2as, cap, url_split)
+    else:
+        expected = _reference.leak(measurements, pfx2as, as_meta, cap, url_split)
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "measurements.jsonl").write_bytes(measurements)
         Path(tmp, "pfx2as.tsv").write_bytes(pfx2as)
+        command = ["localize"]
+        if as_meta is not None:
+            Path(tmp, "as_metadata.csv").write_bytes(as_meta)
+            command = ["leak", "--as-meta", f"{tmp}/as_metadata.csv"]
         out = Path(tmp, "out")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([
-                "localize", "--measurements", f"{tmp}/measurements.jsonl",
+                *command, "--measurements", f"{tmp}/measurements.jsonl",
                 "--pfx2as", f"{tmp}/pfx2as.tsv", "--out", str(out), "--model-cap", str(cap),
                 *([] if url_split else ["--no-url-split"]),
             ])
         assert code == (2 if expected is None else 0), err.getvalue()
         if expected is not None:
-            assert sorted(expected) == sorted(LOCALIZE_FILES)
+            names = LOCALIZE_FILES + (() if as_meta is None else ("leakage.json",))
+            assert sorted(expected) == sorted(names)
             assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
 
@@ -89,16 +101,25 @@ _FIXED = ["simulate", "--seed", "1", "--days", "2", "--n-ases", "8", "--n-vantag
 
 @pytest.mark.parametrize("first", sorted(_FIRST_TRACEROUTES))
 def test_localize_matches_the_reference_after_a_bad_first_array(first):
-    objs, pfx2as = _simulated(_FIXED)
+    objs, pfx2as, _ = _simulated(_FIXED)
     objs[0]["traceroutes"] = _FIRST_TRACEROUTES[first](objs[0]["traceroutes"])
     _assert_matches_reference(_jsonl(objs), pfx2as, cap=5)
 
 
 @pytest.mark.parametrize("fault", _SCALAR_FAULTS, ids=[key for key, _ in _SCALAR_FAULTS])
 def test_localize_matches_the_reference_when_a_failed_line_repeats(fault):
-    objs, pfx2as = _simulated(_FIXED)
+    objs, pfx2as, _ = _simulated(_FIXED)
     objs[1]["traceroutes"] = [objs[1]["traceroutes"][0]] * 3  # an array no line had
     _fail_then_repeat(objs, 1, fault)
+    _assert_matches_reference(_jsonl(objs), pfx2as, cap=5)
+
+
+@pytest.mark.parametrize("at", [10, 19])
+def test_localize_matches_the_reference_on_a_lowercase_separator(at):
+    # strptime would read "t" and "z" as "T" and "Z"; both readers skip the line
+    objs, pfx2as, _ = _simulated(_FIXED)
+    stamp = objs[0]["timestamp"]
+    objs[0]["timestamp"] = stamp[:at] + stamp[at].lower() + stamp[at + 1:]
     _assert_matches_reference(_jsonl(objs), pfx2as, cap=5)
 
 
@@ -124,7 +145,7 @@ def corpora(draw) -> tuple[bytes, bytes]:
     and its prefix table."""
     simulated = _simulated(draw(simulate_args()))
     assume(simulated is not None)  # some draws ask for more paths than exist
-    objs, pfx2as = simulated
+    objs, pfx2as, _ = simulated
     first = draw(st.sampled_from([None, *_FIRST_TRACEROUTES]))
     if first is not None:
         objs[0]["traceroutes"] = _FIRST_TRACEROUTES[first](objs[0]["traceroutes"])
@@ -150,6 +171,39 @@ def corpora(draw) -> tuple[bytes, bytes]:
 @given(corpus=corpora(), cap=st.integers(2, 6), url_split=st.booleans())
 def test_localize_matches_the_reference(corpus, cap, url_split):
     _assert_matches_reference(*corpus, cap, url_split)
+
+
+@st.composite
+def leak_args(draw) -> list[str]:
+    """The arguments of a small ``simulate`` run whose paths are long enough
+    to put clean ASes before a censor."""
+    return [
+        "simulate", "--seed", str(draw(st.integers(0, 2**16))),
+        "--days", str(draw(st.integers(1, 3))),
+        "--n-ases", str(draw(st.integers(12, 20))),
+        "--n-vantage", str(draw(st.integers(2, 4))),
+        "--n-urls", str(draw(st.integers(1, 2))),
+        "--n-censors", str(draw(st.integers(1, 2))),
+        "--path-pool-size", str(draw(st.integers(1, 3))),
+        "--churn-prob", str(draw(st.sampled_from([0.0, 0.3]))),
+        "--noise-prob", str(draw(st.sampled_from([0.0, 0.1]))),
+    ]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(args=leak_args(), data=st.data(), cap=st.integers(2, 6), url_split=st.booleans())
+def test_leak_matches_the_reference(args, data, cap, url_split):
+    simulated = _simulated(args)
+    assume(simulated is not None)
+    objs, pfx2as, as_meta = simulated
+    for i in data.draw(st.lists(st.integers(0, len(objs) - 2), max_size=2)):
+        _fail_then_repeat(objs, i, data.draw(st.sampled_from(_SCALAR_FAULTS)))
+    # drop some AS rows, keeping at least one, so that some pairs miss a country
+    header, *rows = as_meta.decode().splitlines(keepends=True)
+    kept = data.draw(st.lists(st.sampled_from(rows), min_size=1, unique=True))
+    meta = "".join([header, *(row for row in rows if row in kept)]).encode()
+    _assert_matches_reference(_jsonl(objs), pfx2as, cap, url_split, meta)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
