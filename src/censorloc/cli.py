@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 unexpected internal failure, 2 bad inputs or bad
 output destination: one ``InputError`` (``model.py``), which the readers'
-``IngestError`` and the simulator's ``SimulationError`` extend. All
+``IngestError`` and the simulator's ``SimulationError`` extend, or a stdout
+whose reader has gone, which ends the run without a message. All
 subcommands are offline batch jobs over local files.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -208,9 +210,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
     except pipeline.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # what is still buffered would fail again when the interpreter
+        # flushes stdout at exit, so stdout now writes to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

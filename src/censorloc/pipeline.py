@@ -3,26 +3,24 @@
 Stages are plain functions over values so tests (and the ablation command)
 can recombine them; the write_* helpers put byte-stable artifacts into the
 output directory. Reruns refuse to overwrite existing outputs unless forced.
+
+Every command imports this module, so at module level it imports only what
+every command uses: ``model`` and ``solver``. The corpus stages (``ingest``,
+``aspath``, ``tomography``, ``analysis``) are imported inside the functions
+that run them, and ``simulate`` inside its two commands, so ``solve-dimacs``,
+``evaluate`` and ``--version`` load none of them. Stage calls go through the
+module attribute (``aspath.infer_as_path``), so a function replaced on its
+own module, as the tests and the benchmark's tracer do, is the one that runs.
 """
 from __future__ import annotations
 
-import csv
 import gc
 import io
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from . import analysis, solver, tomography
-from .aspath import InferenceFailure, InferenceRule, infer_as_path, trace_inference
-from .ingest import (
-    ParseReport,
-    PrefixTable,
-    ingest_summary_obj,
-    parse_as_metadata,
-    parse_measurements,
-    parse_pfx2as,
-)
+from . import solver
 from .model import (
     AnomalyType,
     AsPath,
@@ -37,7 +35,9 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from . import simulate
+    from . import analysis, simulate
+    from .aspath import InferenceRule
+    from .ingest import ParseReport, PrefixTable
 
 ALL_GRANULARITIES = tuple(TimeGranularity)
 
@@ -71,11 +71,13 @@ def _read_text(path: Path, what: str) -> str:
 def _read_measurements(
     path: Path, table: PrefixTable
 ) -> tuple[list[MeasurementRecord], ParseReport]:
+    from . import ingest
+
     # parsed line by line as the file is read, so its text is never held
     # whole; a read or decode error can come from any line
     try:
         with open(path, encoding="utf-8", newline="\n") as lines:
-            return parse_measurements(lines, table)
+            return ingest.parse_measurements(lines, table)
     except (OSError, UnicodeDecodeError) as exc:
         raise _read_error(path, "measurements", exc) from None
 
@@ -89,10 +91,13 @@ class LoadedInputs(NamedTuple):
 
 
 def load_inputs(cfg: RunConfig) -> LoadedInputs:
+    from . import ingest
+
     registry = registry_report = None
-    table, table_report = parse_pfx2as(_read_text(cfg.pfx2as, "prefix table"))
+    table, table_report = ingest.parse_pfx2as(_read_text(cfg.pfx2as, "prefix table"))
     if cfg.as_meta is not None:
-        registry, registry_report = parse_as_metadata(_read_text(cfg.as_meta, "AS metadata"))
+        registry, registry_report = ingest.parse_as_metadata(
+            _read_text(cfg.as_meta, "AS metadata"))
     records, measurement_report = _read_measurements(cfg.measurements, table)
     warnings = []
     if cfg.anomalies is not None:
@@ -121,16 +126,18 @@ def infer_paths(
     its triple, so that no id is reused while the memo lives.
     len(records) == len(pairs) + sum(failure counts), always.
     """
+    from . import aspath
+
     pairs: list[tuple[MeasurementRecord, AsPath]] = []
-    failures: dict[InferenceRule, int] = {rule: 0 for rule in InferenceRule}
-    outcomes: dict[tuple, tuple[tuple, AsPath | InferenceFailure]] = {}
+    failures: dict[InferenceRule, int] = {rule: 0 for rule in aspath.InferenceRule}
+    outcomes: dict[tuple, tuple[tuple, AsPath | aspath.InferenceFailure]] = {}
     for record in records:
         key = (record.vantage_asn, record.dst_ip, id(record.traceroutes))
         entry = outcomes.get(key)
         if entry is None:
-            entry = outcomes[key] = (record.traceroutes, infer_as_path(record, table))
+            entry = outcomes[key] = (record.traceroutes, aspath.infer_as_path(record, table))
         outcome = entry[1]
-        if isinstance(outcome, InferenceFailure):
+        if isinstance(outcome, aspath.InferenceFailure):
             failures[outcome.rule] += 1
         else:
             pairs.append((record, outcome))
@@ -141,10 +148,12 @@ def infer_paths(
 def elimination_summary_obj(
     n_records: int, n_pairs: int, failures: dict[InferenceRule, int]
 ) -> dict[str, Any]:
+    from . import aspath
+
     return {
         "records": n_records,
         "paths_inferred": n_pairs,
-        "failures": {rule.value: failures.get(rule, 0) for rule in InferenceRule},
+        "failures": {rule.value: failures.get(rule, 0) for rule in aspath.InferenceRule},
     }
 
 
@@ -188,6 +197,8 @@ def _inferred(
 
 
 def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
+    from . import analysis, tomography
+
     loaded, pairs, failures = _inferred(cfg)
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
     summaries = solve_instances(instances, cfg.model_cap)
@@ -272,6 +283,8 @@ def write_censors(path: Path, verdicts: Sequence[CensorVerdict]) -> None:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -283,18 +296,15 @@ def _share(x: float) -> str:
     return f"{x:.6f}"
 
 
-_SOLUTION_HEADER_TAIL = [
-    "cnf_count",
-    *analysis.SOLUTION_COUNTS,
-    *(f"share_{name}" for name in analysis.SOLUTION_COUNTS),
-]
-
-
 def _write_solutions(path: Path, rows: list[dict], group_field: str) -> None:
-    write_csv(path, [group_field, *_SOLUTION_HEADER_TAIL], [
+    from . import analysis
+
+    tail = ["cnf_count", *analysis.SOLUTION_COUNTS,
+            *(f"share_{name}" for name in analysis.SOLUTION_COUNTS)]
+    write_csv(path, [group_field, *tail], [
         [row[group_field]] + [
             _share(row[col]) if col.startswith("share_") else row[col]
-            for col in _SOLUTION_HEADER_TAIL
+            for col in tail
         ]
         for row in rows
     ])
@@ -312,7 +322,10 @@ LOCALIZE_FILES = (
 
 
 def write_localize_outputs(cfg: RunConfig, result: LocalizeResult, out_dir: Path) -> None:
-    write_json(out_dir / "ingest_summary.json", ingest_summary_obj(result.loaded.measurement_report))
+    from . import aspath, ingest
+
+    write_json(out_dir / "ingest_summary.json",
+               ingest.ingest_summary_obj(result.loaded.measurement_report))
     write_json(
         out_dir / "elimination_summary.json",
         elimination_summary_obj(len(result.loaded.records), len(result.pairs), result.failures),
@@ -340,7 +353,8 @@ def write_localize_outputs(cfg: RunConfig, result: LocalizeResult, out_dir: Path
         with open(out_dir / "inference_trace.jsonl", "w", encoding="utf-8") as out:
             for record in result.loaded.records:
                 out.write(
-                    json.dumps(trace_inference(record, result.loaded.table), sort_keys=True)
+                    json.dumps(aspath.trace_inference(record, result.loaded.table),
+                               sort_keys=True)
                     + "\n"
                 )
 
@@ -367,6 +381,8 @@ def write_leakage_output(out_dir: Path, report: analysis.LeakageReport) -> None:
 def write_churn_outputs(
     out_dir: Path, reports: Sequence[analysis.ChurnReport]
 ) -> None:
+    from . import analysis
+
     cell_rows: list[list[Any]] = []
     summary_rows: list[list[Any]] = []
     for report in reports:
@@ -443,6 +459,8 @@ def cmd_localize(cfg: RunConfig) -> list[str]:
 
 
 def cmd_leak(cfg: RunConfig) -> list[str]:
+    from . import analysis
+
     if cfg.as_meta is None:
         raise InputError("this command needs --as-meta (country lookups)")
     result = run_localize_stages(cfg)
@@ -454,6 +472,8 @@ def cmd_leak(cfg: RunConfig) -> list[str]:
 
 
 def cmd_churn(cfg: RunConfig) -> list[str]:
+    from . import analysis
+
     loaded, pairs, _failures = _inferred(cfg)
     observations = [
         (record.vantage_asn, path[-1], record.timestamp, path)
@@ -466,6 +486,8 @@ def cmd_churn(cfg: RunConfig) -> list[str]:
 
 
 def cmd_ablate(cfg: RunConfig) -> list[str]:
+    from . import analysis, tomography
+
     result = run_localize_stages(cfg)
     ablated_pairs = analysis.ablate_churn(result.pairs)
     ablated_instances = tomography.build_instances(
@@ -480,6 +502,8 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
 
 
 def cmd_export_dimacs(cfg: RunConfig) -> list[str]:
+    from . import tomography
+
     loaded, pairs, _failures = _inferred(cfg)
     instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
     filenames = [tomography.dimacs_filename(inst.key) for inst in instances]

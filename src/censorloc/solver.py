@@ -15,6 +15,10 @@ Inputs are checked once, on entry to ``check_sat``, ``compute_backbone``,
 ``count_models`` and ``brute_force_models``; the probes they make are not.
 ``classify`` and ``solve_dimacs_text`` take CNFs that were already checked
 where they were built (``CnfInstance`` and ``parse_dimacs``).
+
+The module imports only ``model``, so ``solve-dimacs`` loads no corpus
+stage: ``to_cnf_clauses`` is the solver's reading of a ``CnfInstance``, and
+``tomography`` takes it from here to write DIMACS.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from .model import (
     SolutionStatus,
     SolutionSummary,
 )
-from .tomography import to_cnf_clauses
 
 Assignment = dict[int, bool]
 ClauseTuple = tuple[int, ...]
@@ -383,6 +386,23 @@ def brute_force_models(
         bits = int(raw)
         models.append({v: bool(bits >> i & 1) for v, i in index.items()})
     return models
+
+
+def to_cnf_clauses(instance: CnfInstance) -> list[tuple[int, ...]]:
+    """Expand to solver clauses over signed ASNs.
+
+    truth=True  -> one all-positive disjunction (x1 v ... v xk)
+    truth=False -> k negative unit clauses (De Morgan on NOT(x1 v ... v xk))
+    Unit clauses are deduplicated; positive disjunctions are already distinct.
+    """
+    positives: list[tuple[int, ...]] = []
+    negative_units: set[int] = set()
+    for clause in instance.clauses:
+        if clause.truth:
+            positives.append(tuple(sorted(clause.literal_asns)))
+        else:
+            negative_units.update(clause.literal_asns)
+    return positives + [(-asn,) for asn in sorted(negative_units)]
 
 
 def classify(instance: CnfInstance, cap: int = DEFAULT_MODEL_CAP) -> SolutionSummary:

@@ -21,6 +21,7 @@ from .model import (
     MeasurementRecord,
     TimeGranularity,
 )
+from .solver import to_cnf_clauses
 
 MERGED_URL = "*"
 """Bucket-key url value when URL splitting is disabled."""
@@ -140,23 +141,6 @@ def build_instances(
     ]
     instances.sort(key=lambda inst: inst.key.sort_key())
     return instances
-
-
-def to_cnf_clauses(instance: CnfInstance) -> list[tuple[int, ...]]:
-    """Expand to solver clauses over signed ASNs.
-
-    truth=True  -> one all-positive disjunction (x1 v ... v xk)
-    truth=False -> k negative unit clauses (De Morgan on NOT(x1 v ... v xk))
-    Unit clauses are deduplicated; positive disjunctions are already distinct.
-    """
-    positives: list[tuple[int, ...]] = []
-    negative_units: set[int] = set()
-    for clause in instance.clauses:
-        if clause.truth:
-            positives.append(tuple(sorted(clause.literal_asns)))
-        else:
-            negative_units.update(clause.literal_asns)
-    return positives + [(-asn,) for asn in sorted(negative_units)]
 
 
 def to_dimacs(instance: CnfInstance) -> str:

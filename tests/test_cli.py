@@ -134,6 +134,41 @@ def test_cli_import_loads_no_dataclasses_hashlib_or_simulator():
     assert proc.stdout.strip() == "[]"
 
 
+# argv: the CLI arguments
+_RUN_MAIN = """
+import sys
+from censorloc.cli import main
+try:
+    assert main(sys.argv[1:]) == 0
+except SystemExit as exc:  # --version
+    assert exc.code == 0
+"""
+
+
+def _modules_loaded(code: str, *args: str) -> set[str]:
+    """The censorloc modules that a new interpreter holds after ``code``."""
+    proc = _fresh_python("-c", code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+                         "sys.modules if m.startswith('censorloc'))), file=sys.stderr)", *args)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    """The solver needs only the model, and only the corpus commands load
+    the corpus stages: every command pays to compile what it imports."""
+    stages = {f"censorloc.{name}" for name in ("ingest", "aspath", "tomography", "analysis")}
+    assert _modules_loaded("import censorloc.solver") == {
+        "censorloc", "censorloc.model", "censorloc.solver"}
+    unwanted = stages | {"censorloc.simulate"}
+    assert not unwanted & _modules_loaded("from censorloc import pipeline")
+    cnf = tmp_path / "xor.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+    for args in (["--version"], ["solve-dimacs", str(cnf)]):
+        assert not unwanted & _modules_loaded(_RUN_MAIN, *args), args
+    sim_dir = _simulate(tmp_path)
+    assert stages <= _modules_loaded(_RUN_MAIN, *_localize_args(sim_dir, tmp_path / "loc"))
+
+
 def test_commands_that_load_lazily_run_in_a_fresh_interpreter(tmp_path):
     """simulate, evaluate and export-dimacs import what only they need inside
     the command; in-process tests may already have loaded it, so each runs in
@@ -643,6 +678,37 @@ def test_evaluate_cli_writes_scorecard(tmp_path, capsys):
 
 _GOOD_TRUTH = {"censors": [], "countries": {}, "paths": {}}
 _DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def _into_closed_pipe(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a new interpreter whose stdout is a pipe with no reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "censorloc.cli", *args], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_stdout_exits_two_without_a_message(tmp_path):
+    """A reader that has gone is a bad output destination, not an internal
+    error: no traceback, and nothing left to flush at exit. A short answer
+    fails when main flushes it, a long one while it is printed."""
+    small = tmp_path / "xor.cnf"
+    small.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+    large = tmp_path / "alternating.cnf"
+    large.write_text(structured_dimacs("alternating", 2400))
+    censors, truth = tmp_path / "censors.json", tmp_path / "truth.json"
+    censors.write_text("[]")
+    truth.write_text(json.dumps(_GOOD_TRUTH))
+    for args in (["solve-dimacs", str(small)], ["solve-dimacs", str(large)],
+                 ["evaluate", "--censors", str(censors), "--truth", str(truth)]):
+        proc = _into_closed_pipe(*args)
+        assert (proc.returncode, proc.stderr) == (2, ""), args
 
 
 def _verdicts(asn) -> str:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import forced_true_asns, make_record, make_traceroute, record_obj
-from censorloc import analysis, pipeline, simulate, solver, tomography
+from censorloc import analysis, aspath, pipeline, simulate, solver, tomography
 from censorloc.aspath import InferenceFailure, InferenceRule, infer_as_path
 from censorloc.ingest import parse_measurements, parse_pfx2as
 from censorloc.model import (
@@ -243,7 +243,7 @@ def test_infer_paths_solves_each_distinct_problem_once(monkeypatch):
         calls.append(record)
         return infer_as_path(record, table)
 
-    monkeypatch.setattr(pipeline, "infer_as_path", counting)
+    monkeypatch.setattr(aspath, "infer_as_path", counting)
     table = parse_pfx2as(pfx2as)[0]
     problems = {(r.vantage_asn, r.dst_ip, r.traceroutes) for r in records}
     assert len(problems) < len(records)
@@ -279,7 +279,7 @@ def test_infer_paths_equal_triples_built_apart_infer_alike(monkeypatch):
         calls.append(record.record_id)
         return infer_as_path(record, table)
 
-    monkeypatch.setattr(pipeline, "infer_as_path", counting)
+    monkeypatch.setattr(aspath, "infer_as_path", counting)
     pairs, failures = pipeline.infer_paths(records, parse_pfx2as(PFX2AS)[0])
     assert [(r.record_id, path) for r, path in pairs] == [
         (name, (100, 200, 300, 900)) for name in "abc"
