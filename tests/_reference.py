@@ -1,13 +1,14 @@
-"""A plain ``localize`` and ``leak``, written for clarity: the whole-run
-oracle of the tests.
+"""A plain ``localize``, ``leak``, ``churn`` and ``ablate``, written for
+clarity: the whole-run oracle of the tests.
 
 It shares no code with ``censorloc`` beyond the model enums and the solver's
 test oracle ``brute_force_models``. Each line is read with ``json.loads`` and
 checked field by field; addresses are matched with ``ipaddress``; each
 traceroute becomes one AS token per hop and is then collapsed; buckets are
 grouped with ``itertools.groupby`` and solved by enumerating every
-assignment; and the outputs are written with ``json.dumps`` and ``csv``. No
-memo, no shared value and no fast path: it is slow on purpose.
+assignment; churn cells and ablation anchors are found from sorted records;
+and the outputs are written with ``json.dumps`` and ``csv``. No memo, no
+shared value and no fast path: it is slow on purpose.
 
 The prefix table and the AS metadata are taken as valid, so this reference
 suits runs whose mutations are confined to the measurements file.
@@ -283,24 +284,82 @@ def solution_table(solved: list, column: str, cap: int) -> bytes:
     return _csv([column, *SOLUTION_COLUMNS], rows)
 
 
-def localize(measurements: bytes, pfx2as: bytes, cap: int,
-             url_split: bool = True) -> dict[str, bytes] | None:
+ALL_GRANULARITIES = tuple(TimeGranularity)
+
+
+def localize(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool = True,
+             granularities=ALL_GRANULARITIES, anomalies=None) -> dict[str, bytes] | None:
     """The seven files ``localize --out`` writes, or None where it refuses
-    the inputs. Granularities are all four."""
-    run = _localize(measurements, pfx2as, cap, url_split)
+    the inputs. ``anomalies``, when given, keeps only the records of those
+    categories once ingest has counted them."""
+    run = _localize(measurements, pfx2as, cap, url_split, granularities, anomalies)
     return None if run is None else run[0]
 
 
 def leak(measurements: bytes, pfx2as: bytes, as_meta: bytes, cap: int,
          url_split: bool = True) -> dict[str, bytes] | None:
     """The files ``leak --out`` writes: localize's seven and leakage.json."""
-    run = _localize(measurements, pfx2as, cap, url_split)
+    run = _localize(measurements, pfx2as, cap, url_split, ALL_GRANULARITIES, None)
     if run is None:
         return None
     files, inferred, solved = run
     countries = {int(row[0]): row[1] for row in
                  list(csv.reader(io.StringIO(as_meta.decode("utf-8"))))[1:]}
     return {**files, "leakage.json": leakage(inferred, solved, countries, url_split)}
+
+
+def ablate(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool = True,
+           granularities=ALL_GRANULARITIES, anomalies=None) -> dict[str, bytes] | None:
+    """The files ``ablate --out`` writes: localize's seven and the solution
+    table by granularity over the records that kept the first path of their
+    (vantage AS, destination AS), first by (timestamp, input position)."""
+    run = _localize(measurements, pfx2as, cap, url_split, granularities, anomalies)
+    if run is None:
+        return None
+    files, inferred, _ = run
+    anchor = {}
+    for i in sorted(range(len(inferred)), key=lambda i: (inferred[i][0]["instant"], i)):
+        record, path = inferred[i]
+        anchor.setdefault((record["vantage_asn"], path[-1]), path)
+    kept = [(record, path) for record, path in inferred
+            if path == anchor[record["vantage_asn"], path[-1]]]
+    solved = solve_buckets(kept, cap, url_split, granularities)
+    return {**files,
+            "ablated_solutions_by_granularity.csv": solution_table(solved, "granularity", cap)}
+
+
+def churn(measurements: bytes, pfx2as: bytes,
+          granularities=ALL_GRANULARITIES) -> dict[str, bytes] | None:
+    """The two files ``churn --out`` writes, or None where it refuses the
+    inputs: per (vantage AS, destination AS, window), the number of distinct
+    full paths, and per granularity how many cells churn."""
+    ingested = _ingest(measurements, pfx2as)
+    if ingested is None:
+        return None
+    records, _, table = ingested
+    inferred, _ = _infer_all(records, table)
+    cell_rows, summary_rows = [], []
+    for granularity in [g for g in TimeGranularity if g in granularities]:
+        rows = sorted((record["vantage_asn"], path[-1], window(record["day"], granularity), path)
+                      for record, path in inferred)
+        cells = [(key, [row[3] for row in group])
+                 for key, group in groupby(rows, key=lambda row: row[:3])]
+        histogram = [0] * 5  # cells with 1, 2, 3, 4 and 5 or more distinct paths
+        for (vantage, dst, name), paths in cells:
+            distinct = len(set(paths))
+            cell_rows.append([f"{vantage}-{dst}", granularity.value, name, distinct])
+            histogram[min(distinct, 5) - 1] += 1
+        multi = sum(len(paths) >= 2 for _, paths in cells)
+        churning = sum(len(set(paths)) >= 2 for _, paths in cells)
+        summary_rows.append([granularity.value, len(cells), multi, churning,
+                             f"{churning / multi:.6f}" if multi else "n/a", *histogram])
+    return {
+        "churn.csv": _csv(["pair", "granularity", "window", "distinct_paths"], cell_rows),
+        "churn_summary.csv": _csv(
+            ["granularity", "cells", "multi_measurement_cells", "churning_cells",
+             "fraction_churning", "paths_1", "paths_2", "paths_3", "paths_4", "paths_5_plus"],
+            summary_rows),
+    }
 
 
 def leakage(inferred: list, solved: list, countries: dict[int, str], url_split: bool) -> bytes:
@@ -360,9 +419,9 @@ def leakage(inferred: list, solved: list, countries: dict[int, str], url_split: 
     return _json({"edges": edge_list, "censors": censors, "skipped_missing_country": skipped})
 
 
-def _localize(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool):
-    # localize's files, each kept record with its inferred path, and every
-    # bucket's key and solution in output order; None where it refuses
+def _ingest(measurements: bytes, pfx2as: bytes):
+    # the kept records, the sorted skip reasons and the prefix table; None
+    # where the run refuses the inputs
     try:
         text = measurements.decode("utf-8")
     except UnicodeDecodeError:
@@ -375,31 +434,54 @@ def _localize(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool):
     records = [o for o in outcomes if isinstance(o, dict)]
     if not records:
         return None
-    skipped = sorted(o for o in outcomes if isinstance(o, str))
+    return records, sorted(o for o in outcomes if isinstance(o, str)), table
 
+
+def _infer_all(records: list, table) -> tuple[list, dict[str, int]]:
+    # each record with its inferred path, and the count of each rule that
+    # eliminated one
     failures = dict.fromkeys(RULES, 0)
-    observed = []  # (anomaly, url, granularity, window, path, detected)
     inferred = []
     for record in records:
         path = infer(record, table)
         if isinstance(path, str):
             failures[path] += 1
-            continue
-        inferred.append((record, path))
+        else:
+            inferred.append((record, path))
+    return inferred, failures
+
+
+def solve_buckets(inferred: list, cap: int, url_split: bool, granularities) -> list:
+    """Every bucket's key and solution, in output order: anomaly, url,
+    granularity (as declared), window."""
+    observed = []  # (anomaly, url, granularity, window, path, detected)
+    for record, path in inferred:
         url = record["url"] if url_split else "*"
         anomaly = AnomalyType(record["anomaly"])
-        for granularity in TimeGranularity:
+        for granularity in granularities:
             observed.append((anomaly, url, granularity, window(record["day"], granularity),
                              path, record["detected"]))
-    n_paths = len(observed) // len(TimeGranularity)
-
-    # buckets in output order: anomaly, url, granularity (as declared), window
     observed.sort(key=lambda o: (o[0].value, o[1], list(TimeGranularity).index(o[2]),
                                  o[3], o[4], o[5]))
-    solved = [
+    return [
         (key, solve({o[4:] for o in group}, cap))
         for key, group in groupby(observed, key=lambda o: o[:4])
     ]
+
+
+def _localize(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool, granularities,
+              anomalies):
+    # localize's files, each kept record with its inferred path, and every
+    # bucket's key and solution in output order; None where it refuses
+    ingested = _ingest(measurements, pfx2as)
+    if ingested is None:
+        return None
+    records, skipped, table = ingested
+    n_ok = len(records)
+    if anomalies is not None:
+        records = [r for r in records if AnomalyType(r["anomaly"]) in anomalies]
+    inferred, failures = _infer_all(records, table)
+    solved = solve_buckets(inferred, cap, url_split, granularities)
 
     ambiguous = [(len(backbone), sum(r is BackboneStatus.FORCED_FALSE
                                      for r in backbone.values()))
@@ -413,12 +495,12 @@ def _localize(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool):
 
     files = {
         "ingest_summary.json": _json({
-            "records_ok": len(records),
+            "records_ok": n_ok,
             "records_skipped": len(skipped),
             "skip_reasons": {reason: len(list(run)) for reason, run in groupby(skipped)},
         }),
         "elimination_summary.json": _json({
-            "records": len(records), "paths_inferred": n_paths, "failures": failures,
+            "records": len(records), "paths_inferred": len(inferred), "failures": failures,
         }),
         "censors.json": _json(verdicts(solved)),
         "reduction_cdf.csv": _csv(["fraction", "cumulative_share"], cdf),
