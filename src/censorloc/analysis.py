@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from datetime import datetime
+from functools import cache
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
@@ -27,7 +28,8 @@ from .model import (
     SolutionSummary,
     TimeGranularity,
 )
-from .tomography import fold_days
+from .ingest import window_id
+from .tomography import DaySets
 
 
 def identify_censors(summaries: Sequence[SolutionSummary]) -> list[CensorVerdict]:
@@ -139,6 +141,14 @@ class LeakageReport(NamedTuple):
     skipped_missing_country: int
 
 
+def pinning_keys(summaries: Sequence[SolutionSummary]) -> set[BucketKey]:
+    """The buckets detect_leakage reads source paths from: unique, pinning some AS."""
+    return {
+        summary.key for summary in summaries if summary.status is SolutionStatus.UNIQUE
+        and BackboneStatus.FORCED_TRUE in summary.backbone.values()
+    }
+
+
 def detect_leakage(
     solved: Sequence[tuple[CnfInstance, SolutionSummary]],
     countries: dict[int, str],
@@ -151,7 +161,8 @@ def detect_leakage(
     censor it provably does not operate. A victim in another country is
     additionally a country-level leak. A (censor, victim) pair without a
     known country is skipped and tallied once per record of the path, however
-    often the path repeats either AS.
+    often the path repeats either AS. The paths are each testifying
+    instance's source_paths (tomography.with_sources).
     """
     edges: dict[tuple[int, int, AnomalyType], LeakageEdge] = {}
     skipped = 0
@@ -260,12 +271,11 @@ def churn_stats(
     sequences; the churn fraction is taken over cells with >= 2 measurements
     so single-shot pairs cannot dilute it.
     """
-    items = (((vantage, dst), ts.date(), path, None) for vantage, dst, ts, path in observations)
-    windows = fold_days(items, (granularity,))
-    cells = tuple(
-        ChurnCell(v, d, w, sum(count for _, count in paths.values()), len(paths))
-        for ((v, d), _, w), paths in sorted(windows.items())
-    )
+    name = cache(lambda day: window_id(day, granularity))  # once per distinct UTC date
+    paths: dict[tuple[int, int, str], list[AsPath]] = {}
+    for vantage, dst, ts, path in observations:
+        paths.setdefault((vantage, dst, name(ts.date())), []).append(path)
+    cells = tuple(ChurnCell(*key, len(seen), len(set(seen))) for key, seen in sorted(paths.items()))
     histogram = {b: 0 for b in HISTOGRAM_BUCKETS}
     for cell in cells:
         bucket = str(cell.distinct_paths) if cell.distinct_paths < 5 else "5+"
@@ -283,20 +293,34 @@ def churn_stats(
     )
 
 
+def _anchors(pairs: Sequence[tuple[MeasurementRecord, AsPath]]) -> dict[tuple[int, int], AsPath]:
+    # (vantage AS, destination AS) -> the path of its least (timestamp, input
+    # position) record; a path begins at its vantage AS and ends at its destination
+    first: dict[tuple[int, int], tuple[datetime, int, AsPath]] = {}
+    for position, (record, path) in enumerate(pairs):
+        pair = (path[0], path[-1])
+        if pair not in first or (record.timestamp, position) < first[pair][:2]:
+            first[pair] = (record.timestamp, position, path)
+    return {pair: path for pair, (_, _, path) in first.items()}
+
+
 def ablate_churn(
     pairs: Sequence[tuple[MeasurementRecord, AsPath]],
 ) -> list[tuple[MeasurementRecord, AsPath]]:
     """Strip path churn: per (vantage AS, destination AS) pair keep only the
     measurements taken over the chronologically first inferred path."""
-    first: dict[tuple[int, int], AsPath] = {}
-    kept: list[tuple[MeasurementRecord, AsPath]] = []
-    # a stable sort: ties keep input order
-    for record, path in sorted(pairs, key=lambda pair: pair[0].timestamp):
-        pair_key = (record.vantage_asn, path[-1])
-        anchor = first.setdefault(pair_key, path)
-        if path == anchor:
-            kept.append((record, path))
-    return kept
+    anchors = _anchors(pairs)
+    return [(record, path) for record, path in pairs if path == anchors[path[0], path[-1]]]
+
+
+def ablate_days(days: DaySets, pairs: Sequence[tuple[MeasurementRecord, AsPath]]) -> DaySets:
+    """The day sets of ``ablate_churn(pairs)``, given ``days``, the day sets
+    of ``pairs``: an observation is kept when its path is its pair's first
+    path, and a day that keeps none is dropped."""
+    anchors = _anchors(pairs)
+    kept = ((cell, {seen for seen in day if seen[0] == anchors[seen[0][0], seen[0][-1]]})
+            for cell, day in days.items())
+    return {cell: day for cell, day in kept if day}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ re-checks it on construction:
   ``ingest.parse_measurements``, which validates measurement JSON, vantage
   ASNs included, and interns equal hops and traceroutes so records share them.
 - ``Clause``, ``CnfInstance`` and ``LeakageEdge`` come from
-  ``tomography.build_clause`` / ``build_cnf`` and ``analysis.detect_leakage``.
+  ``tomography.build_instances`` and ``analysis.detect_leakage``.
 - ``SolutionSummary`` comes from ``solver.classify``, whose status, capped
   count and backbone ``solver._solve`` fixes together.
 
@@ -188,8 +188,7 @@ class BucketKey(NamedTuple):
 class Clause(NamedTuple):
     """An AS-set observation: the ASes of one path and the verdict seen on it.
 
-    Literals are a set; the path order lives in CnfInstance.source_paths,
-    which holds each distinct (path, verdict) once, with its multiplicity.
+    Literals are a set; the path order lives in CnfInstance.source_paths.
     """
 
     literal_asns: frozenset[int]
@@ -201,12 +200,13 @@ class Clause(NamedTuple):
 
 
 class CnfInstance(NamedTuple):
-    """All clauses of one bucket, plus the source paths they came from.
+    """All clauses of one bucket, plus the source paths leak reads.
 
     Variables are the union of clause literals, stored ascending; clauses are
     stored deduplicated in canonical order so downstream output is byte-stable.
-    source_paths holds each distinct (path, detected, first record_id, record
-    count) of the bucket in order of first appearance, as leakage analysis needs.
+    source_paths is empty but where ``tomography.with_sources`` filled it: then
+    each distinct (path, detected, first record_id, record count) of the
+    bucket, in order of first record.
     """
 
     key: BucketKey

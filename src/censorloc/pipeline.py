@@ -38,6 +38,7 @@ if TYPE_CHECKING:
     from . import analysis, simulate
     from .aspath import InferenceRule
     from .ingest import ParseReport, PrefixTable
+    from .tomography import DaySets
 
 ALL_GRANULARITIES = tuple(TimeGranularity)
 
@@ -177,6 +178,7 @@ class LocalizeResult(NamedTuple):
     loaded: LoadedInputs
     pairs: list[tuple[MeasurementRecord, AsPath]]
     failures: dict[InferenceRule, int]
+    days: DaySets
     instances: list[CnfInstance]
     summaries: list[SolutionSummary]
     verdicts: list
@@ -200,7 +202,8 @@ def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
     from . import analysis, tomography
 
     loaded, pairs, failures = _inferred(cfg)
-    instances = tomography.build_instances(pairs, cfg.granularities, cfg.url_split)
+    days = tomography.fold_days(pairs, cfg.url_split)
+    instances = tomography.build_instances(days, cfg.granularities)
     summaries = solve_instances(instances, cfg.model_cap)
     verdicts = analysis.identify_censors(summaries)
     reduction = analysis.reduction_stats(summaries)
@@ -208,6 +211,7 @@ def run_localize_stages(cfg: RunConfig) -> LocalizeResult:
         loaded=loaded,
         pairs=pairs,
         failures=failures,
+        days=days,
         instances=instances,
         summaries=summaries,
         verdicts=verdicts,
@@ -459,13 +463,16 @@ def cmd_localize(cfg: RunConfig) -> list[str]:
 
 
 def cmd_leak(cfg: RunConfig) -> list[str]:
-    from . import analysis
+    from . import analysis, tomography
 
     if cfg.as_meta is None:
         raise InputError("this command needs --as-meta (country lookups)")
     result = run_localize_stages(cfg)
+    instances = tomography.with_sources(
+        result.instances, result.pairs, analysis.pinning_keys(result.summaries), cfg.url_split
+    )
     report = analysis.detect_leakage(
-        list(zip(result.instances, result.summaries)), result.loaded.registry
+        list(zip(instances, result.summaries)), result.loaded.registry
     )
     write_leakage_output(_write_localize(cfg, result, "leakage.json"), report)
     return _warnings(result.loaded, result.pairs)
@@ -489,10 +496,8 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
     from . import analysis, tomography
 
     result = run_localize_stages(cfg)
-    ablated_pairs = analysis.ablate_churn(result.pairs)
-    ablated_instances = tomography.build_instances(
-        ablated_pairs, cfg.granularities, cfg.url_split
-    )
+    ablated_days = analysis.ablate_days(result.days, result.pairs)
+    ablated_instances = tomography.build_instances(ablated_days, cfg.granularities)
     ablated_summaries = solve_instances(ablated_instances, cfg.model_cap)
     ablated_rows = analysis.solution_rows_by_granularity(ablated_summaries, cfg.model_cap)
     ablated_name = "ablated_solutions_by_granularity.csv"

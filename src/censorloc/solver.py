@@ -107,7 +107,8 @@ class _Engine:
     clause makes the CNF unsat, and unit clauses are asserted at the root,
     whose implied literals are ``trail[:root]``. Only a variable in a clause
     that nothing satisfies yet is decided, so no refutation is repeated over
-    the value of one that no open clause mentions.
+    the value of one that no open clause mentions, and the decision scan
+    visits only the variables of some clause, not every declared one.
     """
 
     def __init__(self, variables: Sequence[int], clauses: Sequence[ClauseTuple]) -> None:
@@ -147,6 +148,7 @@ class _Engine:
                 self.ok = False
         self.ok = self.ok and all(map(self._assign, units)) and self._propagate()
         self.root = len(self.trail)
+        self.decide = sorted(occurs)  # no other variable is ever decided
 
     def _assign(self, lit: int) -> bool:
         # False on a conflict
@@ -210,14 +212,14 @@ class _Engine:
         self._undo(self.root)
         if not self.ok or (assume and not (self._assign(assume) and self._propagate())):
             return
-        order, true, trail, occurs = self.order, self.true, self.trail, self.occurs
-        # (trail length before, order index, literal, both values tried)
+        decide, true, trail, occurs = self.decide, self.true, self.trail, self.occurs
+        # (trail length before, decide index, literal, both values tried)
         stack: list[tuple[int, int, int, bool]] = []
         i = 0
         while True:
             # decide the next unassigned variable of a clause nothing satisfies
-            for i in range(i, len(order)):
-                v = order[i]
+            for i in range(i, len(decide)):
+                v = decide[i]
                 if v not in true and -v not in true and any(map(true.isdisjoint, occurs.get(v, ()))):
                     lit = -v if v in against else v
                     stack.append((len(trail), i, lit, False))

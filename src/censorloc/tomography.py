@@ -5,15 +5,21 @@ bucket's (anomaly, URL) in this window". A path that observed the anomaly
 says at least one AS on it is responsible (one all-positive disjunction); a
 clean path says no AS on it is (one negative unit clause per AS). Every CNF
 clause this module emits is therefore either all-positive or a negative unit.
-A bucket keeps each distinct (path, verdict) once, with its first record_id
-and the number of records that made it, as CnfInstance.source_paths.
+
+A bucket's CNF depends only on the distinct (path, verdict) observations of
+its window, so the pairs are folded once, in any order, into a set per
+(anomaly, URL or ``*``, UTC day), and a window's body is the union of its
+days' sets. Only leak reads each observation's first record and record count:
+``with_sources`` puts them in source_paths, which is empty everywhere else.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from datetime import date
+from typing import Collection, Iterable, Sequence
 
 from .ingest import window_id
 from .model import (
+    AnomalyType,
     AsPath,
     BucketKey,
     Clause,
@@ -26,8 +32,10 @@ from .solver import to_cnf_clauses
 MERGED_URL = "*"
 """Bucket-key url value when URL splitting is disabled."""
 
-# (path, detected, first record_id, record count) of a bucket, into CNF building
-Observation = tuple[AsPath, bool, str, int]
+# (path, detected): one distinct observation of a bucket
+Observation = tuple[AsPath, bool]
+# (anomaly, url or MERGED_URL, UTC date) -> the day's distinct observations
+DaySets = dict[tuple[AnomalyType, str, date], set[Observation]]
 
 
 def build_clause(path: AsPath, detected: bool) -> Clause:
@@ -35,69 +43,40 @@ def build_clause(path: AsPath, detected: bool) -> Clause:
     return Clause(literal_asns=frozenset(path), truth=detected)
 
 
-def fold_days(items: Iterable[tuple], granularities: Sequence[TimeGranularity]) -> dict:
-    """Fold ``(group, UTC date, observation, first)`` items into
-    ``{(group, granularity, window id): {observation: [first, count]}}``.
-
-    Each (group, UTC day) keeps its distinct observations in order of first
-    appearance. A window is a run of whole days, so merging its days in date
-    order gives the order, firsts and counts of its items: items in time
-    order give each observation the first item of its window.
-    """
-    days: dict[tuple, dict] = {}
-    for group, utc_date, observation, first in items:
-        day = days.get((group, utc_date))
-        if day is None:
-            day = days[group, utc_date] = {}
-        seen = day.get(observation)
-        if seen is None:
-            day[observation] = [first, 1]
-        else:
-            seen[1] += 1
-    windows: dict[tuple, dict] = {}
-    named = {(d, g): window_id(d, g) for d in {day for _, day in days} for g in granularities}
-    # a window's entries are shared with its days, so a merge replaces, never mutates
-    for (group, utc_date), day in days.items():
-        for granularity in granularities:
-            key = (group, granularity, named[utc_date, granularity])
-            window = windows.get(key)
-            if window is None:
-                windows[key] = dict(day)
-                continue
-            for observation, entry in day.items():
-                seen = window.get(observation)
-                window[observation] = entry if seen is None else [seen[0], seen[1] + entry[1]]
-    return windows
+def fold_days(pairs: Iterable[tuple[MeasurementRecord, AsPath]], url_split: bool = True) -> DaySets:
+    """Each (anomaly, url, UTC day)'s distinct (path, detected)."""
+    days: DaySets = {}
+    for record, path in pairs:
+        cell = (record.anomaly, record.url if url_split else MERGED_URL, record.timestamp.date())
+        days.setdefault(cell, set()).add((path, record.detected))
+    return days
 
 
 def bucket(
-    pairs: Iterable[tuple[MeasurementRecord, AsPath]],
+    pairs: Iterable[tuple[MeasurementRecord, AsPath]] | DaySets,
     granularities: Sequence[TimeGranularity],
     url_split: bool = True,
-) -> dict[BucketKey, list[Observation]]:
-    """Group inferred paths by (anomaly, url, window) into distinct observations.
-
-    The pairs are folded in timestamp order (ties keep input order), so each
-    (path, detected) keeps the first record of its window.
+) -> dict[BucketKey, frozenset[Observation]]:
+    """Each (anomaly, url, window)'s distinct observations, the body its CNF
+    is built from: a window is a run of whole days, so its body is the union
+    of its days' sets. ``pairs`` may be given as their day sets instead.
     """
-    items = (
-        ((record.anomaly, record.url if url_split else MERGED_URL), record.timestamp.date(),
-         (path, record.detected), record.record_id)
-        for record, path in sorted(pairs, key=lambda pair: pair[0].timestamp)
-    )
-    return {
-        BucketKey(*group, granularity, name): [(*seen, *entry) for seen, entry in window.items()]
-        for (group, granularity, name), window in fold_days(items, granularities).items()
-    }
+    days = pairs if isinstance(pairs, dict) else fold_days(pairs, url_split)
+    named = {(d, g): window_id(d, g) for d in {cell[2] for cell in days} for g in granularities}
+    windows: dict[BucketKey, list[set[Observation]]] = {}
+    for (anomaly, url, utc_date), seen in days.items():
+        for g in granularities:
+            windows.setdefault(BucketKey(anomaly, url, g, named[utc_date, g]), []).append(seen)
+    return {key: frozenset().union(*sets) for key, sets in windows.items()}
 
 
 class _ClauseMemo(dict):
     """One Clause, with its canonical key, per distinct (path, detected), and
-    one (variables, clauses) pair per distinct frozenset of them: a run's
-    windows and URLs bin the same paths again and again, and equal bodies
-    share one clause tuple."""
+    one (variables, clauses) pair per distinct body: a run's windows and URLs
+    bin the same paths again and again, and equal bodies share one clause
+    tuple."""
 
-    def __missing__(self, key: tuple[AsPath, bool] | frozenset) -> tuple[tuple, tuple]:
+    def __missing__(self, key: Observation | frozenset[Observation]) -> tuple[tuple, tuple]:
         if type(key) is frozenset:
             seen = dict(map(self.__getitem__, key))
             clauses = tuple(seen[k] for k in sorted(seen))
@@ -110,37 +89,50 @@ class _ClauseMemo(dict):
         return entry
 
 
-def build_cnf(
-    key: BucketKey, observations: Sequence[Observation], memo: _ClauseMemo | None = None
-) -> CnfInstance:
-    """Build one bucket's CNF instance from its distinct observations.
-
-    Clauses are deduplicated per (literal set, truth); contradictory pairs
-    (same set, both truths) are retained and left for the solver to expose as
-    unsatisfiable. source_paths keeps the observations as given. ``memo``
-    shares clauses, and whole bodies, between the buckets of one run.
-    """
-    if not observations:
-        raise ValueError("a bucket cannot be empty")
-    if memo is None:
-        memo = _ClauseMemo()
-    body = frozenset([(path, detected) for path, detected, _, _ in observations])
-    return CnfInstance(key, *memo[body], tuple(observations))
-
-
 def build_instances(
-    pairs: Sequence[tuple[MeasurementRecord, AsPath]],
+    pairs: Iterable[tuple[MeasurementRecord, AsPath]] | DaySets,
     granularities: Sequence[TimeGranularity],
     url_split: bool = True,
 ) -> list[CnfInstance]:
-    """All CNF instances for a run, sorted by bucket key."""
+    """All CNF instances for a run, sorted by bucket key, with empty
+    source_paths. ``pairs`` may also be given as their day sets."""
     memo = _ClauseMemo()
     instances = [
-        build_cnf(key, observations, memo)
-        for key, observations in bucket(pairs, granularities, url_split).items()
+        CnfInstance(key, *memo[body], ())
+        for key, body in bucket(pairs, granularities, url_split).items()
     ]
     instances.sort(key=lambda inst: inst.key.sort_key())
     return instances
+
+
+def with_sources(
+    instances: Iterable[CnfInstance],
+    pairs: Iterable[tuple[MeasurementRecord, AsPath]],
+    wanted: Collection[BucketKey],
+    url_split: bool = True,
+) -> list[CnfInstance]:
+    """``instances``, those in ``wanted`` with their source_paths: each
+    distinct (path, detected) of the window once, with the record_id of its
+    first record and its record count, in order of first record. A first is
+    the least (timestamp, input position) among the window's records."""
+    rows: dict[BucketKey, dict[Observation, list]] = {key: {} for key in wanted}
+    granularities = {key.granularity for key in rows}
+    holding: dict[tuple, list[dict]] = {}  # day cell -> rows of the wanted windows holding it
+    for position, (record, path) in enumerate(pairs):
+        cell = (record.anomaly, record.url if url_split else MERGED_URL, record.timestamp.date())
+        if cell not in holding:
+            keys = [BucketKey(*cell[:2], g, window_id(cell[2], g)) for g in granularities]
+            holding[cell] = [rows[key] for key in keys if key in rows]
+        first = (record.timestamp, position)
+        for window in holding[cell]:
+            entry = window.setdefault((path, record.detected), [first, record.record_id, 0])
+            if first < entry[0]:
+                entry[:2] = first, record.record_id
+            entry[2] += 1
+    return [inst._replace(source_paths=tuple(
+        (*seen, record_id, count)
+        for seen, (_, record_id, count) in sorted(rows[inst.key].items(), key=lambda i: i[1][0])
+    )) if inst.key in rows else inst for inst in instances]
 
 
 def to_dimacs(instance: CnfInstance) -> str:

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 
 from hypothesis import strategies as st
 
-from censorloc import solver
+from censorloc import solver, tomography
 from censorloc.analysis import HISTOGRAM_BUCKETS, ChurnCell, ChurnReport
 from censorloc.ingest import PrefixTable, parse_pfx2as, window_id
 from censorloc.model import (
@@ -15,6 +15,7 @@ from censorloc.model import (
     BackboneStatus,
     CensorClass,
     CensorVerdict,
+    CnfInstance,
     Hop,
     MeasurementRecord,
     SolutionStatus,
@@ -262,6 +263,23 @@ def backbone_from_models(variables, models: list[Assignment]) -> dict[int, Backb
         else:
             out[v] = BackboneStatus.FREE
     return out
+
+
+def build_cnf(key, observations, memo=None) -> CnfInstance:
+    """One bucket's CNF instance from its source rows, each distinct (path,
+    detected) with its first record_id and record count, as the leak side
+    of ``tomography`` builds them; source_paths keeps the rows as given.
+
+    Clauses are deduplicated per (literal set, truth); contradictory pairs
+    (same set, both truths) are retained and left for the solver to expose as
+    unsatisfiable.
+    """
+    if not observations:
+        raise ValueError("a bucket cannot be empty")
+    if memo is None:
+        memo = tomography._ClauseMemo()
+    body = frozenset([(path, detected) for path, detected, _, _ in observations])
+    return CnfInstance(key, *memo[body], tuple(observations))
 
 
 def assert_canonical_cnf(instance) -> None:

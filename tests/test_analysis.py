@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    build_cnf,
     churn_stats_reference,
     forced_true_asns,
     identify_censors_reference,
@@ -21,6 +22,7 @@ from censorloc.analysis import (
     churn_stats,
     detect_leakage,
     identify_censors,
+    pinning_keys,
     reduction_stats,
     solution_rows_by_anomaly,
     solution_rows_by_granularity,
@@ -36,7 +38,7 @@ from censorloc.model import (
     SolutionSummary,
     TimeGranularity,
 )
-from censorloc.tomography import bucket, build_cnf, build_instances
+from censorloc.tomography import build_instances, with_sources
 
 FT = BackboneStatus.FORCED_TRUE
 FF = BackboneStatus.FORCED_FALSE
@@ -220,9 +222,9 @@ def _leak_world(window="2016-05-02", repeats=()):
         )
         for rid, asns, detected in rows
     ]
-    ((key, observations),) = bucket(pairs, [G.DAY]).items()
-    assert key == _key(window)
-    inst = build_cnf(key, observations)
+    (built,) = build_instances(pairs, [G.DAY])
+    assert built.key == _key(window)
+    (inst,) = with_sources([built], pairs, {built.key})
     summary = solver.classify(inst)
     assert summary.status is SolutionStatus.UNIQUE
     assert forced_true_asns(summary) == (300,)
@@ -268,8 +270,8 @@ def test_detect_leakage_counts_a_repeated_as_once():
         (make_record(record_id="t1", detected=True), (100, 300, 200, 300, 900)),
         (make_record(record_id="c1", detected=False), (100, 200, 900)),
     ]
-    ((key, observations),) = bucket(pairs, [G.DAY]).items()
-    inst = build_cnf(key, observations)
+    (built,) = build_instances(pairs, [G.DAY])
+    (inst,) = with_sources([built], pairs, {built.key})
     summary = solver.classify(inst)
     assert summary.status is SolutionStatus.UNIQUE
     assert forced_true_asns(summary) == (300,)
@@ -393,7 +395,9 @@ def test_detect_leakage_over_distinct_observations_matches_a_verbatim_walk(seed)
     # some ASes have no country, so the skipped tally moves too
     countries = {asn: rng.choice(("US", "CN")) for asn in range(1, 8) if rng.random() < 0.7}
     instances = build_instances(pairs, list(G))
-    solved = [(inst, solver.classify(inst)) for inst in instances]
+    summaries = [solver.classify(inst) for inst in instances]
+    # as leak runs it: source paths only where a unique bucket pins a censor
+    solved = list(zip(with_sources(instances, pairs, pinning_keys(summaries)), summaries))
     report = detect_leakage(solved, countries)
     edges, counts, skipped = _verbatim_leakage(pairs, solved, countries)
     assert list(report.edges) == edges

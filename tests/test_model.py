@@ -10,7 +10,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _reference
-from _helpers import assert_canonical_cnf, make_record, make_traceroute, record_obj, ts
+from _helpers import (
+    assert_canonical_cnf,
+    build_cnf,
+    make_record,
+    make_traceroute,
+    record_obj,
+    ts,
+)
 from censorloc.analysis import detect_leakage
 from censorloc.ingest import parse_as_metadata, parse_measurements
 from censorloc.model import (
@@ -28,7 +35,7 @@ from censorloc.model import (
     validate_asn,
 )
 from censorloc.solver import classify
-from censorloc.tomography import build_clause, build_cnf
+from censorloc.tomography import build_clause
 
 
 def test_anomaly_and_granularity_parse():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import forced_true_asns, make_record, make_traceroute, record_obj
+from _helpers import build_cnf, forced_true_asns, make_record, make_traceroute, record_obj
 from censorloc import analysis, aspath, pipeline, simulate, solver, tomography
 from censorloc.aspath import InferenceFailure, InferenceRule, infer_as_path
 from censorloc.ingest import parse_measurements, parse_pfx2as
@@ -347,7 +347,7 @@ _BODY_PATHS = [(100, 200), (100, 300), (200, 300, 400), (100, 200, 300, 400), (5
 def test_solve_instances_solves_each_body_once_invisibly(bodies, picks, cap, order):
     # each instance is built apart, so equal bodies do not share a tuple
     instances = [
-        tomography.build_cnf(
+        build_cnf(
             BucketKey(anomaly, f"http://u{i % 3}/", G.DAY, f"2016-05-{i % 28 + 1:02d}"),
             [(p, d, f"r{i}", 1) for p, d in dict.fromkeys(bodies[j % len(bodies)])],
         )

@@ -469,6 +469,27 @@ def test_engine_holds_lists_only_for_the_literals_its_clauses_use():
     assert set(engine.occurs) == {1, 2, 3, 4, 5}
 
 
+class _CountingLookups(dict):
+    """A dict that counts its ``get`` calls."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_decisions_scan_only_the_variables_of_some_clause():
+    n = 100_000
+    engine = solver._Engine(tuple(range(1, n + 1)), [(1, -2)])
+    engine.occurs = _CountingLookups(engine.occurs)
+    count, shared = solver._enumerate(engine, 5)
+    assert count == 5
+    # a scan of every declared variable would look each one up at every leaf
+    assert engine.occurs.lookups < 20
+    assert engine.backbone(shared) == dict.fromkeys(range(1, n + 1), BackboneStatus.FREE)
+
+
 def test_closed_form_counts_a_sole_survivor_over_distinct_literals():
     # (1 v 1) has one distinct literal, so it forces 1 true
     assert solver.solve_dimacs_text("p cnf 2 1\n1 1 0\n") == {

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import assert_canonical_cnf, make_record
+from _helpers import assert_canonical_cnf, build_cnf, make_record
 from censorloc.ingest import window_id
 from censorloc.model import (
     AnomalyType,
@@ -23,12 +23,12 @@ from censorloc.tomography import (
     MERGED_URL,
     bucket,
     build_clause,
-    build_cnf,
     build_instances,
     dimacs_filename,
     to_cnf_clauses,
     to_dimacs,
     url_hash,
+    with_sources,
 )
 
 G = TimeGranularity
@@ -43,6 +43,13 @@ def _key(**overrides) -> BucketKey:
     )
     base.update(overrides)
     return BucketKey(**base)
+
+
+def _sources(pairs, granularities, url_split=True) -> dict[BucketKey, list]:
+    """Every bucket's source rows, as leak attribution reads them."""
+    instances = build_instances(pairs, granularities, url_split)
+    sourced = with_sources(instances, pairs, [inst.key for inst in instances], url_split)
+    return {inst.key: list(inst.source_paths) for inst in sourced}
 
 
 def test_build_clause_maps_verdict_to_truth():
@@ -73,7 +80,7 @@ def test_bucket_groups_by_anomaly_url_and_window():
     grouped_month = bucket(pairs, [G.MONTH])
     assert len(grouped_month) == 3
     key = _key(granularity=G.MONTH, window_id="2016-05")
-    assert [record_id for _, _, record_id, _ in grouped_month[key]] == ["a", "b"]
+    assert [record_id for _, _, record_id, _ in _sources(pairs, [G.MONTH])[key]] == ["a", "b"]
     # one call buckets every granularity it is given
     assert bucket(pairs, [G.DAY, G.MONTH]) == {**grouped, **grouped_month}
 
@@ -83,8 +90,7 @@ def test_bucket_orders_entries_by_timestamp_then_input_order():
     late = make_record(record_id="late", timestamp="2016-05-02T23:00:00Z")
     tied = make_record(record_id="tied", timestamp="2016-05-02T01:00:00Z")
     pairs = [(late, (100, 900)), (early, (200, 900)), (tied, (300, 900))]
-    grouped = bucket(pairs, [G.DAY])
-    (entries,) = grouped.values()
+    (entries,) = _sources(pairs, [G.DAY]).values()
     assert [record_id for _, _, record_id, _ in entries] == ["early", "tied", "late"]
 
 
@@ -100,7 +106,7 @@ def test_bucket_folds_repeats_into_first_record_and_count():
         (record("d2-clean", "2016-05-03T09:00:00Z", detected=False), hit),
         (record("d1-tied", "2016-05-02T12:00:00Z"), hit),
     ]
-    grouped = bucket(pairs, [G.DAY, G.WEEK])
+    grouped = _sources(pairs, [G.DAY, G.WEEK])
     assert grouped[_key(window_id="2016-05-03")] == [
         (other, True, "d2-early", 1),
         (hit, False, "d2-clean", 1),
@@ -268,7 +274,7 @@ def _random_pairs(rng: random.Random):
 def test_bucketing_partitions_the_input(seed):
     pairs = _random_pairs(random.Random(seed))
     assert {key.granularity for key in bucket(pairs, [G.WEEK])} == {G.WEEK}
-    grouped = bucket(pairs, list(G))
+    grouped = _sources(pairs, list(G))
     for granularity in G:
         counts = [
             count
@@ -278,10 +284,13 @@ def test_bucketing_partitions_the_input(seed):
         ]
         assert sum(counts) == len(pairs)
         assert min(counts) >= 1
-    for observations in grouped.values():
+    bodies = bucket(pairs, list(G))
+    assert bodies.keys() == grouped.keys()
+    for key, observations in grouped.items():
         assert len(observations) >= 1
         distinct = {(path, detected) for path, detected, _, _ in observations}
         assert len(distinct) == len(observations)
+        assert bodies[key] == distinct
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,7 +341,8 @@ def test_build_instances_matches_a_per_bucket_reference(seed, url_split):
             ))
     expected.sort(key=lambda inst: inst.key.sort_key())
     built = build_instances(pairs, list(G), url_split)
-    assert built == expected
+    assert built == [inst._replace(source_paths=()) for inst in expected]
+    assert with_sources(built, pairs, [inst.key for inst in built], url_split) == expected
     for inst in built:
         assert_canonical_cnf(inst)
     # the buckets of all four granularities share one Clause per distinct
