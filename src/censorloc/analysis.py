@@ -293,34 +293,28 @@ def churn_stats(
     )
 
 
-def _anchors(pairs: Sequence[tuple[MeasurementRecord, AsPath]]) -> dict[tuple[int, int], AsPath]:
-    # (vantage AS, destination AS) -> the path of its least (timestamp, input
-    # position) record; a path begins at its vantage AS and ends at its destination
-    first: dict[tuple[int, int], tuple[datetime, int, AsPath]] = {}
-    for position, (record, path) in enumerate(pairs):
-        pair = (path[0], path[-1])
-        if pair not in first or (record.timestamp, position) < first[pair][:2]:
-            first[pair] = (record.timestamp, position, path)
-    return {pair: path for pair, (_, _, path) in first.items()}
-
-
 def ablate_churn(
     pairs: Sequence[tuple[MeasurementRecord, AsPath]],
 ) -> list[tuple[MeasurementRecord, AsPath]]:
     """Strip path churn: per (vantage AS, destination AS) pair keep only the
-    measurements taken over the chronologically first inferred path."""
-    anchors = _anchors(pairs)
-    return [(record, path) for record, path in pairs if path == anchors[path[0], path[-1]]]
+    measurements taken over its first inferred path, that of its least
+    (timestamp, input position) record."""
+    first: dict[tuple[int, int], tuple[datetime, int, AsPath]] = {}
+    for position, (record, path) in enumerate(pairs):
+        pair, mark = (record.vantage_asn, path[-1]), (record.timestamp, position, path)
+        if first.setdefault(pair, mark) > mark:  # positions never tie
+            first[pair] = mark
+    return [(record, path) for record, path in pairs
+            if path == first[record.vantage_asn, path[-1]][2]]
 
 
-def ablate_days(days: DaySets, pairs: Sequence[tuple[MeasurementRecord, AsPath]]) -> DaySets:
-    """The day sets of ``ablate_churn(pairs)``, given ``days``, the day sets
-    of ``pairs``: an observation is kept when its path is its pair's first
-    path, and a day that keeps none is dropped."""
-    anchors = _anchors(pairs)
-    kept = ((cell, {seen for seen in day if seen[0] == anchors[seen[0][0], seen[0][-1]]})
-            for cell, day in days.items())
-    return {cell: day for cell, day in kept if day}
+def ablate_days(days: DaySets, kept: Sequence[tuple[MeasurementRecord, AsPath]]) -> DaySets:
+    """The day sets of ``kept``, what ablate_churn kept of the pairs whose day
+    sets are ``days``. A path begins at its vantage AS and ends at its
+    destination AS, so it is kept everywhere or nowhere."""
+    paths = {path for _, path in kept}
+    filtered = ((cell, {seen for seen in day if seen[0] in paths}) for cell, day in days.items())
+    return {cell: day for cell, day in filtered if day}
 
 
 # ---------------------------------------------------------------------------

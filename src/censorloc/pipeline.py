@@ -496,7 +496,7 @@ def cmd_ablate(cfg: RunConfig) -> list[str]:
     from . import analysis, tomography
 
     result = run_localize_stages(cfg)
-    ablated_days = analysis.ablate_days(result.days, result.pairs)
+    ablated_days = analysis.ablate_days(result.days, analysis.ablate_churn(result.pairs))
     ablated_instances = tomography.build_instances(ablated_days, cfg.granularities)
     ablated_summaries = solve_instances(ablated_instances, cfg.model_cap)
     ablated_rows = analysis.solution_rows_by_granularity(ablated_summaries, cfg.model_cap)

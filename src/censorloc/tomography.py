@@ -123,15 +123,13 @@ def with_sources(
         if cell not in holding:
             keys = [BucketKey(*cell[:2], g, window_id(cell[2], g)) for g in granularities]
             holding[cell] = [rows[key] for key in keys if key in rows]
-        first = (record.timestamp, position)
+        first = (record.timestamp, position, record.record_id)  # positions never tie
         for window in holding[cell]:
-            entry = window.setdefault((path, record.detected), [first, record.record_id, 0])
-            if first < entry[0]:
-                entry[:2] = first, record.record_id
-            entry[2] += 1
+            entry = window.setdefault((path, record.detected), [first, 0])
+            entry[:] = min(entry[0], first), entry[1] + 1
     return [inst._replace(source_paths=tuple(
-        (*seen, record_id, count)
-        for seen, (_, record_id, count) in sorted(rows[inst.key].items(), key=lambda i: i[1][0])
+        (*seen, first[2], count)
+        for seen, (first, count) in sorted(rows[inst.key].items(), key=lambda i: i[1][0])
     )) if inst.key in rows else inst for inst in instances]
 
 

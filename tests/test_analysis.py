@@ -19,6 +19,7 @@ from censorloc import solver
 from censorloc.analysis import (
     HISTOGRAM_BUCKETS,
     ablate_churn,
+    ablate_days,
     churn_stats,
     detect_leakage,
     identify_censors,
@@ -38,7 +39,7 @@ from censorloc.model import (
     SolutionSummary,
     TimeGranularity,
 )
-from censorloc.tomography import build_instances, with_sources
+from censorloc.tomography import build_instances, fold_days, with_sources
 
 FT = BackboneStatus.FORCED_TRUE
 FF = BackboneStatus.FORCED_FALSE
@@ -532,6 +533,26 @@ def test_ablate_churn_timestamp_tie_keeps_input_order_anchor():
     ]
     kept = ablate_churn(rows)
     assert [r.record_id for r, _ in kept] == ["a"]
+
+
+_ABLATE_PATHS = [(100, 200, 900), (100, 300, 900), (100, 200, 300, 900), (101, 200, 900)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(_ABLATE_PATHS), st.integers(0, 9), st.booleans(),
+    st.sampled_from(list(AnomalyType)), st.sampled_from(["http://a.com/", "http://b.com/"]),
+), max_size=30))
+def test_ablate_days_are_the_day_sets_of_the_kept_pairs(rows):
+    # ten hours over two days, so time ties and shared days both occur
+    pairs = [
+        (make_record(record_id=f"r{i}", timestamp=f"2016-05-0{2 + hour // 5}T{hour:02d}:00:00Z",
+                     detected=detected, anomaly=anomaly, url=url, vantage_asn=path[0]), path)
+        for i, (path, hour, detected, anomaly, url) in enumerate(rows)
+    ]
+    for url_split in (True, False):
+        kept = ablate_churn(pairs)
+        assert ablate_days(fold_days(pairs, url_split), kept) == fold_days(kept, url_split)
 
 
 # ---------------------------------------------------------------------------
