@@ -5,27 +5,37 @@ output destination: one ``InputError`` (``model.py``), which the readers'
 ``IngestError`` and the simulator's ``SimulationError`` extend, or a stdout
 whose reader has gone, which ends the run without a message. All
 subcommands are offline batch jobs over local files.
+
+Argument handling loads only ``model``: the parser's choices and defaults
+come from there, so ``--version``, ``--help`` and usage errors compile no
+stage. ``pipeline`` (and with it the solver) and ``json`` are imported once
+the arguments have parsed, by the command that runs.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__, pipeline, solver
-from .model import AnomalyType, TimeGranularity
+from . import __version__
+from .model import (
+    ALL_GRANULARITIES,
+    DEFAULT_MODEL_CAP,
+    AnomalyType,
+    InputError,
+    TimeGranularity,
+)
 
 if TYPE_CHECKING:
-    from . import simulate
+    from . import pipeline, simulate
 
 
 def _granularity_list(values: list[str] | None) -> tuple[TimeGranularity, ...]:
     if not values:
-        return pipeline.ALL_GRANULARITIES
+        return ALL_GRANULARITIES
     return tuple(g for g in TimeGranularity if g.value in values)
 
 
@@ -54,7 +64,7 @@ def _add_analysis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--anomaly", action="append", metavar="A",
                    choices=[a.value for a in AnomalyType],
                    help="keep only these anomaly categories (repeatable)")
-    p.add_argument("--model-cap", type=int, default=solver.DEFAULT_MODEL_CAP,
+    p.add_argument("--model-cap", type=int, default=DEFAULT_MODEL_CAP,
                    help="stop counting models at this bound (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility (N >= 1); CNF instances "
@@ -66,10 +76,12 @@ def _add_analysis_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> pipeline.RunConfig:
+    from . import pipeline
+
     if args.model_cap < 2:
-        raise pipeline.InputError("--model-cap must be >= 2")
+        raise InputError("--model-cap must be >= 2")
     if args.workers < 1:
-        raise pipeline.InputError("--workers must be >= 1")
+        raise InputError("--workers must be >= 1")
     return pipeline.RunConfig(
         measurements=args.measurements,
         pfx2as=args.pfx2as,
@@ -133,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-dimacs", help="solve a single DIMACS CNF file")
     p.add_argument("cnf", type=Path, help="DIMACS CNF file")
-    p.add_argument("--model-cap", type=int, default=solver.DEFAULT_MODEL_CAP)
+    p.add_argument("--model-cap", type=int, default=DEFAULT_MODEL_CAP)
 
     p = sub.add_parser("evaluate", help="score censors.json against simulator ground truth")
     p.add_argument("--censors", required=True, type=Path, help="censors.json from localize")
@@ -156,32 +168,30 @@ def _sim_params_from_args(args: argparse.Namespace) -> simulate.SimParams:
         try:
             kwargs["start_date"] = date.fromisoformat(args.start_date)
         except ValueError:
-            raise pipeline.InputError(
+            raise InputError(
                 f"--start-date must be YYYY-MM-DD, got {args.start_date!r}"
             ) from None
     return simulate.SimParams(**kwargs)
 
 
-_ANALYSIS_COMMANDS = {
-    "localize": pipeline.cmd_localize,
-    "leak": pipeline.cmd_leak,
-    "ablate": pipeline.cmd_ablate,
-    "export-dimacs": pipeline.cmd_export_dimacs,
-}
-
-
 def _run(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     if args.command == "simulate":
         params = _sim_params_from_args(args)
         pipeline.cmd_simulate(params, args.out, args.force)
         return 0
     if args.command == "solve-dimacs":
+        import json
+
         if args.model_cap < 2:
-            raise pipeline.InputError("--model-cap must be >= 2")
+            raise InputError("--model-cap must be >= 2")
         result = pipeline.cmd_solve_dimacs(args.cnf, args.model_cap)
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
     if args.command == "evaluate":
+        import json
+
         scorecard = pipeline.cmd_evaluate(args.censors, args.truth)
         text = json.dumps(scorecard, indent=2, sort_keys=True)
         if args.out is not None:
@@ -200,7 +210,13 @@ def _run(args: argparse.Namespace) -> int:
         )
         warnings = pipeline.cmd_churn(cfg)
     else:
-        warnings = _ANALYSIS_COMMANDS[args.command](_config_from_args(args))
+        command = {
+            "localize": pipeline.cmd_localize,
+            "leak": pipeline.cmd_leak,
+            "ablate": pipeline.cmd_ablate,
+            "export-dimacs": pipeline.cmd_export_dimacs,
+        }[args.command]
+        warnings = command(_config_from_args(args))
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -213,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _run(args)
         sys.stdout.flush()
         return code
-    except pipeline.InputError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -30,6 +30,8 @@ from typing import Any, NamedTuple
 
 MIN_ASN = 1
 MAX_ASN = 2**32 - 1
+# the model-count bound of every solve, for the CLI's --model-cap default
+DEFAULT_MODEL_CAP = 5
 
 
 class InputError(Exception):
@@ -86,6 +88,7 @@ class TimeGranularity(str, Enum):
 
 # fine to coarse, as declared
 _GRANULARITY_ORDER = {g: i for i, g in enumerate(TimeGranularity)}
+ALL_GRANULARITIES = tuple(TimeGranularity)
 
 
 def validate_asn(asn: Any, what: str = "asn") -> int:

@@ -4,13 +4,14 @@ Stages are plain functions over values so tests (and the ablation command)
 can recombine them; the write_* helpers put byte-stable artifacts into the
 output directory. Reruns refuse to overwrite existing outputs unless forced.
 
-Every command imports this module, so at module level it imports only what
-every command uses: ``model`` and ``solver``. The corpus stages (``ingest``,
-``aspath``, ``tomography``, ``analysis``) are imported inside the functions
-that run them, and ``simulate`` inside its two commands, so ``solve-dimacs``,
-``evaluate`` and ``--version`` load none of them. Stage calls go through the
-module attribute (``aspath.infer_as_path``), so a function replaced on its
-own module, as the tests and the benchmark's tracer do, is the one that runs.
+Every command that runs imports this module (argument handling alone does
+not), so at module level it imports only what every command uses: ``model``
+and ``solver``. The corpus stages (``ingest``, ``aspath``, ``tomography``,
+``analysis``) are imported inside the functions that run them, and
+``simulate`` inside its two commands, so ``solve-dimacs`` and ``evaluate``
+load none of them. Stage calls go through the module attribute
+(``aspath.infer_as_path``), so a function replaced on its own module, as the
+tests and the benchmark's tracer do, is the one that runs.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from . import solver
 from .model import (
+    ALL_GRANULARITIES,
+    DEFAULT_MODEL_CAP,
     AnomalyType,
     AsPath,
     BucketKey,
@@ -40,8 +43,6 @@ if TYPE_CHECKING:
     from .ingest import ParseReport, PrefixTable
     from .tomography import DaySets
 
-ALL_GRANULARITIES = tuple(TimeGranularity)
-
 
 class RunConfig(NamedTuple):
     measurements: Path
@@ -50,7 +51,7 @@ class RunConfig(NamedTuple):
     as_meta: Path | None = None
     granularities: tuple[TimeGranularity, ...] = ALL_GRANULARITIES
     anomalies: tuple[AnomalyType, ...] | None = None
-    model_cap: int = solver.DEFAULT_MODEL_CAP
+    model_cap: int = DEFAULT_MODEL_CAP
     url_split: bool = True
     force: bool = False
     debug_trace: bool = False

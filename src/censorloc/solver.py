@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Container, Iterator, Sequence
 
 from .model import (
+    DEFAULT_MODEL_CAP,
     BackboneStatus,
     CnfInstance,
     SolutionStatus,
@@ -34,7 +35,6 @@ from .model import (
 Assignment = dict[int, bool]
 ClauseTuple = tuple[int, ...]
 
-DEFAULT_MODEL_CAP = 5
 BRUTE_FORCE_MAX_VARS = 20
 # The most variables a DIMACS header may declare. Solving lists every declared
 # variable, so a larger count is refused as a malformed header instead of

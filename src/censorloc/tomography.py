@@ -15,6 +15,7 @@ days' sets. Only leak reads each observation's first record and record count:
 from __future__ import annotations
 
 from datetime import date
+from functools import cache
 from typing import Collection, Iterable, Sequence
 
 from .ingest import window_id
@@ -116,17 +117,22 @@ def with_sources(
     first record and its record count, in order of first record. A first is
     the least (timestamp, input position) among the window's records."""
     rows: dict[BucketKey, dict[Observation, list]] = {key: {} for key in wanted}
-    granularities = {key.granularity for key in rows}
+    groups: dict[tuple, set[TimeGranularity]] = {}  # (anomaly, url) -> wanted granularities
+    for key in rows:
+        groups.setdefault(key[:2], set()).add(key.granularity)
+    name = cache(window_id)  # each (UTC date, granularity) is named once
     holding: dict[tuple, list[dict]] = {}  # day cell -> rows of the wanted windows holding it
     for position, (record, path) in enumerate(pairs):
         cell = (record.anomaly, record.url if url_split else MERGED_URL, record.timestamp.date())
         if cell not in holding:
-            keys = [BucketKey(*cell[:2], g, window_id(cell[2], g)) for g in granularities]
+            keys = [BucketKey(*cell[:2], g, name(cell[2], g)) for g in groups.get(cell[:2], ())]
             holding[cell] = [rows[key] for key in keys if key in rows]
-        first = (record.timestamp, position, record.record_id)  # positions never tie
-        for window in holding[cell]:
-            entry = window.setdefault((path, record.detected), [first, 0])
-            entry[:] = min(entry[0], first), entry[1] + 1
+        windows = holding[cell]
+        if windows:
+            first = (record.timestamp, position, record.record_id)  # positions never tie
+            for window in windows:
+                entry = window.setdefault((path, record.detected), [first, 0])
+                entry[:] = min(entry[0], first), entry[1] + 1
     return [inst._replace(source_paths=tuple(
         (*seen, first[2], count)
         for seen, (first, count) in sorted(rows[inst.key].items(), key=lambda i: i[1][0])

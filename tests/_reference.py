@@ -1,5 +1,5 @@
-"""A plain ``localize``, ``leak``, ``churn`` and ``ablate``, written for
-clarity: the whole-run oracle of the tests.
+"""A plain ``localize``, ``leak``, ``churn``, ``ablate`` and ``export-dimacs``,
+written for clarity: the whole-run oracle of the tests.
 
 It shares no code with ``censorloc`` beyond the model enums and the solver's
 test oracle ``brute_force_models``. Each line is read with ``json.loads`` and
@@ -7,7 +7,8 @@ checked field by field; addresses are matched with ``ipaddress``; each
 traceroute becomes one AS token per hop and is then collapsed; buckets are
 grouped with ``itertools.groupby`` and solved by enumerating every
 assignment; churn cells and ablation anchors are found from sorted records;
-and the outputs are written with ``json.dumps`` and ``csv``. No memo, no
+the outputs are written with ``json.dumps`` and ``csv``, and DIMACS files are
+named with ``hashlib.sha256`` of the URL. No memo, no
 shared value and no fast path: it is slow on purpose.
 
 The prefix table and the AS metadata are taken as valid, so this reference
@@ -16,6 +17,7 @@ suits runs whose mutations are confined to the measurements file.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -451,9 +453,42 @@ def _infer_all(records: list, table) -> tuple[list, dict[str, int]]:
     return inferred, failures
 
 
-def solve_buckets(inferred: list, cap: int, url_split: bool, granularities) -> list:
-    """Every bucket's key and solution, in output order: anomaly, url,
-    granularity (as declared), window."""
+def export_dimacs(measurements: bytes, pfx2as: bytes, url_split: bool = True,
+                  granularities=ALL_GRANULARITIES, anomalies=None) -> dict[str, bytes] | None:
+    """The files ``export-dimacs --out`` writes, or None where it refuses the
+    inputs: one DIMACS CNF per bucket, its variables numbered in ascending
+    ASN order, a ``c var`` line each, then the all-positive clauses of its
+    detected paths in sorted order and the negative units of its clean
+    paths' ASes."""
+    ingested = _ingest(measurements, pfx2as)
+    if ingested is None:
+        return None
+    records, _, table = ingested
+    if anomalies is not None:
+        records = [r for r in records if AnomalyType(r["anomaly"]) in anomalies]
+    files = {}
+    for (anomaly, url, granularity, name), observations in buckets(
+            _infer_all(records, table)[0], url_split, granularities):
+        variables = sorted({asn for path, _ in observations for asn in path})
+        number = {asn: i for i, asn in enumerate(variables, start=1)}
+        positives = sorted({tuple(sorted(set(path))) for path, detected in observations
+                            if detected})
+        negatives = sorted({asn for path, detected in observations if not detected
+                            for asn in path})
+        clauses = [[number[asn] for asn in clause] for clause in positives] + \
+            [[-number[asn]] for asn in negatives]
+        lines = [f"p cnf {len(variables)} {len(clauses)}",
+                 *(f"c var {number[asn]} = AS{asn} {anomaly.value}" for asn in variables),
+                 *(" ".join(map(str, [*clause, 0])) for clause in clauses)]
+        url_hash = hashlib.sha256(url.encode("utf-8")).hexdigest()[:12]
+        files[f"{anomaly.value}_{url_hash}_{granularity.value}_{name}.cnf"] = \
+            ("\n".join(lines) + "\n").encode()
+    return files
+
+
+def buckets(inferred: list, url_split: bool, granularities) -> list:
+    """Every bucket's key and its distinct (path, detected) observations, in
+    output order: anomaly, url, granularity (as declared), window."""
     observed = []  # (anomaly, url, granularity, window, path, detected)
     for record, path in inferred:
         url = record["url"] if url_split else "*"
@@ -463,10 +498,13 @@ def solve_buckets(inferred: list, cap: int, url_split: bool, granularities) -> l
                              path, record["detected"]))
     observed.sort(key=lambda o: (o[0].value, o[1], list(TimeGranularity).index(o[2]),
                                  o[3], o[4], o[5]))
-    return [
-        (key, solve({o[4:] for o in group}, cap))
-        for key, group in groupby(observed, key=lambda o: o[:4])
-    ]
+    return [(key, {o[4:] for o in group}) for key, group in groupby(observed, key=lambda o: o[:4])]
+
+
+def solve_buckets(inferred: list, cap: int, url_split: bool, granularities) -> list:
+    """Every bucket's key and solution, in output order."""
+    return [(key, solve(observations, cap))
+            for key, observations in buckets(inferred, url_split, granularities)]
 
 
 def _localize(measurements: bytes, pfx2as: bytes, cap: int, url_split: bool, granularities,

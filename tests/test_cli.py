@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from _helpers import structured_dimacs
-from censorloc import __version__, pipeline, simulate, solver
+from censorloc import __version__, model, pipeline, simulate, solver
 from censorloc.cli import build_parser, main
 from censorloc.ingest import parse_as_metadata, parse_pfx2as
 from censorloc.model import InputError
@@ -145,6 +145,21 @@ except SystemExit as exc:  # --version
 """
 
 
+# argv: the exit code that argument handling must end with, then the CLI
+# arguments; parse_args exits on each of them, before any command runs
+_HANDLE_ARGS = """
+import sys
+from censorloc.cli import main
+code, *argv = sys.argv[1:]
+try:
+    main(argv)
+except SystemExit as exc:
+    assert exc.code == int(code), exc.code
+else:
+    raise AssertionError("argument handling ran a command")
+"""
+
+
 def _modules_loaded(code: str, *args: str) -> set[str]:
     """The censorloc modules that a new interpreter holds after ``code``."""
     proc = _fresh_python("-c", code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in "
@@ -167,6 +182,27 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         assert not unwanted & _modules_loaded(_RUN_MAIN, *args), args
     sim_dir = _simulate(tmp_path)
     assert stages <= _modules_loaded(_RUN_MAIN, *_localize_args(sim_dir, tmp_path / "loc"))
+    # argument handling needs only the model: --version, --help and a usage
+    # error compile neither the pipeline nor the solver
+    no_pfx2as = ["localize", "--measurements", "m", "--out", "o"]
+    for code, args in (("0", ["--version"]), ("0", ["--help"]), ("0", ["localize", "--help"]),
+                       ("2", no_pfx2as)):
+        assert _modules_loaded(_HANDLE_ARGS, code, *args) == {
+            "censorloc", "censorloc.model", "censorloc.cli"}, args
+    for args in ([*no_pfx2as, "--pfx2as", "p"], ["solve-dimacs", str(cnf)]):
+        proc = _fresh_python("-m", "censorloc.cli", *args, "--model-cap", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: --model-cap must be >= 2\n"), args
+    # the model is the one home of the defaults that the parser reads
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    for name in ("localize", "leak", "ablate", "export-dimacs", "solve-dimacs"):
+        cap = next(a for a in commands.choices[name]._actions if a.dest == "model_cap")
+        assert cap.default is model.DEFAULT_MODEL_CAP, name
+    cap = next(a for a in commands.choices["localize"]._actions if a.dest == "model_cap")
+    assert cap.help % vars(cap) == \
+        f"stop counting models at this bound (default {model.DEFAULT_MODEL_CAP})"
+    assert solver.DEFAULT_MODEL_CAP is model.DEFAULT_MODEL_CAP
+    assert pipeline.ALL_GRANULARITIES is model.ALL_GRANULARITIES
 
 
 def test_commands_that_load_lazily_run_in_a_fresh_interpreter(tmp_path):

@@ -9,13 +9,19 @@ and Opportunities", ACM Computing Surveys 2018):
   observations, so a second copy of every record changes no verdict, while
   every record count doubles;
 - coarsening: a window holds the clauses of each of its days, so a window
-  that contains an unsatisfiable day is unsatisfiable.
+  that contains an unsatisfiable day is unsatisfiable;
+- solver renaming: a DIMACS CNF's models map one to one onto those of the CNF
+  with its variables renumbered, or with one variable's sign flipped in every
+  clause, so the status and the count stay and the backbone moves with the
+  renaming. Run through ``solve_dimacs_text``, this reaches sizes that brute
+  force cannot, such as the structured families at 1,000 or more variables.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import random
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -23,7 +29,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from _helpers import structured_dimacs
 from censorloc.cli import main
+from censorloc.solver import solve_dimacs_text
+from test_solver import _dimacs_text, general_dimacs_cnfs
 from test_whole_run import _jsonl, _simulated, simulate_args
 from test_whole_run_commands import _run
 
@@ -99,3 +108,47 @@ def test_a_window_holding_an_unsat_day_is_unsat(args, data, url_split):
                 name = f"{group}_{granularity}_{window}.cnf"
                 assert name in files
                 assert _status(Path(tmp, "cnf", name)) == "unsat", name
+
+
+_SWAPPED = {"forced_true": "forced_false", "forced_false": "forced_true", "free": "free"}
+
+
+def _check_renaming(n: int, clauses: list[tuple[int, ...]], seed: int) -> None:
+    """A random renumbering of 1..n permutes the backbone, and flipping one
+    variable's sign swaps its forced values; neither moves the status or the
+    count."""
+    rng = random.Random(seed)
+    before = solve_dimacs_text(_dimacs_text(n, clauses))
+    numbers = list(range(1, n + 1))
+    rng.shuffle(numbers)
+    rename = dict(zip(range(1, n + 1), numbers))
+    permuted = solve_dimacs_text(_dimacs_text(n, [
+        tuple(rename[lit] if lit > 0 else -rename[-lit] for lit in clause) for clause in clauses
+    ]))
+    assert permuted == {**before, "backbone": permuted["backbone"]}
+    assert permuted["backbone"] == {
+        str(rename[int(v)]): role for v, role in before["backbone"].items()}
+    if not n:
+        return
+    flip = rng.randint(1, n)
+    flipped = solve_dimacs_text(_dimacs_text(n, [
+        tuple(-lit if abs(lit) == flip else lit for lit in clause) for clause in clauses
+    ]))
+    assert flipped == {**before, "backbone": flipped["backbone"]}
+    swapped = {str(flip): _SWAPPED[before["backbone"][str(flip)]]} if before["backbone"] else {}
+    assert flipped["backbone"] == {**before["backbone"], **swapped}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cnf=general_dimacs_cnfs(), seed=st.integers(0, 2**32 - 1))
+def test_renaming_variables_renames_the_solution(cnf, seed):
+    _check_renaming(*cnf, seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(family=st.sampled_from(["alternating", "chain", "chain-head"]),
+       n=st.integers(1_000, 1_500), seed=st.integers(0, 2**32 - 1))
+def test_renaming_variables_renames_the_solution_of_a_large_structured_cnf(family, n, seed):
+    text = structured_dimacs(family, n)
+    clauses = [tuple(map(int, line.split()[:-1])) for line in text.splitlines()[1:]]
+    _check_renaming(n, clauses, seed)

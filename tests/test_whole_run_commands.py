@@ -1,6 +1,6 @@
-"""Whole ``localize``, ``ablate`` and ``churn`` runs with drawn granularity
-subsets, anomaly filters and worker counts, against the plain reference in
-_reference.py.
+"""Whole ``localize``, ``ablate``, ``churn`` and ``export-dimacs`` runs with
+drawn granularity subsets, anomaly filters and worker counts, against the
+plain reference in _reference.py.
 
 The corpora are those of ``test_localize_matches_the_reference``. Every file
 under ``--out`` must equal the reference's byte for byte, or both must refuse
@@ -56,9 +56,9 @@ def _check(command: str, expected: dict[str, bytes] | None, measurements: bytes,
 def _check_commands(measurements: bytes, pfx2as: bytes, cap: int = 5, url_split: bool = True,
                     granularities: list[G] = (), anomalies: list[AnomalyType] = (),
                     workers: int = 1) -> list[str]:
-    """Run localize, ablate and churn on one corpus and compare each with
-    the reference; an empty granularity or anomaly list gives no flag.
-    Returns the stderr of localize, ablate and churn."""
+    """Run localize, ablate, churn and export-dimacs on one corpus and
+    compare each with the reference; an empty granularity or anomaly list
+    gives no flag. Returns the stderr of localize, ablate and churn."""
     chosen = tuple(granularities) or _reference.ALL_GRANULARITIES
     by_granularity = [flag for g in granularities for flag in ("--granularity", g.value)]
     flags = [*by_granularity, *(flag for a in anomalies for flag in ("--anomaly", a.value)),
@@ -67,6 +67,9 @@ def _check_commands(measurements: bytes, pfx2as: bytes, cap: int = 5, url_split:
                                 tuple(anomalies) or None)
     localized = None if ablated is None else {
         name: data for name, data in ablated.items() if name != ABLATED}
+    exported = _reference.export_dimacs(measurements, pfx2as, url_split, chosen,
+                                        tuple(anomalies) or None)
+    _check("export-dimacs", exported, measurements, pfx2as, flags)
     return [
         _check("localize", localized, measurements, pfx2as, flags),
         _check("ablate", ablated, measurements, pfx2as, [*flags, "--workers", str(workers)]),
