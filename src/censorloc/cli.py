@@ -6,10 +6,9 @@ output destination: one ``InputError`` (``model.py``), which the readers'
 whose reader has gone, which ends the run without a message. All
 subcommands are offline batch jobs over local files.
 
-Argument handling loads only ``model``: the parser's choices and defaults
-come from there, so ``--version``, ``--help`` and usage errors compile no
-stage. ``pipeline`` (and with it the solver) and ``json`` are imported once
-the arguments have parsed, by the command that runs.
+Argument handling loads only ``model``, where the parser's choices and
+defaults live; ``pipeline`` (with the solver) and ``json`` load once the
+arguments have parsed.
 """
 from __future__ import annotations
 
@@ -21,16 +20,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import (
-    ALL_GRANULARITIES,
-    DEFAULT_MODEL_CAP,
-    AnomalyType,
-    InputError,
-    TimeGranularity,
-)
+from .model import ALL_GRANULARITIES, DEFAULT_MODEL_CAP, AnomalyType, InputError, TimeGranularity
 
 if TYPE_CHECKING:
-    from . import pipeline, simulate
+    from . import simulate
 
 
 def _granularity_list(values: list[str] | None) -> tuple[TimeGranularity, ...]:
@@ -73,27 +66,6 @@ def _add_analysis_args(p: argparse.ArgumentParser) -> None:
                    help="merge all URLs into one bucket per window")
     p.add_argument("--debug-trace", action="store_true",
                    help="also write per-record inference traces (JSONL)")
-
-
-def _config_from_args(args: argparse.Namespace) -> pipeline.RunConfig:
-    from . import pipeline
-
-    if args.model_cap < 2:
-        raise InputError("--model-cap must be >= 2")
-    if args.workers < 1:
-        raise InputError("--workers must be >= 1")
-    return pipeline.RunConfig(
-        measurements=args.measurements,
-        pfx2as=args.pfx2as,
-        out_dir=args.out,
-        as_meta=args.as_meta,
-        granularities=_granularity_list(args.granularity),
-        anomalies=_anomaly_list(args.anomaly),
-        model_cap=args.model_cap,
-        url_split=not args.no_url_split,
-        force=args.force,
-        debug_trace=args.debug_trace,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,6 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("churn", help="quantify AS-path churn per vantage/destination")
     _add_input_args(p)
+    # churn runs at the analysis defaults, so one RunConfig serves every corpus command
+    p.set_defaults(anomaly=None, model_cap=DEFAULT_MODEL_CAP, workers=1,
+                   no_url_split=False, debug_trace=False)
 
     p = sub.add_parser("solve-dimacs", help="solve a single DIMACS CNF file")
     p.add_argument("cnf", type=Path, help="DIMACS CNF file")
@@ -175,23 +150,14 @@ def _sim_params_from_args(args: argparse.Namespace) -> simulate.SimParams:
 
 
 def _run(args: argparse.Namespace) -> int:
+    import json
+
     from . import pipeline
 
     if args.command == "simulate":
-        params = _sim_params_from_args(args)
-        pipeline.cmd_simulate(params, args.out, args.force)
-        return 0
-    if args.command == "solve-dimacs":
-        import json
-
-        if args.model_cap < 2:
-            raise InputError("--model-cap must be >= 2")
-        result = pipeline.cmd_solve_dimacs(args.cnf, args.model_cap)
-        print(json.dumps(result, indent=2, sort_keys=True))
+        pipeline.cmd_simulate(_sim_params_from_args(args), args.out, args.force)
         return 0
     if args.command == "evaluate":
-        import json
-
         scorecard = pipeline.cmd_evaluate(args.censors, args.truth)
         text = json.dumps(scorecard, indent=2, sort_keys=True)
         if args.out is not None:
@@ -199,24 +165,27 @@ def _run(args: argparse.Namespace) -> int:
             (out_dir / "evaluation.json").write_text(text + "\n", encoding="utf-8")
         print(text)
         return 0
-    if args.command == "churn":
-        cfg = pipeline.RunConfig(
-            measurements=args.measurements,
-            pfx2as=args.pfx2as,
-            out_dir=args.out,
-            as_meta=args.as_meta,
-            granularities=_granularity_list(args.granularity),
-            force=args.force,
-        )
-        warnings = pipeline.cmd_churn(cfg)
-    else:
-        command = {
-            "localize": pipeline.cmd_localize,
-            "leak": pipeline.cmd_leak,
-            "ablate": pipeline.cmd_ablate,
-            "export-dimacs": pipeline.cmd_export_dimacs,
-        }[args.command]
-        warnings = command(_config_from_args(args))
+    if args.model_cap < 2:
+        raise InputError("--model-cap must be >= 2")
+    if args.command == "solve-dimacs":
+        result = pipeline.cmd_solve_dimacs(args.cnf, args.model_cap)
+        print(json.dumps(result, indent=2, sort_keys=True))
+        return 0
+    if args.workers < 1:
+        raise InputError("--workers must be >= 1")
+    command = getattr(pipeline, "cmd_" + args.command.replace("-", "_"))
+    warnings = command(pipeline.RunConfig(
+        measurements=args.measurements,
+        pfx2as=args.pfx2as,
+        out_dir=args.out,
+        as_meta=args.as_meta,
+        granularities=_granularity_list(args.granularity),
+        anomalies=_anomaly_list(args.anomaly),
+        model_cap=args.model_cap,
+        url_split=not args.no_url_split,
+        force=args.force,
+        debug_trace=args.debug_trace,
+    ))
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
